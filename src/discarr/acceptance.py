@@ -48,6 +48,12 @@ DEP63_TRIPLE = ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
 LIFTED_TRIPLE = ((1, 2, 3, 4, 7, 8), (1, 2, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8))
 
 
+def _require(cond: bool, msg="") -> None:
+    """Fail the running check with `msg`; unlike `assert`, `python -O` keeps it."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -73,12 +79,12 @@ def check_dep63_reproduction() -> str:
     arr = _dep63()
     census = codim2_census(arr)
     dependent = [r for r in census if r.multiplicity == 3]
-    assert len(dependent) == 1, f"expected one multiplicity-3 stratum, got {len(dependent)}"
-    assert dependent[0].members == DEP63_TRIPLE, dependent[0].members
+    _require(len(dependent) == 1, f"expected one multiplicity-3 stratum, got {len(dependent)}")
+    _require(dependent[0].members == DEP63_TRIPLE, dependent[0].members)
     big = [r for r in census if r.multiplicity == 5]
-    assert len(big) == comb(6, 5) == 6, f"expected 6 multiplicity-5 strata, got {len(big)}"
+    _require(len(big) == comb(6, 5) == 6, f"expected 6 multiplicity-5 strata, got {len(big)}")
     codim = codim_intersection(arr, DEP63_TRIPLE)
-    assert codim == 2, f"triple codimension {codim} != 2"
+    _require(codim == 2, f"triple codimension {codim} != 2")
     return "one multiplicity-3 stratum {1234,1256,3456}, six of multiplicity 5, codim 2"
 
 
@@ -96,7 +102,7 @@ def check_perturbation() -> str:
         if dependent_triples(cand):
             continue
         codim = codim_intersection(cand, DEP63_TRIPLE)
-        assert codim == 3, f"perturbed triple codimension {codim} != 3"
+        _require(codim == 3, f"perturbed triple codimension {codim} != 3")
         return "row replacement breaks collinearity: triple codim 2 -> 3"
     raise AssertionError("no non-dependent perturbation found in budget")
 
@@ -109,24 +115,24 @@ def check_generic_census() -> str:
             census = codim2_census(arr)
             mults = Counter(r.multiplicity for r in census)
             bad = set(mults) - {2, k + 2}
-            assert not bad, f"(n={n},k={k}) seed {i}: multiplicities {sorted(mults)}"
+            _require(not bad, f"(n={n},k={k}) seed {i}: multiplicities {sorted(mults)}")
             top = sum(1 for r in census if r.multiplicity == k + 2)
-            assert top == comb(n, k + 2), f"(n={n},k={k}): {top} != C({n},{k+2})"
-            assert all(r.kind in (GOOD, SIMPLE) for r in census)
+            _require(top == comb(n, k + 2), f"(n={n},k={k}): {top} != C({n},{k+2})")
+            _require(all(r.kind in (GOOD, SIMPLE) for r in census))
         lines.append(f"({n},{k}): 5 seeds, multiplicity-{k+2} count {comb(n, k+2)}")
     return "; ".join(lines)
 
 
 def check_lifted_dependency() -> str:
     arr = construct_dependent(2, 2, seed=LIFTED_SEED)
-    assert (arr.n, arr.k) == (8, 5)
+    _require((arr.n, arr.k) == (8, 5))
     census = codim2_census(arr)
     dependent = [r for r in census if r.kind == DEPENDENT]
-    assert len(dependent) == 1 and dependent[0].members == LIFTED_TRIPLE
+    _require(len(dependent) == 1 and dependent[0].members == LIFTED_TRIPLE)
     triple = dependent_triples(arr)[0]
-    assert (triple.common_count, triple.overlap_size) == (2, 2)
+    _require((triple.common_count, triple.overlap_size) == (2, 2))
     codim = codim_intersection(arr, LIFTED_TRIPLE)
-    assert codim == 2 and arr.n - codim == 6, f"intersection dim {arr.n - codim} != 6"
+    _require(codim == 2 and arr.n - codim == 6, f"intersection dim {arr.n - codim} != 6")
     return "(8,5) stratum with t=2, s=2; intersection dimension 6"
 
 
@@ -134,7 +140,7 @@ def check_planar_rigidity() -> str:
     lines = []
     for n, cap in ((5, 5), (6, 5), (7, 4)):
         report = verify_independence(n, cap, trials=5, seed=PLANAR_SEED)
-        assert report["discrepancies"] == [], report["discrepancies"][:3]
+        _require(report["discrepancies"] == [], report["discrepancies"][:3])
         lines.append(f"n={n} cap={cap}: {report['collections_checked']} collections clean")
     return "; ".join(lines)
 
@@ -142,10 +148,10 @@ def check_planar_rigidity() -> str:
 def check_worked_examples() -> str:
     four_sets = ((1, 2, 3), (1, 4, 5), (2, 6, 7), (3, 8, 9))
     c = codim_combinatorial(four_sets, 9)
-    assert c == 4, f"four-set example codim {c} != 4"
+    _require(c == 4, f"four-set example codim {c} != 4")
     for n in (5, 8):
         c2 = codim_combinatorial(((1, 2, 3), (1, 4, 5)), n)
-        assert c2 == 2, f"two-set example codim {c2} != 2 at n={n}"
+        _require(c2 == 2, f"two-set example codim {c2} != 2 at n={n}")
     return "four-set example codim 4; two-set example codim 2"
 
 
@@ -154,7 +160,7 @@ def check_gale_normals() -> str:
     for n, k in ((6, 3), (7, 3)):
         arr = _sample_nondependent(n, k, GALE_SEED)
         normals = essential_normals_via_gale(arr)  # proportionality asserted inside
-        assert len(normals) == comb(n, k + 1)
+        _require(len(normals) == comb(n, k + 1))
         counts.append(f"({n},{k}): {len(normals)} normals proportional")
     return "; ".join(counts)
 
@@ -165,13 +171,13 @@ def check_gale_invariance() -> str:
         pos = random_concurrent_sextuple(seed=INVARIANCE_SEED + i)
         a, _ = concurrent_partition_exists(pos)
         b, _ = concurrent_partition_exists(gale_transform(pos))
-        assert a and b, f"positive instance {i}: {a} vs {b}"
+        _require(a and b, f"positive instance {i}: {a} vs {b}")
         agreements += 1
     for i in range(20):
         neg = random_generic_sextuple(seed=INVARIANCE_SEED + i)
         a, _ = concurrent_partition_exists(neg)
         b, _ = concurrent_partition_exists(gale_transform(neg))
-        assert not a and not b, f"negative instance {i}: {a} vs {b}"
+        _require(not a and not b, f"negative instance {i}: {a} vs {b}")
         agreements += 1
     return f"{agreements}/40 instances agree with their Gale transform"
 
@@ -188,16 +194,16 @@ def check_monodromy_invariants() -> str:
         n_lines = len(section)
         records = braid_monodromy(section, _min_s(section))
         pair_total = sum(comb(len(p.block), 2) for p, _ in records)
-        assert pair_total == comb(n_lines, 2)
+        _require(pair_total == comb(n_lines, 2))
         product = reduce_free(sum((braid.letters for _, braid in records), ()))
-        assert braids_equal(product, full_twist(n_lines), n_lines), label
+        _require(braids_equal(product, full_twist(n_lines), n_lines), label)
         pres = presentation(records, n_lines)
         invariants = smith_invariants(pres.exponent_matrix()) if pres.relators else []
         rank = n_lines - sum(1 for d in invariants if d)
-        assert rank == n_lines, f"{label}: abelianization rank {rank} != {n_lines}"
+        _require(rank == n_lines, f"{label}: abelianization rank {rank} != {n_lines}")
         census_mults = Counter(r.multiplicity for r in codim2_census(arr))
         block_mults = Counter(len(p.block) for p, _ in records)
-        assert block_mults == census_mults, f"{label}: {block_mults} vs {census_mults}"
+        _require(block_mults == census_mults, f"{label}: {block_mults} vs {census_mults}")
         lines.append(f"{label}: N={n_lines}, {len(records)} points")
     return "; ".join(lines)
 
@@ -222,10 +228,10 @@ def check_nilpotent_relations() -> str:
         good = sum(r.multiplicity for r in census if r.kind == GOOD)
         dep = sum(r.multiplicity for r in census if r.kind == DEPENDENT)
         simple = sum(1 for r in census if r.kind == SIMPLE)
-        assert len(families.full_sets) == good
-        assert len(families.dependents) == dep
-        assert len(families.commuting) == 2 * simple
-        assert bool(families.dependents) == has_dependency, label
+        _require(len(families.full_sets) == good)
+        _require(len(families.dependents) == dep)
+        _require(len(families.commuting) == 2 * simple)
+        _require(bool(families.dependents) == has_dependency, label)
         lines.append(f"{label}: (i)={good} (ii)={dep} (iii)={2 * simple}")
     return "; ".join(lines)
 

@@ -311,6 +311,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION
+    except AssertionError as exc:
+        print(f"discrepancy: {exc}", file=sys.stderr)
+        return DISCREPANCY
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .arrangement import GenericArrangement, is_trace_generic
 from .linalg import QMatrix, int_rank, primitive_int_vector
@@ -56,7 +57,6 @@ class StratumRecord:
     """A codimension-2 flat: the forms containing it plus its classification."""
 
     members: tuple[tuple[int, ...], ...]
-    flat_basis: tuple[tuple[Fraction, ...], ...]
     multiplicity: int
     kind: str
 
@@ -113,10 +113,25 @@ def codim_intersection(arr: GenericArrangement, subsets) -> int:
     return int_rank([build_form(arr, s).coeffs for s in subsets])
 
 
-def _span_key(f: DiscForm, g: DiscForm):
-    mat = QMatrix.from_rows([f.coeffs, g.coeffs])
-    red, _ = mat.rref()
-    return red.entries
+def _plucker_key(f: DiscForm, g: DiscForm, support) -> tuple[tuple[int, int, int], ...]:
+    """Primitive Plücker vector of span(f, g): its nonzero 2x2 minors (i, j, m).
+
+    Minors outside the union `support` of the two supports vanish.  Two
+    pairs span the same 2-space exactly when their Plücker vectors are
+    proportional, so dividing by the gcd and making the first entry positive
+    gives a canonical key.
+    """
+    fc, gc = f.coeffs, g.coeffs
+    minors = []
+    content = 0
+    for i, j in combinations(support, 2):
+        m = fc[i] * gc[j] - fc[j] * gc[i]
+        if m:
+            minors.append((i, j, m))
+            content = gcd(content, m)
+    if minors[0][2] < 0:
+        content = -content
+    return tuple((i, j, m // content) for i, j, m in minors)
 
 
 def _classify(members: tuple[tuple[int, ...], ...], k: int) -> str:
@@ -140,29 +155,40 @@ def _classify(members: tuple[tuple[int, ...], ...], k: int) -> str:
 def codim2_census(arr: GenericArrangement) -> list[StratumRecord]:
     """Enumerate and classify every codimension-2 flat.
 
-    Groups the unordered pairs of forms by the canonical echelon form of
-    their 2-dimensional span; the multiplicity of a flat is the number of
-    forms lying in the span.  Grouping is an associative merge keyed by the
-    canonical span, so a parallel split over pairs would give identical
-    output; at desk scale the serial loop is fast enough.
+    Groups the unordered pairs of forms by the primitive integer Plücker
+    vector of their 2-dimensional span (see `_plucker_key`); the
+    multiplicity of a flat is the number of forms lying in the span.
+
+    A pair of forms with supports J, K and 2|J - K| > k+1 spans a SIMPLE
+    flat and is recorded without arithmetic: a third form a*f + b*g with
+    a, b != 0 is nonzero on the whole symmetric difference of J and K, which
+    has 2|J - K| entries, but every form has exactly k+1.  GOOD pairs have
+    |J - K| = 1 and pairs in a dependent triple have |J - K| = s <= (k+1)/2,
+    so neither is pruned.
     """
     if arr.n < arr.k + 2:
         raise ValueError(f"census needs n >= k+2, got n={arr.n}, k={arr.k}")
     forms = build_all(arr)
+    supports = [frozenset(j - 1 for j in f.subset) for f in forms]
+    records = []
     groups: dict[tuple, dict] = {}
     for a, b in combinations(range(len(forms)), 2):
-        key = _span_key(forms[a], forms[b])
+        overlap = len(supports[a] & supports[b])
+        if 2 * (arr.k + 1 - overlap) > arr.k + 1:
+            members = (forms[a].subset, forms[b].subset)
+            records.append(StratumRecord(members, 2, _classify(members, arr.k)))
+            continue
+        key = _plucker_key(forms[a], forms[b], sorted(supports[a] | supports[b]))
         entry = groups.setdefault(key, {"members": set(), "pairs": 0})
         entry["members"].add(forms[a].subset)
         entry["members"].add(forms[b].subset)
         entry["pairs"] += 1
-    records = []
-    for key, entry in groups.items():
+    for entry in groups.values():
         members = tuple(sorted(entry["members"]))
         mult = len(members)
         if entry["pairs"] != mult * (mult - 1) // 2:
             raise AssertionError("span grouping produced an inconsistent flat")
-        records.append(StratumRecord(members, key, mult, _classify(members, arr.k)))
+        records.append(StratumRecord(members, mult, _classify(members, arr.k)))
     records.sort(key=lambda r: (-r.multiplicity, r.members))
     return records
 
@@ -181,24 +207,28 @@ def _unordered_group_triples(pool: tuple[int, ...], size: int):
                 yield g1, g2, g3
 
 
-def _dependency_test(arr: GenericArrangement, common, groups) -> bool:
+def _dependency_test(arr: GenericArrangement, common, groups, spans=None) -> bool:
     """Geometric dependency: do the groups' infinity subspaces span properly?
 
     Restricting the trace to the common hyperplanes, each group of size s
     cuts an (s-1)-dimensional direction subspace; the triple is dependent
     when the union of their spanning vectors has rank at most 2s-2 inside
-    the (2s-1)-dimensional restricted trace space.
+    the (2s-1)-dimensional restricted trace space.  `spans`, if given, is a
+    memo of the integer spanning vectors keyed by (group, common).
     """
+    if spans is None:
+        spans = {}
     s = len(groups[0])
-    spans = []
+    rows = []
     for g in groups:
-        rows = arr.normal_rows(tuple(g) + tuple(common))
-        basis = rows.nullspace_basis()
-        if basis.rows != s - 1:
-            raise AssertionError("generic trace must cut subspaces of dimension s-1")
-        spans.append(basis)
-    stacked = spans[0].vstack(spans[1]).vstack(spans[2])
-    return stacked.rank() <= 2 * s - 2
+        key = (tuple(g), tuple(common))
+        if key not in spans:
+            basis = arr.normal_rows(key[0] + key[1]).nullspace_basis()
+            if basis.rows != s - 1:
+                raise AssertionError("generic trace must cut subspaces of dimension s-1")
+            spans[key] = [primitive_int_vector(row) for row in basis.entries]
+        rows.extend(spans[key])
+    return int_rank(rows) <= 2 * s - 2
 
 
 def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
@@ -208,11 +238,13 @@ def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
     transversality if each subset is covered by its overlaps with the other
     two, the three-way overlap has some size t with k+1-t even, and the
     pairwise overlaps outside it all have equal size s >= 2.  Each surviving
-    candidate then takes the geometric span test.
+    candidate then takes the geometric span test; a group's direction space
+    is computed once per call and shared by every candidate containing it.
     """
     if not is_trace_generic(arr):
         raise ValueError("trace must be generic")
     found = []
+    spans: dict = {}
     for s in range(2, (arr.k + 1) // 2 + 1):
         t = arr.k + 1 - 2 * s
         if t + 3 * s > arr.n:
@@ -220,7 +252,7 @@ def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
         for common in combinations(range(1, arr.n + 1), t):
             pool = tuple(j for j in range(1, arr.n + 1) if j not in set(common))
             for groups in _unordered_group_triples(pool, s):
-                if _dependency_test(arr, common, groups):
+                if _dependency_test(arr, common, groups, spans):
                     g1, g2, g3 = groups
                     members = tuple(
                         sorted(

@@ -7,9 +7,11 @@ Scalars are `fractions.Fraction` (always stored in lowest terms with
 positive denominator); matrices are immutable row-major grids of them.
 
 Determinants and ranks go through fraction-free (Bareiss-style) elimination
-on integer-scaled rows to keep intermediate operands small.  Reduced row
-echelon form is the canonical normal form for subspaces: two row-equivalent
-matrices produce identical `rref()` output, which makes 2-flats hashable.
+on integer-scaled rows to keep intermediate operands small; `int_rank` is
+that rank on integer rows directly, for hot loops that never leave the
+integers.  Reduced row echelon form is the canonical normal form for
+subspaces: two row-equivalent matrices produce identical `rref()` output,
+so `nullspace_basis` is canonical too.
 """
 
 from __future__ import annotations

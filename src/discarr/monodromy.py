@@ -204,7 +204,8 @@ def braid_monodromy(
 
     # positions[p-1] = strand at position p, evolving along the sweep
     positions = [strand_of[i + 1] for i in order]
-    assert positions == list(range(1, n_strands + 1))
+    if positions != list(range(1, n_strands + 1)):
+        raise SweepError("basepoint strand numbering is not 1..N in t-order")
     sorted_lines = [lines[i] for i in order]
 
     twists: list[tuple[int, ...]] = []

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 Deliberately naive: determinant by permutation expansion, rank by largest
-nonvanishing minor.  Nothing here shares code with the elimination routines
-under test.
+nonvanishing minor, and the codimension-2 census by testing every form
+against every pair.  Nothing here shares code with the elimination routines
+or the census keys under test.
 """
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 
@@ -26,11 +27,16 @@ def perm_sign(perm) -> int:
     return sign
 
 
-def det_by_permutations(rows) -> Fraction:
+@lru_cache(maxsize=None)
+def _signed_permutations(n: int):
+    return tuple((perm, perm_sign(perm)) for perm in permutations(range(n)))
+
+
+def det_by_permutations(rows):
+    """Leibniz expansion; exact in the entries' own type (int or Fraction)."""
     n = len(rows)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        term = Fraction(perm_sign(perm))
+    total = 0
+    for perm, term in _signed_permutations(n):
         for i in range(n):
             term *= rows[i][perm[i]]
         total += term
@@ -48,3 +54,47 @@ def rank_by_minors(rows) -> int:
                 if det_by_permutations(minor) != 0:
                     return size
     return 0
+
+
+def census_by_minors(forms, k: int):
+    """Codimension-2 flats of the discriminantal forms, by brute force.
+
+    `forms` is a list of (subset, coefficient row).  The flat of a pair
+    (f_a, f_b) is every form f_c with rank [f_a, f_b, f_c] == 2, found by
+    minors; the distinct flats are returned as sorted
+    (members, multiplicity, kind) triples, most members first.
+    """
+    flats = set()
+    for a, b in combinations(range(len(forms)), 2):
+        # a form nonzero outside both supports is outside the span; the other
+        # columns are zero in all three rows and cannot change the rank
+        union = set(forms[a][0]) | set(forms[b][0])
+        cols = [j - 1 for j in sorted(union)]
+
+        def restricted(row):
+            return [row[j] for j in cols]
+
+        pair = [restricted(forms[a][1]), restricted(forms[b][1])]
+        members = tuple(
+            sorted(
+                subset
+                for c, (subset, row) in enumerate(forms)
+                if c in (a, b)
+                or (union.issuperset(subset) and rank_by_minors(pair + [restricted(row)]) == 2)
+            )
+        )
+        flats.add(members)
+    out = []
+    for members in flats:
+        union = sorted(set().union(*members))
+        if len(union) == k + 2 and members == tuple(combinations(union, k + 1)):
+            kind = "GOOD"
+        elif len(members) == 3:
+            kind = "DEPENDENT"
+        elif len(members) == 2:
+            kind = "SIMPLE"
+        else:
+            kind = "OTHER"
+        out.append((members, len(members), kind))
+    out.sort(key=lambda rec: (-rec[1], rec[0]))
+    return out

@@ -13,3 +13,30 @@ def test_criterion(name, budget, fn):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status}  {result.name}  ({result.elapsed:.2f}s / {result.budget:.0f}s)  {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_failing_check_still_fails_under_optimize():
+    # `python -O` strips assert statements; the acceptance checks must not
+    # depend on them, so a broken check has to FAIL in an optimized run too
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import discarr
+
+    src = str(Path(discarr.__file__).resolve().parent.parent)
+    code = (
+        "from discarr.acceptance import _require, run_check\n"
+        "result = run_check('broken', 60.0, lambda: _require(1 == 2, 'one is not two'))\n"
+        "print(__debug__, result.passed, result.detail)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False one is not two\n"

@@ -126,12 +126,46 @@ def test_census_other_stratum_exits_two(tmp_path, capsys, monkeypatch):
     arr_path = str(tmp_path / "arr.json")
     run(["gen", "--n", "5", "--k", "2", "--seed", "3", "--output", arr_path], capsys)
 
-    fake = StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), ((0,),), 4, "OTHER")
+    fake = StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), 4, "OTHER")
     monkeypatch.setattr(cli, "codim2_census", lambda arr: [fake])
     code = cli.main(["census", "--input", arr_path])
     captured = capsys.readouterr()
     assert code == 2
     assert "UNCLASSIFIED" in captured.err
+
+
+def test_census_inconsistent_flat_exits_two(tmp_path, capsys, monkeypatch):
+    # one key for every pair merges distinct flats; the census consistency
+    # check must surface that as a discrepancy, not a traceback
+    import discarr.discriminantal as disc
+
+    arr_path = str(tmp_path / "arr.json")
+    run(["gen", "--n", "5", "--k", "2", "--seed", "3", "--output", arr_path], capsys)
+
+    monkeypatch.setattr(disc, "_plucker_key", lambda f, g, support: ())
+    code = main(["census", "--input", arr_path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "inconsistent flat" in captured.err
+    assert captured.out == ""
+
+
+def test_monodromy_sweep_error_exits_two(tmp_path, capsys, monkeypatch):
+    import discarr.cli as cli
+    from discarr.monodromy import SweepError
+
+    arr_path = str(tmp_path / "arr.json")
+    run(["gen", "--n", "4", "--k", "2", "--seed", "5", "--output", arr_path], capsys)
+
+    def diverge(lines, basepoint_s):
+        raise SweepError("sweep order diverged from predicted strand positions")
+
+    monkeypatch.setattr(cli, "braid_monodromy", diverge)
+    for command in ("monodromy", "presentation"):
+        code = cli.main([command, "--input", arr_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "sweep order diverged" in captured.err
 
 
 def test_monodromy_byte_deterministic(tmp_path, capsys):

@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discarr.arrangement import GenericArrangement, random_generic, restrict
 from discarr.discriminantal import (
@@ -11,6 +13,8 @@ from discarr.discriminantal import (
     GOOD,
     OTHER,
     SIMPLE,
+    _dependency_test,
+    _unordered_group_triples,
     build_all,
     build_form,
     codim2_census,
@@ -22,7 +26,7 @@ from discarr.discriminantal import (
 from discarr.linalg import QMatrix, int_rank
 from discarr.rng import SplitMix64
 
-from _oracles import rank_by_minors
+from _oracles import census_by_minors, rank_by_minors
 
 DEP63_TRIPLE = ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
 
@@ -278,8 +282,6 @@ def test_census_k1_matches_braid_arrangement_structure():
 
 def test_dependency_equivalence_scan_with_common_hyperplane():
     # every admissible candidate triple at t=1: span test <=> codim 2
-    from discarr.discriminantal import _dependency_test, _unordered_group_triples
-
     arr = construct_dependent(2, 1, seed=77)
     dependent_found = 0
     for common in combinations(range(1, 8), 1):
@@ -314,3 +316,73 @@ def test_classifier_reserves_other_for_falsifiers():
     assert _classify(fake4, k=4) == OTHER
     assert _classify(((1, 2, 3), (1, 4, 5), (2, 4, 6)), k=2) == DEPENDENT
     assert _classify(((1, 2, 3), (4, 5, 6)), k=2) == SIMPLE
+
+
+# Property tests: the fast census and dependency search against brute force.
+# Derandomized, so the tier-1 suite runs the same examples every time.
+ORACLE_SETTINGS = settings(deadline=None, derandomize=True, database=None)
+
+
+GENERIC_SHAPES = [(n, k) for n in range(3, 8) for k in range(1, n - 1)]
+
+
+@st.composite
+def generic_arrangements(draw):
+    n, k = draw(st.sampled_from(GENERIC_SHAPES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bound = draw(st.integers(n, 12))
+    return random_generic(n, k, seed=seed, bound=bound)
+
+
+def census_summary(arr):
+    return [(r.members, r.multiplicity, r.kind) for r in codim2_census(arr)]
+
+
+def oracle_census(arr):
+    return census_by_minors([(f.subset, f.coeffs) for f in build_all(arr)], arr.k)
+
+
+def triples_call_by_call(arr):
+    """Members of every candidate passing `_dependency_test` with no shared memo."""
+    found = []
+    for s in range(2, (arr.k + 1) // 2 + 1):
+        t = arr.k + 1 - 2 * s
+        for common in combinations(range(1, arr.n + 1), t):
+            pool = tuple(j for j in range(1, arr.n + 1) if j not in common)
+            for groups in _unordered_group_triples(pool, s):
+                if _dependency_test(arr, common, groups):
+                    g1, g2, g3 = groups
+                    pairs = ((g1, g2), (g2, g3), (g1, g3))
+                    found.append(tuple(sorted(tuple(sorted(common + x + y)) for x, y in pairs)))
+    return sorted(found)
+
+
+@settings(ORACLE_SETTINGS, max_examples=50)
+@given(generic_arrangements())
+def test_census_matches_minor_oracle_generic(arr):
+    assert census_summary(arr) == oracle_census(arr)
+    assert [d.members for d in dependent_triples(arr)] == triples_call_by_call(arr)
+
+
+DEPENDENT_SHAPES = pytest.mark.parametrize(
+    "shape", [(2, 0), (2, 1), (3, 0)], ids=["s2t0", "s2t1", "s3t0"]
+)
+
+
+@DEPENDENT_SHAPES
+@settings(ORACLE_SETTINGS, max_examples=2)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_census_matches_minor_oracle_dependent(shape, seed):
+    arr = construct_dependent(*shape, seed=seed)
+    census = census_summary(arr)
+    assert census == oracle_census(arr)
+    dependent = [members for members, _, kind in census if kind == DEPENDENT]
+    assert [d.members for d in dependent_triples(arr)] == dependent
+
+
+@DEPENDENT_SHAPES
+@settings(ORACLE_SETTINGS, max_examples=1)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dependent_triples_memo_matches_call_by_call(shape, seed):
+    arr = construct_dependent(*shape, seed=seed)
+    assert [d.members for d in dependent_triples(arr)] == triples_call_by_call(arr)
