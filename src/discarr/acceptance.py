@@ -192,7 +192,7 @@ def check_monodromy_invariants() -> str:
     for label, arr in cases:
         _, section = random_section(arr, seed=SECTION_SEED)
         n_lines = len(section)
-        records = braid_monodromy(section, _min_s(section))
+        records = braid_monodromy(section)
         pair_total = sum(comb(len(p.block), 2) for p, _ in records)
         _require(pair_total == comb(n_lines, 2))
         product = reduce_free(sum((braid.letters for _, braid in records), ()))
@@ -206,12 +206,6 @@ def check_monodromy_invariants() -> str:
         _require(block_mults == census_mults, f"{label}: {block_mults} vs {census_mults}")
         lines.append(f"{label}: N={n_lines}, {len(records)} points")
     return "; ".join(lines)
-
-
-def _min_s(section):
-    from .monodromy import singular_points
-
-    return min(p.s for p in singular_points(section)) - 1
 
 
 def check_nilpotent_relations() -> str:

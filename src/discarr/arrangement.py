@@ -191,10 +191,18 @@ def arrangement_to_json(arr: GenericArrangement) -> dict:
     return doc
 
 
+def json_int(doc: dict, key: str) -> int:
+    """The integer `doc[key]`; a float, a string or a bool is a TypeError."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def arrangement_from_json(doc: dict) -> GenericArrangement:
     try:
-        n = int(doc["n"])
-        k = int(doc["k"])
+        n = json_int(doc, "n")
+        k = json_int(doc, "k")
         normals = QMatrix.from_rows(doc["normals"], cols=k)
         offsets = None
         if "offsets" in doc and doc["offsets"] is not None:

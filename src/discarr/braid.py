@@ -43,13 +43,6 @@ def invert(word: Sequence[int]) -> Word:
     return tuple(-x for x in reversed(word))
 
 
-def concat(*words: Sequence[int]) -> Word:
-    out: list[int] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators of the braid group on `strands` strands."""

@@ -177,8 +177,7 @@ def _cmd_section(args) -> int:
 def _section_records(args):
     arr = _load_arrangement(args.input)
     _, lines = random_section(arr, seed=args.seed)
-    base = min(p.s for p in singular_points(lines)) - 1
-    return lines, braid_monodromy(lines, base)
+    return lines, braid_monodromy(lines)
 
 
 def _cmd_monodromy(args) -> int:
@@ -244,8 +243,16 @@ def _cmd_accept(args) -> int:
     return OK if all(r.passed for r in results) else DISCREPANCY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: code 2 is reserved for discrepancies."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(PRECONDITION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="discarr",
         description="Exact toolkit for discriminantal arrangements of generic traces.",
     )
@@ -254,12 +261,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", metavar="FILE")
-        p.add_argument("--jobs", type=int, default=1)
         return p
 
-    p = add("gen", _cmd_gen, help="sample a trace-generic arrangement")
+    def seeded(name, fn, **kwargs):
+        p = add(name, fn, **kwargs)
+        p.add_argument("--seed", type=int, default=0)
+        return p
+
+    p = seeded("gen", _cmd_gen, help="sample a trace-generic arrangement")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int)
@@ -267,31 +277,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("census", _cmd_census, help="codimension-2 stratum census")
     p.add_argument("--input", required=True, metavar="FILE")
 
-    p = add("dependent-construct", _cmd_dependent_construct,
-            help="build an arrangement with a dependent triple")
+    p = seeded("dependent-construct", _cmd_dependent_construct,
+               help="build an arrangement with a dependent triple")
     p.add_argument("--s", type=int, required=True, help="group size (>= 2)")
     p.add_argument("--t", type=int, default=0, help="shared hyperplane count (>= 0)")
 
     p = add("gale", _cmd_gale, help="essential normals via the Gale transform")
     p.add_argument("--input", required=True, metavar="FILE")
 
-    p = add("gale-invariance", _cmd_gale_invariance,
-            help="concurrent-partition invariance under Gale transform")
+    p = seeded("gale-invariance", _cmd_gale_invariance,
+               help="concurrent-partition invariance under Gale transform")
     p.add_argument("--trials", type=int, default=20)
 
-    p = add("planar-verify", _cmd_planar_verify,
-            help="k=2 rank oracle vs combinatorial dimension formula")
+    p = seeded("planar-verify", _cmd_planar_verify,
+               help="k=2 rank oracle vs combinatorial dimension formula")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=4)
     p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--jobs", type=int, default=1)
 
-    p = add("section", _cmd_section, help="generic plane section: lines and singular points")
+    p = seeded("section", _cmd_section, help="generic plane section: lines and singular points")
     p.add_argument("--input", required=True, metavar="FILE")
 
-    p = add("monodromy", _cmd_monodromy, help="braid monodromy of a generic section")
+    p = seeded("monodromy", _cmd_monodromy, help="braid monodromy of a generic section")
     p.add_argument("--input", required=True, metavar="FILE")
 
-    p = add("presentation", _cmd_presentation, help="fundamental group presentation")
+    p = seeded("presentation", _cmd_presentation, help="fundamental group presentation")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--reduce", action="store_true",
                    help="drop the dependent relator of each singular point")

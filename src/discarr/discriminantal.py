@@ -193,18 +193,18 @@ def codim2_census(arr: GenericArrangement) -> list[StratumRecord]:
     return records
 
 
-def _unordered_group_triples(pool: tuple[int, ...], size: int):
-    """Unordered triples of pairwise disjoint `size`-subsets of `pool`."""
-    for g1 in combinations(pool, size):
-        rest1 = tuple(x for x in pool if x not in set(g1))
-        for g2 in combinations(rest1, size):
-            if g2 < g1:
-                continue
-            rest2 = tuple(x for x in rest1 if x not in set(g2))
-            for g3 in combinations(rest2, size):
-                if g3 < g2:
-                    continue
-                yield g1, g2, g3
+def group_partitions(items: tuple[int, ...], size: int):
+    """Partitions of `items` into three unordered groups of `size`, lex order.
+
+    `items` has 3 * size elements; each partition is (g1, g2, g3) with every
+    group sorted as in `items` and g1 < g2 < g3 by their first elements.
+    """
+    for rest in combinations(items[1:], size - 1):
+        g1 = (items[0],) + rest
+        rem1 = tuple(x for x in items if x not in g1)
+        for g2rest in combinations(rem1[1:], size - 1):
+            g2 = (rem1[0],) + g2rest
+            yield g1, g2, tuple(x for x in rem1 if x not in g2)
 
 
 def _dependency_test(arr: GenericArrangement, common, groups, spans=None) -> bool:
@@ -251,18 +251,12 @@ def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
             continue
         for common in combinations(range(1, arr.n + 1), t):
             pool = tuple(j for j in range(1, arr.n + 1) if j not in set(common))
-            for groups in _unordered_group_triples(pool, s):
-                if _dependency_test(arr, common, groups, spans):
-                    g1, g2, g3 = groups
-                    members = tuple(
-                        sorted(
-                            (
-                                tuple(sorted(common + g1 + g2)),
-                                tuple(sorted(common + g2 + g3)),
-                                tuple(sorted(common + g1 + g3)),
-                            )
-                        )
-                    )
+            for union in combinations(pool, 3 * s):
+                for g1, g2, g3 in group_partitions(union, s):
+                    if not _dependency_test(arr, common, (g1, g2, g3), spans):
+                        continue
+                    pairs = ((g1, g2), (g2, g3), (g1, g3))
+                    members = tuple(sorted(tuple(sorted(common + x + y)) for x, y in pairs))
                     found.append(DependentTriple(members, t, s))
     found.sort(key=lambda d: d.members)
     return found

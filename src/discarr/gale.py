@@ -16,10 +16,11 @@ Gale points of the complementary n-k-1 indices, and its normal pulls back to
 the subset's concurrency coefficient vector.  The function verifies that
 proportionality instance by instance.
 
-concurrent_partition_exists answers, for six plane points, whether some
-partition into three pairs spans three concurrent lines; this property is a
-Gale invariant, and for three groups of s points in dimension s the same
-question becomes three hyperplanes in a pencil (pencil_partition_exists).
+pencil_partition_exists answers, for 3s points in dimension s+1, whether
+some partition into three groups of s spans three hyperplanes in a pencil;
+this property is a Gale invariant.  concurrent_partition_exists is its
+s = 2 case, six plane points whose pairs span three concurrent lines, with
+repeated points rejected.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import GenericArrangement
-from .discriminantal import build_form
+from .arrangement import GenericArrangement, _fraction_to_json, json_int
+from .discriminantal import build_form, group_partitions
 from .linalg import QMatrix, primitive_int_vector
 from .rng import SplitMix64
 
@@ -116,66 +117,37 @@ def essential_normals_via_gale(arr: GenericArrangement):
     return out
 
 
-def _pair_partitions(items: tuple[int, ...]):
-    """Partitions into unordered pairs, lexicographic order."""
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    for idx in range(1, len(items)):
-        partner = items[idx]
-        rest = tuple(x for x in items[1:] if x != partner)
-        for tail in _pair_partitions(rest):
-            yield ((first, partner),) + tail
-
-
-def _group_partitions(items: tuple[int, ...], size: int):
-    """Partitions into three unordered groups of `size`, lexicographic order."""
-    first_groups = [
-        (items[0],) + rest for rest in combinations(items[1:], size - 1)
-    ]
-    for g1 in first_groups:
-        rem1 = tuple(x for x in items if x not in set(g1))
-        for g2rest in combinations(rem1[1:], size - 1):
-            g2 = (rem1[0],) + g2rest
-            g3 = tuple(x for x in rem1 if x not in set(g2))
-            yield (g1, g2, g3)
-
-
 def concurrent_partition_exists(config: PointConfig):
     """Search the 15 pairings of six plane points for concurrent lines.
 
-    Returns (True, partition) for the lexicographically first partition whose
-    three pair-lines meet in a point (determinant of the line coordinates
-    vanishes), else (False, None).  Repeated points are rejected.
+    The s = 2 case of pencil_partition_exists: returns (True, partition) for
+    the lexicographically first partition into pairs whose three lines meet
+    in a point, else (False, None).  Repeated points are rejected, so every
+    pair spans a line.
     """
     if config.dim != 3 or config.n != 6:
         raise ValueError("expected 6 points in the projective plane (3 x 6)")
-    pts = [config.point(i) for i in range(1, 7)]
-    for a, b in combinations(range(6), 2):
-        if QMatrix.from_rows([pts[a], pts[b]]).rank() < 2:
-            raise ValueError(f"points {a + 1} and {b + 1} coincide projectively")
-    for partition in _pair_partitions(tuple(range(1, 7))):
-        lines = [_cross(pts[a - 1], pts[b - 1]) for a, b in partition]
-        if QMatrix.from_rows(lines).det() == 0:
-            return True, partition
-    return False, None
+    repeated = _coincident_pair([config.point(i) for i in range(1, 7)])
+    if repeated:
+        a, b = repeated
+        raise ValueError(f"points {a + 1} and {b + 1} coincide projectively")
+    return pencil_partition_exists(config)
 
 
 def pencil_partition_exists(config: PointConfig):
     """Generalized search: 3s points in dimension s+1, hyperplanes in a pencil.
 
-    Partitions the points into three groups of s; each group spanning a
-    hyperplane contributes its normal, and the partition witnesses the
-    property when the three normals have rank <= 2.  For s = 2 this is the
-    concurrent-lines test.
+    Partitions the points into three groups of s, lexicographically; each
+    group spanning a hyperplane contributes its normal, and the first
+    partition whose three normals have rank <= 2 is returned as
+    (True, partition), else (False, None).
     """
     if config.n % 3 != 0:
         raise ValueError("point count must be a multiple of 3")
     s = config.n // 3
     if config.dim != s + 1:
         raise ValueError(f"expected dimension s+1={s + 1} for n=3s={config.n}")
-    for partition in _group_partitions(tuple(range(1, config.n + 1)), s):
+    for partition in group_partitions(tuple(range(1, config.n + 1)), s):
         normals = []
         for group in partition:
             rows = QMatrix.from_rows([config.point(i) for i in group])
@@ -189,19 +161,12 @@ def pencil_partition_exists(config: PointConfig):
     return False, None
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _projectively_distinct(pts) -> bool:
+def _coincident_pair(pts):
+    """The first pair (0-based) of projectively equal points, or None."""
     for a, b in combinations(range(len(pts)), 2):
         if QMatrix.from_rows([pts[a], pts[b]]).rank() < 2:
-            return False
-    return True
+            return a, b
+    return None
 
 
 def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
@@ -231,7 +196,7 @@ def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
                     for j in range(3)
                 )
                 pts.append(p)
-        if not _projectively_distinct(pts):
+        if _coincident_pair(pts):
             continue
         move = QMatrix.from_rows(
             [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)]
@@ -243,7 +208,7 @@ def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
         if not found:
             continue  # extra accidental degeneracy spoiled distinctness; retry
         gale_pts = [gale_transform(config).point(i) for i in range(1, 7)]
-        if not _projectively_distinct(gale_pts):
+        if _coincident_pair(gale_pts):
             continue
         return config
 
@@ -260,20 +225,18 @@ def random_generic_sextuple(seed: int, bound: int = 9) -> PointConfig:
         if config.vectors.rank() != 3:
             continue
         pts = [config.point(i) for i in range(1, 7)]
-        if not _projectively_distinct(pts):
+        if _coincident_pair(pts):
             continue
         found, _ = concurrent_partition_exists(config)
         if found:
             continue
         gale_pts = [gale_transform(config).point(i) for i in range(1, 7)]
-        if not _projectively_distinct(gale_pts):
+        if _coincident_pair(gale_pts):
             continue
         return config
 
 
 def config_to_json(config: PointConfig) -> dict:
-    from .arrangement import _fraction_to_json
-
     return {
         "d": config.dim,
         "n": config.n,
@@ -286,8 +249,8 @@ def config_to_json(config: PointConfig) -> dict:
 
 def config_from_json(doc: dict) -> PointConfig:
     try:
-        d = int(doc["d"])
-        n = int(doc["n"])
+        d = json_int(doc, "d")
+        n = json_int(doc, "n")
         cols = doc["vectors"]
         if len(cols) != n or any(len(c) != d for c in cols):
             raise ValueError("vectors must be n columns of length d")

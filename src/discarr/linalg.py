@@ -25,10 +25,10 @@ Scalar = Union[int, str, Fraction]
 
 
 def to_fraction(x: Scalar) -> Fraction:
-    """Coerce an int, a "p/q" string, or a Fraction to Fraction."""
+    """Coerce an int, a "p/q" string, or a Fraction to Fraction (not a bool)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) or isinstance(x, str):
+    if type(x) is int or isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

@@ -180,20 +180,17 @@ class SweepError(AssertionError):
     """A concurrency block was not consecutive at its critical value."""
 
 
-def braid_monodromy(
-    lines: list[SectionLine], basepoint_s: Fraction
-) -> list[tuple[SingularPoint, BraidWord]]:
+def braid_monodromy(lines: list[SectionLine]) -> list[tuple[SingularPoint, BraidWord]]:
     """Monodromy braids of the section, one per singular value of s.
 
-    Requires basepoint_s strictly below every singular s.  Lines are
-    renumbered as strands 1..N by t-order at the basepoint; each returned
-    SingularPoint carries its block as strand numbers, and each braid is the
-    conjugated full twist on the block, fully expanded in Artin generators.
+    The basepoint is one below the first singular s (the t-order, hence every
+    braid, is the same at any s below it).  Lines are renumbered as strands
+    1..N by t-order at the basepoint; each returned SingularPoint carries its
+    block as strand numbers, and each braid is the conjugated full twist on
+    the block, fully expanded in Artin generators.
     """
-    basepoint_s = Fraction(basepoint_s)
     raw_points = singular_points(lines)
-    if raw_points and basepoint_s >= raw_points[0].s:
-        raise ValueError("basepoint must lie below every singular s")
+    basepoint_s = raw_points[0].s - 1 if raw_points else Fraction(0)
     order = sorted(range(len(lines)), key=lambda i: lines[i].t_at(basepoint_s))
     strand_of = {line_idx + 1: pos + 1 for pos, line_idx in enumerate(order)}
     strands = [

@@ -51,7 +51,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
-
-    def spawn(self) -> "SplitMix64":
-        """Independent child stream (for per-trial seeding)."""
-        return SplitMix64(self.next_u64())

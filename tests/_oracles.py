@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 Deliberately naive: determinant by permutation expansion, rank by largest
-nonvanishing minor, and the codimension-2 census by testing every form
-against every pair.  Nothing here shares code with the elimination routines
-or the census keys under test.
+nonvanishing minor, the codimension-2 census by testing every form against
+every pair, the six-point concurrency search by cross products, and the
+group triples by filtering all triples of groups.  Nothing here shares code
+with the elimination routines, the census keys or the partition enumerator
+under test.
 """
 
 from functools import lru_cache
@@ -98,3 +100,47 @@ def census_by_minors(forms, k: int):
         out.append((members, len(members), kind))
     out.sort(key=lambda rec: (-rec[1], rec[0]))
     return out
+
+
+def _pair_partitions(items):
+    """Partitions into unordered pairs, lexicographic order."""
+    if not items:
+        yield ()
+        return
+    first = items[0]
+    for partner in items[1:]:
+        rest = tuple(x for x in items[1:] if x != partner)
+        for tail in _pair_partitions(rest):
+            yield ((first, partner),) + tail
+
+
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def concurrent_pairs_by_cross(points):
+    """Six plane points: the first pairing whose lines concur, by determinants.
+
+    Each pair's line is the cross product of its two points; three lines
+    meet in a point exactly when the determinant of their coordinates
+    vanishes.  Returns (True, partition) with 1-based indices, or
+    (False, None).
+    """
+    for partition in _pair_partitions(tuple(range(1, 7))):
+        lines = [_cross(points[a - 1], points[b - 1]) for a, b in partition]
+        if det_by_permutations(lines) == 0:
+            return True, partition
+    return False, None
+
+
+def disjoint_group_triples(pool, size: int):
+    """Every unordered triple of pairwise disjoint `size`-subsets of `pool`."""
+    return [
+        groups
+        for groups in combinations(combinations(pool, size), 3)
+        if len(set().union(*groups)) == 3 * size
+    ]

@@ -157,7 +157,7 @@ def test_monodromy_sweep_error_exits_two(tmp_path, capsys, monkeypatch):
     arr_path = str(tmp_path / "arr.json")
     run(["gen", "--n", "4", "--k", "2", "--seed", "5", "--output", arr_path], capsys)
 
-    def diverge(lines, basepoint_s):
+    def diverge(lines):
         raise SweepError("sweep order diverged from predicted strand positions")
 
     monkeypatch.setattr(cli, "braid_monodromy", diverge)
@@ -196,3 +196,69 @@ def test_console_entry_point_subprocess(tmp_path):
     assert second.returncode == 0, second.stderr
     records = json.loads(second.stdout)
     assert [r["multiplicity"] for r in records] == [4]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["census"], ["census", "--input", "arr.json", "--seed", "0"], ["accept", "--jobs", "2"]],
+    ids=["census-no-input", "census-seed", "accept-jobs"],
+)
+def test_usage_error_exits_one(argv, capsys):
+    # code 2 means a mathematical discrepancy, so a bad command line is code 1;
+    # parsing fails before any input file is opened
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.err.startswith("usage: discarr ")
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: discarr")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 4.9, "k": 1, "normals": [[1], [2], [3], [5]]},
+        {"n": 4, "k": True, "normals": [[1], [2], [3], [5]]},
+        {"n": "4", "k": 1, "normals": [[1], [2], [3], [5]]},
+        {"n": 4, "k": 1, "normals": [[True], [2], [3], [5]]},
+        {"n": 4.9, "k": True, "normals": [[True], [2], [3], [5]]},
+    ],
+    ids=["float-n", "bool-k", "string-n", "bool-entry", "all-three"],
+)
+def test_non_integer_json_exits_one(doc, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--input", str(path)])
+    assert "malformed arrangement document" in str(exc.value)
+
+
+def test_exit_codes_of_the_console_command(tmp_path):
+    import subprocess
+    import sys
+
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"n": 4.9, "k": True, "normals": [[True], [2], [3], [5]]}))
+    for argv in (["census", "--input", str(path)], ["census", "--seed", "0"]):
+        proc = subprocess.run([sys.executable, "-m", "discarr.cli", *argv], capture_output=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == b""
+
+
+def test_single_line_section_has_no_braids(tmp_path, capsys):
+    # (3,2) has N = C(3,3) = 1 form: one line, no singular point
+    arr_path = str(tmp_path / "arr.json")
+    run(["gen", "--n", "3", "--k", "2", "--output", arr_path], capsys)
+    code, out = run(["monodromy", "--input", arr_path], capsys)
+    assert code == 0
+    assert json.loads(out) == {"N": 1, "braids": []}
+    code, out = run(["presentation", "--input", arr_path], capsys)
+    assert code == 0
+    assert out == "generators: d1\n"

@@ -14,19 +14,19 @@ from discarr.discriminantal import (
     OTHER,
     SIMPLE,
     _dependency_test,
-    _unordered_group_triples,
     build_all,
     build_form,
     codim2_census,
     codim_intersection,
     construct_dependent,
     dependent_triples,
+    group_partitions,
     project,
 )
 from discarr.linalg import QMatrix, int_rank
 from discarr.rng import SplitMix64
 
-from _oracles import census_by_minors, rank_by_minors
+from _oracles import census_by_minors, disjoint_group_triples, rank_by_minors
 
 DEP63_TRIPLE = ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
 
@@ -286,7 +286,7 @@ def test_dependency_equivalence_scan_with_common_hyperplane():
     dependent_found = 0
     for common in combinations(range(1, 8), 1):
         pool = tuple(j for j in range(1, 8) if j not in common)
-        for groups in _unordered_group_triples(pool, 2):
+        for groups in disjoint_group_triples(pool, 2):
             g1, g2, g3 = groups
             members = tuple(
                 sorted(
@@ -301,6 +301,19 @@ def test_dependency_equivalence_scan_with_common_hyperplane():
             assert geometric == (codim_intersection(arr, members) == 2), members
             dependent_found += geometric
     assert dependent_found == 1
+
+
+def test_group_partitions_cover_every_disjoint_triple_once():
+    for size in (1, 2, 3):
+        for n in range(3 * size, 3 * size + 3):
+            pool = tuple(range(1, n + 1))
+            enumerated = [
+                groups
+                for union in combinations(pool, 3 * size)
+                for groups in group_partitions(union, size)
+            ]
+            assert len(enumerated) == len(set(enumerated))
+            assert sorted(enumerated) == disjoint_group_triples(pool, size)
 
 
 def test_classifier_reserves_other_for_falsifiers():
@@ -349,7 +362,7 @@ def triples_call_by_call(arr):
         t = arr.k + 1 - 2 * s
         for common in combinations(range(1, arr.n + 1), t):
             pool = tuple(j for j in range(1, arr.n + 1) if j not in common)
-            for groups in _unordered_group_triples(pool, s):
+            for groups in disjoint_group_triples(pool, s):
                 if _dependency_test(arr, common, groups):
                     g1, g2, g3 = groups
                     pairs = ((g1, g2), (g2, g3), (g1, g3))

@@ -2,6 +2,8 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discarr.arrangement import random_generic
 from discarr.discriminantal import construct_dependent, dependent_triples
@@ -19,6 +21,8 @@ from discarr.gale import (
 )
 from discarr.linalg import QMatrix
 from discarr.rng import SplitMix64
+
+from _oracles import concurrent_pairs_by_cross
 
 
 def random_config(rng, dim, n, bound=7):
@@ -131,6 +135,40 @@ def test_pencil_agrees_with_concurrent_for_s2():
         assert pencil_partition_exists(neg)[0] == concurrent_partition_exists(neg)[0]
 
 
+def quadrilateral_vertices(seed):
+    """The six meets of four random lines, shuffled: six concurrent pairings.
+
+    Two sides of the quadrilateral and the diagonal through their meet
+    concur, so the first pairing found depends on the point order.
+    """
+    rng = SplitMix64(seed)
+    while True:
+        lines = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)]
+        if any(QMatrix.from_rows(list(three)).rank() < 3 for three in combinations(lines, 3)):
+            continue  # three concurrent lines would merge vertices
+        points = [
+            QMatrix.from_rows([a, b]).nullspace_basis().row(0) for a, b in combinations(lines, 2)
+        ]
+        rng.shuffle(points)
+        return PointConfig(QMatrix.from_rows(points).transpose())
+
+
+SAMPLERS = {
+    "concurrent": random_concurrent_sextuple,
+    "generic": random_generic_sextuple,
+    "quadrilateral": quadrilateral_vertices,
+}
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(sampler=st.sampled_from(sorted(SAMPLERS)), seed=st.integers(0, 2**32 - 1))
+def test_concurrent_partition_matches_cross_product_oracle(sampler, seed):
+    config = SAMPLERS[sampler](seed=seed)
+    for side in (config, gale_transform(config)):
+        points = [side.point(i) for i in range(1, 7)]
+        assert concurrent_partition_exists(side) == concurrent_pairs_by_cross(points)
+
+
 def test_dual_points_reflect_dependency():
     # hyperplanes of a dependent trace, read as projective points, admit a
     # concurrent partition; a dependency-free trace's points do not
@@ -152,6 +190,20 @@ def test_config_json_round_trip():
     assert config_from_json(doc) == config
     with pytest.raises(ValueError):
         config_from_json({"d": 3, "n": 6, "vectors": [[1, 2, 3]]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"d": 2.0, "n": 3, "vectors": [[1, 0], [0, 1], [1, 1]]},
+        {"d": 2, "n": True, "vectors": [[1, 0]]},
+        {"d": 2, "n": 3, "vectors": [[1, 0], [0, True], [1, 1]]},
+    ],
+    ids=["float-d", "bool-n", "bool-entry"],
+)
+def test_config_json_rejects_non_integers(doc):
+    with pytest.raises(ValueError, match="malformed configuration document"):
+        config_from_json(doc)
 
 
 def test_pencil_invariance_for_three_groups_of_three():

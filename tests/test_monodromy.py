@@ -34,10 +34,6 @@ def section_for(arr, seed=101):
     return lines
 
 
-def basepoint(lines):
-    return min(p.s for p in singular_points(lines)) - 1
-
-
 def test_section_lines_counts_and_validation():
     arr = random_generic(4, 2, seed=21, bound=9)
     lines = section_for(arr)
@@ -87,23 +83,15 @@ def test_single_simple_crossing_braid_is_sigma_squared():
         SectionLine((1, 2, 3), Fraction(1), Fraction(0), Fraction(0)),
         SectionLine((1, 2, 4), Fraction(1), Fraction(1), Fraction(-1)),
     ]
-    [(point, braid)] = braid_monodromy(lines, Fraction(0))
+    [(point, braid)] = braid_monodromy(lines)
     assert point.block == (1, 2)
     assert braid.letters == (1, 1)
-
-
-def test_braid_monodromy_requires_low_basepoint():
-    arr = random_generic(5, 2, seed=22, bound=9)
-    lines = section_for(arr)
-    top = max(p.s for p in singular_points(lines))
-    with pytest.raises(ValueError):
-        braid_monodromy(lines, top)
 
 
 def test_monodromy_braids_are_pure_conjugated_full_twists():
     arr = random_generic(5, 2, seed=22, bound=9)
     lines = section_for(arr)
-    records = braid_monodromy(lines, basepoint(lines))
+    records = braid_monodromy(lines)
     n = len(lines)
     for point, braid in records:
         assert permutation(braid.letters, n) == tuple(range(1, n + 1))
@@ -121,7 +109,7 @@ def test_total_monodromy_is_full_twist():
         construct_dependent(2, 0, seed=11),
     ):
         lines = section_for(arr)
-        records = braid_monodromy(lines, basepoint(lines))
+        records = braid_monodromy(lines)
         n = len(lines)
         product = reduce_free(sum((braid.letters for _, braid in records), ()))
         assert braids_equal(product, full_twist(n), n)
@@ -130,7 +118,7 @@ def test_total_monodromy_is_full_twist():
 def test_blocks_match_census_multiplicities():
     for arr in (random_generic(5, 2, seed=22, bound=9), construct_dependent(2, 0, seed=11)):
         lines = section_for(arr)
-        records = braid_monodromy(lines, basepoint(lines))
+        records = braid_monodromy(lines)
         blocks = Counter(len(p.block) for p, _ in records)
         mults = Counter(r.multiplicity for r in codim2_census(arr))
         assert blocks == mults
@@ -141,7 +129,7 @@ def test_presentation_of_one_simple_crossing_is_commutation():
         SectionLine((1, 2, 3), Fraction(1), Fraction(0), Fraction(0)),
         SectionLine((1, 2, 4), Fraction(1), Fraction(1), Fraction(-1)),
     ]
-    records = braid_monodromy(lines, Fraction(0))
+    records = braid_monodromy(lines)
     pres = presentation(records, 2)
     # sigma_1^2 relators: both say x1 and x2 commute
     assert pres.relators == ((1, 2, 1, -2, -1, -1), (1, 2, -1, -2))
@@ -152,7 +140,7 @@ def test_presentation_of_one_simple_crossing_is_commutation():
 def test_presentation_counts_and_abelianization():
     arr = construct_dependent(2, 0, seed=11)
     lines = section_for(arr)
-    records = braid_monodromy(lines, basepoint(lines))
+    records = braid_monodromy(lines)
     n = len(lines)
     pres = presentation(records, n)
     assert len(pres.relators) == sum(len(p.block) for p, _ in records)
@@ -203,7 +191,7 @@ def test_large_section_sweep_and_total_monodromy():
     # the telescoped product is still the full twist
     arr = construct_dependent(2, 2, seed=5)
     _, lines = random_section(arr, seed=303)
-    records = braid_monodromy(lines, basepoint(lines))
+    records = braid_monodromy(lines)
     n = len(lines)
     assert n == comb(8, 6) == 28
     assert sum(comb(len(p.block), 2) for p, _ in records) == comb(n, 2)
