@@ -32,7 +32,7 @@ from .gale import (
     random_generic_sextuple,
 )
 from .linalg import QMatrix
-from .monodromy import braid_monodromy, nilpotent_relations, presentation, random_section
+from .monodromy import _relation_families, braid_monodromy, presentation, random_section
 from .planar import codim_combinatorial, verify_independence
 from .rng import SplitMix64
 
@@ -190,7 +190,7 @@ def check_monodromy_invariants() -> str:
     ]
     lines = []
     for label, arr in cases:
-        _, section = random_section(arr, seed=SECTION_SEED)
+        section = random_section(arr, seed=SECTION_SEED)[1]
         n_lines = len(section)
         records = braid_monodromy(section)
         pair_total = sum(comb(len(p.block), 2) for p, _ in records)
@@ -217,8 +217,8 @@ def check_nilpotent_relations() -> str:
     ]
     lines = []
     for label, arr, has_dependency in instances:
-        families = nilpotent_relations(arr)  # census consistency asserted inside
         census = codim2_census(arr)
+        families = _relation_families(arr, census)  # census consistency asserted inside
         good = sum(r.multiplicity for r in census if r.kind == GOOD)
         dep = sum(r.multiplicity for r in census if r.kind == DEPENDENT)
         simple = sum(1 for r in census if r.kind == SIMPLE)

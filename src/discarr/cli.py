@@ -38,7 +38,6 @@ from .monodromy import (
     presentation,
     presentation_to_text,
     random_section,
-    singular_points,
 )
 from .planar import verify_independence
 
@@ -151,8 +150,7 @@ def _frac(x) -> str:
 
 def _cmd_section(args) -> int:
     arr = _load_arrangement(args.input)
-    plane, lines = random_section(arr, seed=args.seed)
-    points = singular_points(lines)
+    plane, lines, points = random_section(arr, seed=args.seed)
     _emit(
         {
             "plane": {
@@ -176,7 +174,7 @@ def _cmd_section(args) -> int:
 
 def _section_records(args):
     arr = _load_arrangement(args.input)
-    _, lines = random_section(arr, seed=args.seed)
+    lines = random_section(arr, seed=args.seed)[1]  # braid_monodromy computes its own points
     return lines, braid_monodromy(lines)
 
 

@@ -34,6 +34,8 @@ from .discriminantal import build_form, group_partitions
 from .linalg import QMatrix, primitive_int_vector
 from .rng import SplitMix64
 
+SEXTUPLE_BUDGET = 100
+
 
 class GaleMismatch(AssertionError):
     """The Gale-side normal failed to match the concurrency form (a fault)."""
@@ -177,7 +179,7 @@ def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
     projective change of coordinates (which preserves the property).
     """
     rng = SplitMix64(seed)
-    while True:
+    for _ in range(SEXTUPLE_BUDGET):
         apex = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(3))
         if all(x == 0 for x in apex):
             continue
@@ -196,8 +198,8 @@ def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
                     for j in range(3)
                 )
                 pts.append(p)
-        if _coincident_pair(pts):
-            continue
+        if _coincident_pair(pts) or QMatrix.from_rows(pts).rank() < 3:
+            continue  # repeated points, or all six on one line
         move = QMatrix.from_rows(
             [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)]
         )
@@ -211,12 +213,13 @@ def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
         if _coincident_pair(gale_pts):
             continue
         return config
+    raise RuntimeError(f"no concurrent sextuple after {SEXTUPLE_BUDGET} draws (seed={seed})")
 
 
 def random_generic_sextuple(seed: int, bound: int = 9) -> PointConfig:
     """Six plane points with all 15 partition determinants nonzero."""
     rng = SplitMix64(seed)
-    while True:
+    for _ in range(SEXTUPLE_BUDGET):
         config = PointConfig(
             QMatrix.from_rows(
                 [[rng.randint(-bound, bound) for _ in range(6)] for _ in range(3)]
@@ -234,6 +237,7 @@ def random_generic_sextuple(seed: int, bound: int = 9) -> PointConfig:
         if _coincident_pair(gale_pts):
             continue
         return config
+    raise RuntimeError(f"no generic sextuple after {SEXTUPLE_BUDGET} draws (seed={seed})")
 
 
 def config_to_json(config: PointConfig) -> dict:

@@ -92,12 +92,15 @@ class SingularPoint:
     block: tuple[int, ...]
 
 
-def section_lines(arr: GenericArrangement, plane: SectionPlane) -> list[SectionLine]:
+def section_lines(
+    arr: GenericArrangement, plane: SectionPlane
+) -> tuple[list[SectionLine], list[SingularPoint]]:
     """Substitute the plane into every form; validate section genericity.
 
-    Raises NonGenericSection naming each violated invariant: a vanishing
-    t-coefficient, coincident or parallel lines, singular points sharing an
-    s-coordinate.
+    Returns the lines and their singular points, which the validation
+    computes.  Raises NonGenericSection naming each violated invariant: a
+    vanishing t-coefficient, coincident or parallel lines, singular points
+    sharing an s-coordinate.
     """
     n = arr.n
     if not (len(plane.t_coeffs) == len(plane.s_coeffs) == len(plane.consts) == n):
@@ -120,8 +123,9 @@ def section_lines(arr: GenericArrangement, plane: SectionPlane) -> list[SectionL
                 failures.append(f"lines {a.subset} and {b.subset} are parallel")
     if failures:
         raise NonGenericSection(failures)
+    points = singular_points(lines)
     by_s: dict[Fraction, set] = {}
-    for pt in singular_points(lines):
+    for pt in points:
         by_s.setdefault(pt.s, set()).add(pt)
     for s_val, pts in by_s.items():
         if len(pts) > 1:
@@ -129,11 +133,14 @@ def section_lines(arr: GenericArrangement, plane: SectionPlane) -> list[SectionL
             failures.append(f"distinct singular points share s={s_val}: {blocks}")
     if failures:
         raise NonGenericSection(failures)
-    return lines
+    return lines, points
 
 
 def random_section(arr: GenericArrangement, seed: int, bound: int = 12):
-    """Sample SectionPlane coefficients until all invariants hold."""
+    """Sample SectionPlane coefficients until all invariants hold.
+
+    Returns (plane, lines, singular points) as section_lines gives them.
+    """
     rng = SplitMix64(seed)
     for _ in range(SECTION_BUDGET):
         plane = SectionPlane(
@@ -142,10 +149,10 @@ def random_section(arr: GenericArrangement, seed: int, bound: int = 12):
             tuple(Fraction(rng.randint(-bound, bound)) for _ in range(arr.n)),
         )
         try:
-            lines = section_lines(arr, plane)
+            lines, points = section_lines(arr, plane)
         except NonGenericSection:
             continue
-        return plane, lines
+        return plane, lines, points
     raise RuntimeError(f"no generic section after {SECTION_BUDGET} draws (seed={seed})")
 
 
@@ -296,7 +303,11 @@ def nilpotent_relations(arr: GenericArrangement) -> RelationFamilies:
     dependency search; a mismatch raises AssertionError since the two are
     provably equivalent.
     """
-    census = codim2_census(arr)
+    return _relation_families(arr, codim2_census(arr))
+
+
+def _relation_families(arr: GenericArrangement, census) -> RelationFamilies:
+    """nilpotent_relations for a census of `arr` the caller already holds."""
     if any(rec.kind == OTHER for rec in census):
         raise AssertionError("census produced an unclassified stratum")
     triples = {d.members for d in dependent_triples(arr)}

@@ -26,14 +26,23 @@ satisfy it.  dim_combinatorial therefore returns the dimension for a
 Zariski-general trace, and verify_independence reports any sampled trace
 that disagrees (for random integer slopes the degeneration locus has
 measure zero, so the expected report is empty).
+
+The rank oracle behind verify_independence walks the collections of
+concurrency triples depth first: each node keeps the fraction-free echelon
+rows of its prefix and reduces only its new triple's slope form against
+them, so a collection costs one reduction instead of one rank computation.
+Within one size, preorder is the lex order of `combinations`, which is the
+order the formula side reads the collections in.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb, gcd
 
-from .linalg import int_rank
 from .rng import SplitMix64
+
+SLOPE_BUDGET = 1000
 
 
 def _normalize_sets(sets) -> tuple[tuple[int, ...], ...]:
@@ -49,21 +58,25 @@ def _normalize_sets(sets) -> tuple[tuple[int, ...], ...]:
 def merge_classes(sets) -> tuple[tuple[int, ...], ...]:
     """Union sets chained by pairwise intersections of size >= 2, to fixpoint.
 
-    Idempotent and independent of input order; afterwards every two output
-    sets share at most one index.
+    One pass: each set absorbs every class sharing >= 2 indices with it,
+    sweeping again while the union grows, so the classes kept always share
+    at most one index pairwise.  Idempotent and independent of input order.
     """
-    current = list(_normalize_sets(sets))
-    changed = True
-    while changed:
-        changed = False
-        for i, j in combinations(range(len(current)), 2):
-            if len(set(current[i]) & set(current[j])) >= 2:
-                merged = tuple(sorted(set(current[i]) | set(current[j])))
-                current = [s for idx, s in enumerate(current) if idx not in (i, j)]
-                current.append(merged)
-                changed = True
-                break
-    return tuple(sorted(set(current)))
+    classes: list[set[int]] = []
+    for s in _normalize_sets(sets):
+        merged = set(s)
+        size = 0
+        while size != len(merged):
+            size = len(merged)
+            rest = []
+            for c in classes:
+                if len(c & merged) >= 2:
+                    merged |= c
+                else:
+                    rest.append(c)
+            classes = rest
+        classes.append(merged)
+    return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
 def _relabel(sets: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -274,22 +287,78 @@ def codim_combinatorial(sets, n: int) -> int:
     return n - dim_combinatorial(sets, n)
 
 
-def _sample_slopes(rng: SplitMix64, n: int) -> list[int]:
+def _sample_slopes(rng: SplitMix64, n: int, seed: int) -> list[int]:
     bound = 6 * n + 10
-    while True:
+    for _ in range(SLOPE_BUDGET):
         u = [rng.randint(-bound, bound) for _ in range(n)]
         if len(set(u)) == n:
             return u
+    raise RuntimeError(f"no {n} distinct slopes after {SLOPE_BUDGET} draws (seed={seed})")
+
+
+def _reduce(vec: list[int], echelon: list[tuple[int, list[int]]]):
+    """`vec` reduced against the echelon rows: (pivot, primitive row) or None.
+
+    Each echelon row is zero at the pivots of the rows before it, so
+    eliminating the pivots in order leaves the earlier ones zero, and the
+    result is None exactly when `vec` lies in the rows' span.  Fraction-free;
+    the produced row is divided by its content, as in `int_rank`, so the
+    echelon's operands stay small.
+    """
+    row = vec
+    for p, e in echelon:
+        head = row[p]
+        if head:
+            piv = e[p]
+            row = [x * piv - y * head for x, y in zip(row, e)]
+    g = gcd(*row)
+    if not g:
+        return None
+    if g > 1:
+        row = [x // g for x in row]
+    return next(p for p, x in enumerate(row) if x), row
+
+
+def _walk(vectors, start: int, depth: int, echelon, dims: list[int], slots: list[int]) -> None:
+    """Record n - rank of the current prefix extended by each form from `start` on.
+
+    The prefix is a collection of `depth` forms and `echelon` holds its
+    reduced rows; `slots[d]` is the next free position in `dims` for a
+    collection of d + 1 forms.  Each extension recurses while the size cap,
+    len(slots), allows.
+    """
+    n = len(vectors[0])
+    deeper = depth + 1 < len(slots)
+    slot = slots[depth]
+    for i in range(start, len(vectors)):
+        reduced = _reduce(vectors[i], echelon)
+        if reduced is not None:
+            echelon.append(reduced)
+        dims[slot] = n - len(echelon)
+        slot += 1
+        if deeper:
+            _walk(vectors, i + 1, depth + 1, echelon, dims, slots)
+        if reduced is not None:
+            echelon.pop()
+    slots[depth] = slot
 
 
 def _check_trace(args):
+    """Dimension n - rank of every collection of up to `cap` slope forms.
+
+    Walks the collections of triples depth first, keeping the echelon rows of
+    the current prefix and reducing only the new triple's form against them.
+    Preorder restricted to one size is the lex order of `combinations`, so
+    each size fills its own block of the result, smaller sizes first, in the
+    order verify_independence reads.
+    """
     slopes, n, cap = args
-    triples = list(combinations(range(1, n + 1), 3))
-    vectors = {t: _slope_form(slopes, t, n) for t in triples}
-    dims = []
-    for size in range(1, cap + 1):
-        for coll in combinations(triples, size):
-            dims.append(n - int_rank([vectors[t] for t in coll]))
+    vectors = [_slope_form(slopes, t, n) for t in combinations(range(1, n + 1), 3)]
+    counts = [comb(len(vectors), size) for size in range(1, cap + 1)]
+    slots = list(accumulate(counts, initial=0))[:-1]
+    dims = [0] * sum(counts)
+    if slots:
+        _walk(vectors, 0, 0, [], dims, slots)
     return dims
 
 
@@ -311,7 +380,7 @@ def verify_independence(
     if n < 4:
         raise ValueError("need n >= 4")
     rng = SplitMix64(seed)
-    traces = [_sample_slopes(rng, n) for _ in range(trials)]
+    traces = [_sample_slopes(rng, n, seed) for _ in range(trials)]
     tasks = [(slopes, n, tuple_size_cap) for slopes in traces]
     if jobs > 1 and trials > 1:
         from multiprocessing import Pool

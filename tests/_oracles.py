@@ -2,14 +2,19 @@
 
 Deliberately naive: determinant by permutation expansion, rank by largest
 nonvanishing minor, the codimension-2 census by testing every form against
-every pair, the six-point concurrency search by cross products, and the
-group triples by filtering all triples of groups.  Nothing here shares code
-with the elimination routines, the census keys or the partition enumerator
-under test.
+every pair, the six-point concurrency search by cross products, the group
+triples by filtering all triples of groups, the planar rank oracle by one
+`int_rank` per collection, and the class merge by restarting after every
+merge.  Apart from `dims_by_rank`, which calls `int_rank` (itself checked
+against `rank_by_minors`), nothing here shares code with the elimination
+routines, the census keys, the partition enumerator, the depth-first planar
+walk or the one-pass merge under test.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
+
+from discarr.linalg import int_rank
 
 
 def perm_sign(perm) -> int:
@@ -144,3 +149,41 @@ def disjoint_group_triples(pool, size: int):
         for groups in combinations(combinations(pool, size), 3)
         if len(set().union(*groups)) == 3 * size
     ]
+
+
+def dims_by_rank(slopes, n: int, cap: int):
+    """n - rank of every collection of up to `cap` slope forms, one rank each.
+
+    The form of a triple (a, b, c) has u_c - u_b at a, u_a - u_c at b and
+    u_b - u_a at c.  Collections come size by size, each size in the lex
+    order of `combinations`.
+    """
+    triples = list(combinations(range(1, n + 1), 3))
+    vectors = {}
+    for a, b, c in triples:
+        vec = [0] * n
+        vec[a - 1] = slopes[c - 1] - slopes[b - 1]
+        vec[b - 1] = slopes[a - 1] - slopes[c - 1]
+        vec[c - 1] = slopes[b - 1] - slopes[a - 1]
+        vectors[(a, b, c)] = vec
+    dims = []
+    for size in range(1, cap + 1):
+        for coll in combinations(triples, size):
+            dims.append(n - int_rank([vectors[t] for t in coll]))
+    return dims
+
+
+def merge_by_restart(sets):
+    """Union sets sharing >= 2 indices, rescanning all pairs after each merge."""
+    current = sorted({tuple(sorted(set(s))) for s in sets})
+    changed = True
+    while changed:
+        changed = False
+        for i, j in combinations(range(len(current)), 2):
+            if len(set(current[i]) & set(current[j])) >= 2:
+                merged = tuple(sorted(set(current[i]) | set(current[j])))
+                current = [s for idx, s in enumerate(current) if idx not in (i, j)]
+                current.append(merged)
+                changed = True
+                break
+    return tuple(sorted(set(current)))

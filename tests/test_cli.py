@@ -262,3 +262,51 @@ def test_single_line_section_has_no_braids(tmp_path, capsys):
     code, out = run(["presentation", "--input", arr_path], capsys)
     assert code == 0
     assert out == "generators: d1\n"
+
+
+def _never_distinct(monkeypatch):
+    from discarr.rng import SplitMix64
+
+    monkeypatch.setattr(SplitMix64, "randint", lambda self, lo, hi: 0)
+
+
+def _never_concurrent(monkeypatch):
+    import discarr.gale as gale
+
+    monkeypatch.setattr(gale, "concurrent_partition_exists", lambda config: (False, None))
+
+
+def _always_concurrent(monkeypatch):
+    import discarr.gale as gale
+
+    witness = ((1, 2), (3, 4), (5, 6))
+    monkeypatch.setattr(gale, "concurrent_partition_exists", lambda config: (True, witness))
+
+
+@pytest.mark.parametrize(
+    "reject, argv, message",
+    [
+        (
+            _never_distinct,
+            ["planar-verify", "--n", "5", "--cap", "2", "--trials", "2", "--seed", "41"],
+            "no 5 distinct slopes after 1000 draws (seed=41)",
+        ),
+        (
+            _never_concurrent,
+            ["gale-invariance", "--trials", "1", "--seed", "42"],
+            "no concurrent sextuple after 100 draws (seed=42)",
+        ),
+        (
+            _always_concurrent,
+            ["gale-invariance", "--trials", "1", "--seed", "43"],
+            "no generic sextuple after 100 draws (seed=43)",
+        ),
+    ],
+)
+def test_exhausted_rejection_budget_exits_one(capsys, monkeypatch, reject, argv, message):
+    reject(monkeypatch)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -220,3 +220,12 @@ def test_pencil_invariance_for_three_groups_of_three():
     assert not dependent_triples(generic)
     gale_side = gale_transform(PointConfig(generic.normals.transpose()))
     assert not pencil_partition_exists(gale_side)[0]
+
+
+def test_concurrent_sampler_redraws_collinear_points():
+    # seed 1055 first draws six points on one line; the configuration would
+    # not span the plane and its Gale transform would be undefined
+    config = random_concurrent_sextuple(seed=1055)
+    assert config.vectors.rank() == 3
+    assert concurrent_partition_exists(config)[0]
+    assert concurrent_partition_exists(gale_transform(config))[0]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discarr.linalg import QMatrix, int_rank
 from discarr.rng import SplitMix64
@@ -121,3 +123,33 @@ def test_rank_of_product_bounded():
         a = random_matrix(rng, 3, 4, bound=4)
         b = random_matrix(rng, 4, 3, bound=4)
         assert (a @ b).rank() <= min(a.rank(), b.rank())
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices, with zero and repeated rows mixed in."""
+    cols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-6, 6), min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    extras = draw(st.lists(st.sampled_from(["zero", "repeat", "multiple"]), max_size=2))
+    for kind in extras:
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "zero":
+            new = [0] * cols
+        elif kind == "repeat":
+            new = list(source)
+        else:
+            new = [draw(st.sampled_from([-3, -1, 2])) * x for x in source]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(int_matrices())
+@example([[0, 0, 0]])
+@example([[2, -4, 6, 0, 8]])
+@example([[1, 2], [1, 2], [0, 0]])
+def test_int_rank_matches_minor_oracle(rows):
+    snapshot = [list(r) for r in rows]
+    assert int_rank(rows) == rank_by_minors(rows)
+    assert rows == snapshot

@@ -30,17 +30,17 @@ from discarr.monodromy import (
 
 
 def section_for(arr, seed=101):
-    _, lines = random_section(arr, seed=seed)
+    _, lines, _ = random_section(arr, seed=seed)
     return lines
 
 
 def test_section_lines_counts_and_validation():
     arr = random_generic(4, 2, seed=21, bound=9)
-    lines = section_for(arr)
+    _, lines, points = random_section(arr, seed=101)
     assert len(lines) == comb(4, 3) == 4
     # all four concur: the essential part has rank 2, so one point carries
     # every pair
-    points = singular_points(lines)
+    assert points == singular_points(lines)
     assert len(points) == 1 and len(points[0].block) == 4
 
 
@@ -190,7 +190,7 @@ def test_large_section_sweep_and_total_monodromy():
     # N = 28 strands, 216 singular values: the sweep stays consistent and
     # the telescoped product is still the full twist
     arr = construct_dependent(2, 2, seed=5)
-    _, lines = random_section(arr, seed=303)
+    _, lines, _ = random_section(arr, seed=303)
     records = braid_monodromy(lines)
     n = len(lines)
     assert n == comb(8, 6) == 28

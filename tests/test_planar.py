@@ -1,10 +1,15 @@
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discarr.linalg import int_rank
 from discarr.planar import (
+    _check_trace,
     _generic_rank,
+    _reduce,
     codim_combinatorial,
     dim_combinatorial,
     dim_formula,
@@ -12,6 +17,8 @@ from discarr.planar import (
     verify_independence,
 )
 from discarr.rng import SplitMix64
+
+from _oracles import dims_by_rank, merge_by_restart, rank_by_minors
 
 
 def test_merge_trivials():
@@ -191,3 +198,60 @@ def test_verify_independence_jobs_deterministic():
     serial = verify_independence(5, 3, trials=2, seed=44, jobs=1)
     parallel = verify_independence(5, 3, trials=2, seed=44, jobs=2)
     assert serial == parallel
+
+
+ORACLE_SETTINGS = settings(deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def traces(draw):
+    """(distinct integer slopes, n, cap); a small range makes special traces likely."""
+    n = draw(st.integers(4, 7))
+    cap = draw(st.integers(1, 4))
+    slopes = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n, unique=True))
+    return slopes, n, cap
+
+
+@settings(ORACLE_SETTINGS, max_examples=40)
+@given(traces())
+@example(([1, 2, 3, 4, 5, 6], 6, 4))  # arithmetic progression: quadrangles degenerate
+@example(([0, 1, 3, 7, 12, 20, 30], 7, 4))
+def test_depth_first_dims_match_per_collection_rank(trace):
+    slopes, n, cap = trace
+    assert _check_trace(trace) == dims_by_rank(slopes, n, cap)
+
+
+@settings(ORACLE_SETTINGS, max_examples=100)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=6
+        )
+    )
+)
+def test_reduce_keeps_primitive_echelon_of_full_rank(vectors):
+    echelon = []
+    for i, vec in enumerate(vectors):
+        reduced = _reduce(vec, echelon)
+        if reduced is not None:
+            pivot, row = reduced
+            assert row[pivot] and gcd(*row) == 1
+            assert all(row[p] == 0 for p, _ in echelon)
+            echelon.append(reduced)
+        assert len(echelon) == rank_by_minors(vectors[: i + 1])
+
+
+families = st.lists(
+    st.lists(st.integers(1, 10), min_size=3, max_size=5, unique=True), max_size=8
+)
+
+
+@settings(ORACLE_SETTINGS, max_examples=300)
+@given(families, st.randoms(use_true_random=False))
+def test_merge_matches_restart_oracle(family, rnd):
+    merged = merge_classes(family)
+    assert merged == merge_by_restart(family)
+    assert merge_classes(merged) == merged
+    shuffled = [rnd.sample(s, len(s)) for s in family]
+    rnd.shuffle(shuffled)
+    assert merge_classes(shuffled) == merged
