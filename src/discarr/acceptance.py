@@ -190,9 +190,9 @@ def check_monodromy_invariants() -> str:
     ]
     lines = []
     for label, arr in cases:
-        section = random_section(arr, seed=SECTION_SEED)[1]
+        _, section, points = random_section(arr, seed=SECTION_SEED)
         n_lines = len(section)
-        records = braid_monodromy(section)
+        records = braid_monodromy(section, points)
         pair_total = sum(comb(len(p.block), 2) for p, _ in records)
         _require(pair_total == comb(n_lines, 2))
         product = reduce_free(sum((braid.letters for _, braid in records), ()))

@@ -11,8 +11,9 @@ on the free group F_N by
 
 all other generators fixed.  The representation is faithful and reduced free
 words are unique, so two words are equal in the braid group exactly when the
-generator images agree.  The same action produces the van Kampen relators of
-the monodromy presentations, so one small engine serves both needs.
+generator images agree.  The same action, with substitution of image tables
+(apply_images), produces the van Kampen relators of the monodromy
+presentations, so one small engine serves both needs.
 
 Convention: in a word, the leftmost letter acts first; the automorphism of a
 word is built by substituting letter images left to right.
@@ -55,14 +56,6 @@ class BraidWord:
             if not 1 <= abs(x) <= self.strands - 1:
                 raise ValueError(f"letter {x} out of range for {self.strands} strands")
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, invert(self.letters))
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise ValueError("strand count mismatch")
-        return BraidWord(self.strands, self.letters + other.letters)
-
 
 def halftwist(start: int, size: int) -> Word:
     """Positive half twist on the consecutive strands start..start+size-1.
@@ -92,49 +85,41 @@ def permutation(word: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _substitute(letter: int, word: Word) -> Word:
-    """Apply one Artin generator's automorphism to a free group word."""
+def _letter_images(letter: int) -> dict[int, Word]:
+    """One Artin generator's automorphism as an apply_images table."""
     m = abs(letter)
-    out: list[int] = []
     if letter > 0:
         # x_m -> x_m x_{m+1} x_m^-1, x_{m+1} -> x_m
-        for x in word:
-            g = abs(x)
-            if g == m:
-                rep = (m, m + 1, -m) if x > 0 else (m, -(m + 1), -m)
-            elif g == m + 1:
-                rep = (m,) if x > 0 else (-m,)
-            else:
-                rep = (x,)
-            for y in rep:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
+        a, b = (m, m + 1, -m), (m,)
     else:
         # inverse: x_m -> x_{m+1}, x_{m+1} -> x_{m+1}^-1 x_m x_{m+1}
-        for x in word:
-            g = abs(x)
-            if g == m:
-                rep = (m + 1,) if x > 0 else (-(m + 1),)
-            elif g == m + 1:
-                rep = (-(m + 1), m, m + 1) if x > 0 else (-(m + 1), -m, m + 1)
-            else:
-                rep = (x,)
-            for y in rep:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-    return tuple(out)
+        a, b = (m + 1,), (-(m + 1), m, m + 1)
+    return {m: a, -m: invert(a), m + 1: b, -(m + 1): invert(b)}
 
 
 def artin_images(word: Sequence[int], n: int) -> list[Word]:
     """Reduced images of the free generators x_1..x_n under the braid word."""
     images: list[Word] = [(j,) for j in range(1, n + 1)]
     for letter in word:
-        images = [_substitute(letter, w) for w in images]
+        table = _letter_images(letter)
+        images = [apply_images(w, table) for w in images]
     return images
+
+
+def apply_images(word: Sequence[int], images: dict[int, Word]) -> Word:
+    """Freely reduced image of a free group word under a substitution.
+
+    `images` maps signed letters to words, x^-1 to the inverse of the image
+    of x; letters it does not name are fixed.
+    """
+    out: list[int] = []
+    for x in word:
+        for y in images.get(x, (x,)):
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
 
 
 def braids_equal(w1: Sequence[int], w2: Sequence[int], n: int) -> bool:

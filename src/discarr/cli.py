@@ -174,8 +174,8 @@ def _cmd_section(args) -> int:
 
 def _section_records(args):
     arr = _load_arrangement(args.input)
-    lines = random_section(arr, seed=args.seed)[1]  # braid_monodromy computes its own points
-    return lines, braid_monodromy(lines)
+    _, lines, points = random_section(arr, seed=args.seed)
+    return lines, braid_monodromy(lines, points)
 
 
 def _cmd_monodromy(args) -> int:

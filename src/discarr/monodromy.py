@@ -8,14 +8,18 @@ event has exact rational coordinates and the event order is unambiguous.
 The sweep runs in increasing s from a basepoint below every singular value.
 Strands are numbered by t-order at the basepoint; crossing the i-th singular
 value, the block of concurrent lines occupies consecutive strand positions
-and undergoes a positive half twist.  The monodromy braid of that value is
-the square of its half twist conjugated by the earlier half twists:
+and undergoes a positive half twist b_i.  The monodromy braid of that value
+is the square of its half twist conjugated by the earlier half twists:
 
-    Gamma_i = b_1^-1 ... b_{i-1}^-1 b_i^2 b_{i-1} ... b_1
+    Gamma_i = P_i^-1 b_i^2 P_i,   P_i = b_{i-1} ... b_1,
 
-emitted as an explicit Artin word.  Applying the braids to the free group on
-one generator per line (Artin action, see braid.py) and equating images with
-generators yields the van Kampen presentation of the complement.
+which braid_monodromy emits as an explicit Artin word.  The van Kampen
+presentation of the complement equates Gamma_i(x_j) with x_j for the
+strands j of each block, under the Artin action on the free group with one
+generator per line (braid.py).  `presentation` never expands Gamma_i: it
+carries the images of P_i and P_i^-1 along the sweep as two tables of free
+words, and updates them with the short images of b_i and b_i^-1 at each
+singular value.
 
 nilpotent_relations emits the three commutator relation families of the
 holonomy Lie algebra / nilpotent completion, keyed by the codimension-2
@@ -33,7 +37,7 @@ from itertools import combinations
 from math import comb
 
 from .arrangement import GenericArrangement
-from .braid import BraidWord, artin_images, halftwist, invert, reduce_free
+from .braid import BraidWord, apply_images, artin_images, halftwist, invert, reduce_free
 from .discriminantal import (
     DEPENDENT,
     GOOD,
@@ -187,22 +191,25 @@ class SweepError(AssertionError):
     """A concurrency block was not consecutive at its critical value."""
 
 
-def braid_monodromy(lines: list[SectionLine]) -> list[tuple[SingularPoint, BraidWord]]:
+def braid_monodromy(
+    lines: list[SectionLine], points: list[SingularPoint]
+) -> list[tuple[SingularPoint, BraidWord]]:
     """Monodromy braids of the section, one per singular value of s.
 
-    The basepoint is one below the first singular s (the t-order, hence every
-    braid, is the same at any s below it).  Lines are renumbered as strands
-    1..N by t-order at the basepoint; each returned SingularPoint carries its
-    block as strand numbers, and each braid is the conjugated full twist on
-    the block, fully expanded in Artin generators.
+    `points` are the singular points of `lines`, as singular_points (or
+    random_section) returns them.  The basepoint is one below the first
+    singular s (the t-order, hence every braid, is the same at any s below
+    it).  Lines are renumbered as strands 1..N by t-order at the basepoint;
+    each returned SingularPoint carries its block as strand numbers, and each
+    braid is the conjugated full twist on the block, fully expanded in Artin
+    generators.
     """
-    raw_points = singular_points(lines)
-    basepoint_s = raw_points[0].s - 1 if raw_points else Fraction(0)
+    basepoint_s = points[0].s - 1 if points else Fraction(0)
     order = sorted(range(len(lines)), key=lambda i: lines[i].t_at(basepoint_s))
     strand_of = {line_idx + 1: pos + 1 for pos, line_idx in enumerate(order)}
     strands = [
         SingularPoint(p.s, p.t, tuple(sorted(strand_of[i] for i in p.block)))
-        for p in raw_points
+        for p in points
     ]
     n_strands = len(lines)
 
@@ -220,12 +227,7 @@ def braid_monodromy(lines: list[SectionLine]) -> list[tuple[SingularPoint, Braid
         t_order = sorted(range(1, n_strands + 1), key=lambda j: sorted_lines[j - 1].t_at(mid))
         if t_order != positions:
             raise SweepError("sweep order diverged from predicted strand positions")
-        block_positions = sorted(positions.index(j) + 1 for j in pt.block)
-        lo, hi = block_positions[0], block_positions[-1]
-        if block_positions != list(range(lo, hi + 1)):
-            raise SweepError(
-                f"block {pt.block} occupies non-consecutive positions {block_positions}"
-            )
+        lo, hi = _twist(positions, pt.block)
         beta = halftwist(lo, hi - lo + 1)
         gamma: list[int] = []
         for earlier in twists:
@@ -236,9 +238,23 @@ def braid_monodromy(lines: list[SectionLine]) -> list[tuple[SingularPoint, Braid
             gamma.extend(earlier)
         records.append((pt, BraidWord(n_strands, tuple(gamma))))
         twists.append(beta)
-        positions[lo - 1 : hi] = positions[lo - 1 : hi][::-1]
         prev_s = pt.s
     return records
+
+
+def _twist(positions: list[int], block: tuple[int, ...]) -> tuple[int, int]:
+    """Half twist the block's strands in place; return the positions lo..hi.
+
+    `positions[p-1]` is the strand at position p just below the block's
+    singular value and the strand just above it on return.  The block must
+    occupy consecutive positions, or SweepError.
+    """
+    at = sorted(positions.index(j) + 1 for j in block)
+    lo, hi = at[0], at[-1]
+    if at != list(range(lo, hi + 1)):
+        raise SweepError(f"block {block} occupies non-consecutive positions {at}")
+    positions[lo - 1 : hi] = positions[lo - 1 : hi][::-1]
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -270,16 +286,58 @@ def presentation(
     consequences and omitted.  With reduce_relators, the last relator of
     each point (itself a consequence of the others) is dropped too, leaving
     |P_i| - 1 per point.
+
+    Only the blocks are read: the half twists b_i are replayed from them,
+    and Gamma_i = P_i^-1 b_i^2 P_i with P_i = b_{i-1} ... b_1 is never
+    expanded.  Two image tables follow the sweep instead (a word acts
+    leftmost letter first, so P_{i+1} = b_i P_i acts as P_i after b_i):
+
+        before: x_g -> P_i^-1(x_g), updated by substituting the images of
+                b_i^-1 into every entry;
+        after:  x_g -> P_i(x_g), updated by substituting the table into the
+                images of b_i, which differ from x_g only on the block.
+
+    Then Gamma_i(x_j) = after(b_i^2(before(x_j))).  Reduced free words are
+    unique, so each relator is the reduced word that the letter-by-letter
+    Artin action of Gamma_i gives.
     """
+    before = [(g,) for g in range(1, n_strands + 1)]
+    after: dict[int, tuple[int, ...]] = {}  # apply_images fixes unnamed letters
+    positions = list(range(1, n_strands + 1))
     relators: list[tuple[int, ...]] = []
-    for point, braid in braids:
-        images = artin_images(reduce_free(braid.letters), n_strands)
-        local = [reduce_free(images[j - 1] + (-j,)) for j in point.block]
+    for point, _ in braids:
+        lo, hi = _twist(positions, point.block)
+        beta = halftwist(1, hi - lo + 1)
+        square = _block_images(beta + beta, lo)
+        local = [
+            reduce_free(apply_images(apply_images(before[j - 1], square), after) + (-j,))
+            for j in point.block
+        ]
         local = [rel for rel in local if rel]
         if reduce_relators and local:
             local.pop()
         relators.extend(local)
+        backward = _block_images(invert(beta), lo)
+        before = [apply_images(word, backward) for word in before]
+        forward = _block_images(beta, lo)
+        after.update({x: apply_images(image, after) for x, image in forward.items()})
     return Presentation(n_strands, tuple(relators))
+
+
+def _block_images(word: tuple[int, ...], lo: int) -> dict[int, tuple[int, ...]]:
+    """Artin images of a braid on strands 1..m, moved to positions lo..lo+m-1.
+
+    The table maps each signed block letter to its image (x^-1 to the
+    inverse word), as apply_images reads it; other letters are fixed.
+    """
+    size = max(map(abs, word)) + 1
+    shift = lo - 1
+    table = {}
+    for g, image in enumerate(artin_images(word, size), lo):
+        image = tuple(x + shift if x > 0 else x - shift for x in image)
+        table[g] = image
+        table[-g] = invert(image)
+    return table
 
 
 @dataclass(frozen=True)

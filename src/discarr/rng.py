@@ -41,7 +41,9 @@ class SplitMix64:
                 return lo + x % span
 
     def nonzero_int(self, bound: int) -> int:
-        """Uniform nonzero integer in [-bound, bound]."""
+        """Uniform nonzero integer in [-bound, bound]; bound must be >= 1."""
+        if bound < 1:
+            raise ValueError(f"no nonzero integer in [-{bound}, {bound}]")
         while True:
             x = self.randint(-bound, bound)
             if x != 0:

@@ -4,17 +4,23 @@ Deliberately naive: determinant by permutation expansion, rank by largest
 nonvanishing minor, the codimension-2 census by testing every form against
 every pair, the six-point concurrency search by cross products, the group
 triples by filtering all triples of groups, the planar rank oracle by one
-`int_rank` per collection, and the class merge by restarting after every
-merge.  Apart from `dims_by_rank`, which calls `int_rank` (itself checked
-against `rank_by_minors`), nothing here shares code with the elimination
-routines, the census keys, the partition enumerator, the depth-first planar
-walk or the one-pass merge under test.
+`int_rank` per collection, the class merge by restarting after every
+merge, and the van Kampen relators by expanding every conjugated braid and
+acting with it letter by letter.  Apart from `dims_by_rank`, which calls
+`int_rank` (itself checked against `rank_by_minors`), and
+`presentation_by_expansion`, which runs the Artin action of `braid.py`
+(its substitution step, `apply_images`, is checked on explicit words in
+test_braid.py), nothing here shares code with the elimination routines, the census keys,
+the partition enumerator, the depth-first planar walk, the one-pass merge
+or the image tables under test.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from discarr.braid import artin_images, reduce_free
 from discarr.linalg import int_rank
+from discarr.monodromy import Presentation
 
 
 def perm_sign(perm) -> int:
@@ -187,3 +193,41 @@ def merge_by_restart(sets):
                 changed = True
                 break
     return tuple(sorted(set(current)))
+
+
+def presentation_by_expansion(braids, n_strands: int, reduce_relators: bool = False):
+    """Van Kampen relators Gamma_i(x_j) x_j^-1 from the expanded braid words.
+
+    Runs the Artin action of every letter of each record's word on all
+    generators; the relators, their order and the reduce_relators rule are
+    those of `monodromy.presentation`.
+    """
+    relators = []
+    for point, braid in braids:
+        images = artin_images(reduce_free(braid.letters), n_strands)
+        local = [reduce_free(images[j - 1] + (-j,)) for j in point.block]
+        local = [rel for rel in local if rel]
+        if reduce_relators and local:
+            local.pop()
+        relators.extend(local)
+    return Presentation(n_strands, tuple(relators))
+
+
+def magnus_degree2(word, n: int):
+    """Antisymmetric degree-2 Magnus coefficients of a free group word.
+
+    Under x_a -> 1 + X_a (so x_a^-1 -> 1 - X_a + ...), the coefficient c_ab
+    of X_a X_b with a != b is the sum of e_p e_q over letter positions
+    p < q on generators a and b, e being the letters' signs.  Returns
+    c_ab - c_ba for the pairs a < b in `combinations` order, an integer
+    vector in the second exterior power of Z^n.
+    """
+    prefix = [0] * (n + 1)  # exponent sum of each generator so far
+    coeff = [[0] * (n + 1) for _ in range(n + 1)]
+    for x in word:
+        b, sign = abs(x), (1 if x > 0 else -1)
+        for a in range(1, n + 1):
+            if prefix[a] and a != b:
+                coeff[a][b] += prefix[a] * sign
+        prefix[b] += sign
+    return [coeff[a][b] - coeff[b][a] for a, b in combinations(range(1, n + 1), 2)]

@@ -2,6 +2,7 @@ import pytest
 
 from discarr.braid import (
     BraidWord,
+    apply_images,
     artin_images,
     braids_equal,
     full_twist,
@@ -50,6 +51,18 @@ def test_artin_generator_action():
     assert artin_images((1, -1), 3) == [(1,), (2,), (3,)]
 
 
+def test_apply_images_substitutes_and_reduces():
+    # the Artin images of sigma_1 on F_3, as a signed-letter table
+    table = {1: (1, 2, -1), -1: (1, -2, -1), 2: (1,), -2: (-1,)}
+    assert apply_images((1, 3, -2), table) == (1, 2, -1, 3, -1)
+    assert apply_images((2, 1), table) == (1, 1, 2, -1)
+    assert apply_images((1, -1), table) == ()
+    word = (2, -1, 3, 1, 2)
+    assert apply_images(word, table) == reduce_free(
+        sum((table.get(x, (x,)) for x in word), ())
+    )
+
+
 def test_braid_relations():
     assert braids_equal((1, 2, 1), (2, 1, 2), 3)
     assert braids_equal((1, 3), (3, 1), 4)  # distant generators commute
@@ -74,7 +87,9 @@ def test_braidword_validation():
     with pytest.raises(ValueError):
         BraidWord(3, (3,))
     w = BraidWord(3, (1, 2))
-    assert (w * w.inverse()).letters == (1, 2, -2, -1)
+    product = BraidWord(3, w.letters + invert(w.letters))
+    assert product.letters == (1, 2, -2, -1)
+    assert braids_equal(product.letters, (), 3)
 
 
 def test_smith_invariants():

@@ -157,7 +157,7 @@ def test_monodromy_sweep_error_exits_two(tmp_path, capsys, monkeypatch):
     arr_path = str(tmp_path / "arr.json")
     run(["gen", "--n", "4", "--k", "2", "--seed", "5", "--output", arr_path], capsys)
 
-    def diverge(lines):
+    def diverge(lines, points):
         raise SweepError("sweep order diverged from predicted strand positions")
 
     monkeypatch.setattr(cli, "braid_monodromy", diverge)

@@ -229,3 +229,26 @@ def test_concurrent_sampler_redraws_collinear_points():
     assert config.vectors.rank() == 3
     assert concurrent_partition_exists(config)[0]
     assert concurrent_partition_exists(gale_transform(config))[0]
+
+
+def test_nonzero_int_rejects_an_empty_range():
+    rng = SplitMix64(0)
+    for bound in (0, -2):
+        with pytest.raises(ValueError, match="no nonzero integer"):
+            rng.nonzero_int(bound)
+    assert {rng.nonzero_int(1) for _ in range(20)} == {-1, 1}
+
+
+def test_concurrent_sampler_with_zero_bound_exits_one(capsys, monkeypatch):
+    # every apex drawn from [0, 0] is zero, so the sampler spends its budget
+    # and the CLI reports that instead of hanging
+    import discarr.cli as cli
+
+    monkeypatch.setattr(
+        cli, "random_concurrent_sextuple", lambda seed: random_concurrent_sextuple(seed, bound=0)
+    )
+    code = cli.main(["gale-invariance", "--trials", "1", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: no concurrent sextuple after 100 draws (seed=7)\n"

@@ -1,8 +1,11 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discarr.arrangement import random_generic
 from discarr.braid import (
@@ -14,6 +17,7 @@ from discarr.braid import (
     smith_invariants,
 )
 from discarr.discriminantal import codim2_census, construct_dependent
+from discarr.linalg import int_rank
 from discarr.monodromy import (
     NonGenericSection,
     Presentation,
@@ -28,10 +32,24 @@ from discarr.monodromy import (
     singular_points,
 )
 
+from _oracles import magnus_degree2, presentation_by_expansion
+
 
 def section_for(arr, seed=101):
     _, lines, _ = random_section(arr, seed=seed)
     return lines
+
+
+def records_for(arr, seed=101):
+    """The section lines and their monodromy records."""
+    _, lines, points = random_section(arr, seed=seed)
+    return lines, braid_monodromy(lines, points)
+
+
+TWO_LINES = [
+    SectionLine((1, 2, 3), Fraction(1), Fraction(0), Fraction(0)),
+    SectionLine((1, 2, 4), Fraction(1), Fraction(1), Fraction(-1)),
+]
 
 
 def test_section_lines_counts_and_validation():
@@ -54,11 +72,7 @@ def test_degenerate_section_rejected():
 
 
 def test_two_lines_cross_once():
-    lines = [
-        SectionLine((1, 2, 3), Fraction(1), Fraction(0), Fraction(0)),
-        SectionLine((1, 2, 4), Fraction(1), Fraction(1), Fraction(-1)),
-    ]
-    [point] = singular_points(lines)
+    [point] = singular_points(TWO_LINES)
     assert point.block == (1, 2)
     assert (point.s, point.t) == (Fraction(1), Fraction(0))
 
@@ -79,19 +93,14 @@ def test_dep63_section_block_structure():
 
 
 def test_single_simple_crossing_braid_is_sigma_squared():
-    lines = [
-        SectionLine((1, 2, 3), Fraction(1), Fraction(0), Fraction(0)),
-        SectionLine((1, 2, 4), Fraction(1), Fraction(1), Fraction(-1)),
-    ]
-    [(point, braid)] = braid_monodromy(lines)
+    [(point, braid)] = braid_monodromy(TWO_LINES, singular_points(TWO_LINES))
     assert point.block == (1, 2)
     assert braid.letters == (1, 1)
 
 
 def test_monodromy_braids_are_pure_conjugated_full_twists():
     arr = random_generic(5, 2, seed=22, bound=9)
-    lines = section_for(arr)
-    records = braid_monodromy(lines)
+    lines, records = records_for(arr)
     n = len(lines)
     for point, braid in records:
         assert permutation(braid.letters, n) == tuple(range(1, n + 1))
@@ -108,8 +117,7 @@ def test_total_monodromy_is_full_twist():
         random_generic(5, 2, seed=22, bound=9),
         construct_dependent(2, 0, seed=11),
     ):
-        lines = section_for(arr)
-        records = braid_monodromy(lines)
+        lines, records = records_for(arr)
         n = len(lines)
         product = reduce_free(sum((braid.letters for _, braid in records), ()))
         assert braids_equal(product, full_twist(n), n)
@@ -117,19 +125,14 @@ def test_total_monodromy_is_full_twist():
 
 def test_blocks_match_census_multiplicities():
     for arr in (random_generic(5, 2, seed=22, bound=9), construct_dependent(2, 0, seed=11)):
-        lines = section_for(arr)
-        records = braid_monodromy(lines)
+        _, records = records_for(arr)
         blocks = Counter(len(p.block) for p, _ in records)
         mults = Counter(r.multiplicity for r in codim2_census(arr))
         assert blocks == mults
 
 
 def test_presentation_of_one_simple_crossing_is_commutation():
-    lines = [
-        SectionLine((1, 2, 3), Fraction(1), Fraction(0), Fraction(0)),
-        SectionLine((1, 2, 4), Fraction(1), Fraction(1), Fraction(-1)),
-    ]
-    records = braid_monodromy(lines)
+    records = braid_monodromy(TWO_LINES, singular_points(TWO_LINES))
     pres = presentation(records, 2)
     # sigma_1^2 relators: both say x1 and x2 commute
     assert pres.relators == ((1, 2, 1, -2, -1, -1), (1, 2, -1, -2))
@@ -139,8 +142,7 @@ def test_presentation_of_one_simple_crossing_is_commutation():
 
 def test_presentation_counts_and_abelianization():
     arr = construct_dependent(2, 0, seed=11)
-    lines = section_for(arr)
-    records = braid_monodromy(lines)
+    lines, records = records_for(arr)
     n = len(lines)
     pres = presentation(records, n)
     assert len(pres.relators) == sum(len(p.block) for p, _ in records)
@@ -190,8 +192,7 @@ def test_large_section_sweep_and_total_monodromy():
     # N = 28 strands, 216 singular values: the sweep stays consistent and
     # the telescoped product is still the full twist
     arr = construct_dependent(2, 2, seed=5)
-    _, lines, _ = random_section(arr, seed=303)
-    records = braid_monodromy(lines)
+    lines, records = records_for(arr, seed=303)
     n = len(lines)
     assert n == comb(8, 6) == 28
     assert sum(comb(len(p.block), 2) for p, _ in records) == comb(n, 2)
@@ -213,3 +214,127 @@ def test_section_without_s_dependence_rejected():
     with pytest.raises(NonGenericSection) as exc:
         section_lines(arr, plane)
     assert any("parallel" in f for f in exc.value.failures)
+
+
+# The image-table presentation against the expanded braids, byte for byte.
+# Derandomized, so the tier-1 suite runs the same examples every time.
+ORACLE_SETTINGS = settings(deadline=None, derandomize=True, database=None)
+
+# (n, k) of a generic arrangement, or "dep" for construct_dependent(2, 0);
+# (4, 3) has N = 1 line and no singular point
+SECTION_SHAPES = [(4, 3), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), "dep"]
+
+
+@st.composite
+def sectioned_arrangements(draw):
+    shape = draw(st.sampled_from(SECTION_SHAPES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if shape == "dep":
+        return construct_dependent(2, 0, seed=seed)
+    n, k = shape
+    return random_generic(n, k, seed=seed, bound=max(n, 10))
+
+
+@settings(ORACLE_SETTINGS, max_examples=12)
+@given(
+    arr=sectioned_arrangements(),
+    section_seed=st.integers(0, 2**32 - 1),
+    reduce_relators=st.booleans(),
+)
+@example(arr=construct_dependent(2, 0, seed=11), section_seed=101, reduce_relators=False)
+@example(arr=random_generic(5, 3, seed=4, bound=10), section_seed=7, reduce_relators=True)
+def test_presentation_matches_expansion_oracle(arr, section_seed, reduce_relators):
+    lines, records = records_for(arr, seed=section_seed)
+    n = len(lines)
+    fast = presentation_to_text(presentation(records, n, reduce_relators))
+    slow = presentation_to_text(presentation_by_expansion(records, n, reduce_relators))
+    assert fast == slow
+
+
+@pytest.mark.parametrize("reduce_relators", [False, True])
+def test_presentation_matches_expansion_oracle_small_cases(reduce_relators):
+    records = braid_monodromy(TWO_LINES, singular_points(TWO_LINES))
+    for recs, n in ((records, 2), ([], 1)):
+        fast = presentation(recs, n, reduce_relators)
+        assert fast == presentation_by_expansion(recs, n, reduce_relators)
+    assert presentation([], 1, reduce_relators) == Presentation(1, ())
+
+
+def test_presentation_at_35_strands():
+    # `gen --n 7 --k 2 --seed 0`, then `presentation --seed 0`: expanding
+    # the 420 conjugated braids takes about 40 s here, the tables well
+    # under one second
+    arr = random_generic(7, 2, seed=0, bound=10)
+    lines, records = records_for(arr, seed=0)
+    n = len(lines)
+    assert n == 35
+    pres = presentation(records, n)
+    assert len(pres.relators) == sum(len(p.block) for p, _ in records)
+    invariants = smith_invariants(pres.exponent_matrix())
+    assert n - sum(1 for d in invariants if d) == n
+
+
+# Cross-layer checks: the section's blocks against the census, and the
+# presentation's degree-2 Magnus part against the census holonomy relations.
+def subset_of_strand(lines, records):
+    """Strand number -> (k+1)-subset, from the t-order below every point."""
+    basepoint_s = records[0][0].s - 1
+    order = sorted(lines, key=lambda line: line.t_at(basepoint_s))
+    return {strand: line.subset for strand, line in enumerate(order, 1)}
+
+
+def census_blocks(lines, records):
+    """Check 1's left side: each point's block as sorted (k+1)-subsets."""
+    subset = subset_of_strand(lines, records)
+    return sorted(tuple(sorted(subset[j] for j in p.block)) for p, _ in records)
+
+
+def holonomy_ranks(lines, records, census):
+    """Check 2: int_rank of the relators' degree-2 Magnus vectors, of the
+    holonomy relations [X_j, sum_{i in P} X_i] over the census flats P (in
+    strand numbers), and of both stacked."""
+    n = len(lines)
+    strand = {s: j for j, s in subset_of_strand(lines, records).items()}
+    pair_index = {pair: i for i, pair in enumerate(combinations(range(1, n + 1), 2))}
+    holonomy = []
+    for rec in census:
+        flat = [strand[m] for m in rec.members]
+        for j in flat:
+            row = [0] * len(pair_index)
+            for i in flat:
+                if i != j:
+                    row[pair_index[(min(i, j), max(i, j))]] = 1 if j < i else -1
+            holonomy.append(row)
+    magnus = [magnus_degree2(rel, n) for rel in presentation(records, n).relators]
+    return int_rank(magnus), int_rank(holonomy), int_rank(magnus + holonomy)
+
+
+def check_section_against_census(arr, section_seed):
+    """Both checks; returns the three ranks of check 2."""
+    lines, records = records_for(arr, seed=section_seed)
+    census = codim2_census(arr)
+    assert census_blocks(lines, records) == sorted(r.members for r in census)
+    return holonomy_ranks(lines, records, census)
+
+
+@pytest.mark.parametrize(
+    "arr, ranks",
+    [
+        (random_generic(5, 2, seed=22, bound=9), 30),
+        (construct_dependent(2, 0, seed=11), 68),
+        (random_generic(6, 2, seed=0, bound=10), 145),
+    ],
+    ids=["B52", "dep63", "B62"],
+)
+def test_presentation_holonomy_matches_census(arr, ranks):
+    assert check_section_against_census(arr, section_seed=101) == (ranks, ranks, ranks)
+
+
+@settings(ORACLE_SETTINGS, max_examples=20)
+@given(arr=sectioned_arrangements(), section_seed=st.integers(0, 2**32 - 1))
+def test_presentation_holonomy_matches_census_drawn(arr, section_seed):
+    if arr.n == 4 and arr.k == 3:
+        return  # one line: no point, no relation
+    census = codim2_census(arr)
+    expected = sum(r.multiplicity - 1 for r in census)
+    assert check_section_against_census(arr, section_seed) == (expected,) * 3
