@@ -31,7 +31,6 @@ from .discriminantal import (
     StratumRecord,
     build_all,
     build_form,
-    census_to_json,
     codim2_census,
     codim_intersection,
     construct_dependent,

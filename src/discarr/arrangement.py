@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
-from .linalg import QMatrix, to_fraction
+from .linalg import QMatrix, _bareiss_det, common_int_rows, to_fraction
 from .rng import SplitMix64
 
 RESAMPLE_BUDGET = 400
@@ -39,6 +40,24 @@ class GenericArrangement:
     def normal_rows(self, indices_1based) -> QMatrix:
         return self.normals.submatrix([i - 1 for i in indices_1based])
 
+    @cached_property
+    def int_normals(self) -> tuple[tuple[int, ...], ...]:
+        """The normals times one common denominator (see `common_int_rows`)."""
+        return common_int_rows(self.normals.entries)
+
+    @cached_property
+    def minors(self) -> dict[tuple[int, ...], int]:
+        """Every k x k minor of `int_normals`, keyed by its sorted 1-based rows.
+
+        Each is the true minor of the normals times the same positive factor,
+        so zero tests and ratios of minors read straight off the table.
+        """
+        rows = self.int_normals
+        return {
+            subset: _bareiss_det([list(rows[i - 1]) for i in subset])
+            for subset in combinations(range(1, self.n + 1), self.k)
+        }
+
 
 def is_trace_generic(arr: GenericArrangement) -> bool:
     """True iff every k x k minor of the normals is nonzero.
@@ -48,10 +67,7 @@ def is_trace_generic(arr: GenericArrangement) -> bool:
     """
     if arr.n < arr.k:
         raise ValueError(f"need n >= k, got n={arr.n}, k={arr.k}")
-    for rows in combinations(range(arr.n), arr.k):
-        if arr.normals.submatrix(rows).det() == 0:
-            return False
-    return True
+    return all(arr.minors.values())
 
 
 def is_affine_generic(arr: GenericArrangement) -> bool:

@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii
 
 from . import acceptance
 from .arrangement import arrangement_from_json, arrangement_to_json, random_generic
 from .discriminantal import (
+    DEPENDENT,
     OTHER,
-    census_to_json,
     codim2_census,
     construct_dependent,
 )
@@ -44,16 +46,115 @@ from .planar import verify_independence
 OK, PRECONDITION, DISCREPANCY = 0, 1, 2
 
 
+class _Fields(tuple):
+    """(key, value) pairs in key order, written as a JSON object."""
+
+
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+def _pairs(value):
+    """An object's (key, value) pairs in output order, or None for an array."""
+    if isinstance(value, dict):
+        return sorted(value.items())
+    if isinstance(value, _Fields):
+        return value
+    return None
+
+
+class _JsonWriter:
+    """Writes `json.dumps(value, sort_keys=True, indent=2) + "\\n"` in chunks.
+
+    Takes what that call takes here (dicts with str keys, lists, tuples,
+    str, int, bool, None, float) and two lazy forms, so that large outputs
+    are formatted straight from their records and never held whole: any
+    other iterable is an array, and `_Fields` an object.  The top-level
+    value and every lazy array go out item by item; each item is formatted
+    whole.  Strings are escaped by the stdlib's own `encode_basestring_ascii`.
+    """
+
+    CHUNK = 1024  # pieces buffered per write
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._parts: list[str] = []
+        # (level, integer tuple) -> text: a census repeats each (k+1)-subset
+        # in hundreds of records
+        self._rows: dict[tuple, str] = {}
+
+    def document(self, value) -> None:
+        self._stream(value, 0)
+        self._parts.append("\n")
+        self._fh.write("".join(self._parts))
+        self._parts.clear()
+
+    def _put(self, text: str) -> None:
+        self._parts.append(text)
+        if len(self._parts) >= self.CHUNK:
+            self._fh.write("".join(self._parts))
+            self._parts.clear()
+
+    def _stream(self, value, level: int) -> None:
+        concrete = isinstance(value, (dict, list, tuple))
+        if isinstance(value, _SCALARS) or (level > 0 and concrete):
+            self._put(self._text(value, level))
+            return
+        outer = "\n" + "  " * level
+        inner = outer + "  "
+        pairs = _pairs(value)
+        if pairs is not None:
+            brackets, sep = "{}", "{" + inner
+            for key, item in pairs:
+                self._put(sep + encode_basestring_ascii(key) + ": ")
+                self._stream(item, level + 1)
+                sep = "," + inner
+        else:
+            brackets, sep = "[]", "[" + inner
+            for item in value:
+                self._put(sep)
+                self._stream(item, level + 1)
+                sep = "," + inner
+        self._put(outer + brackets[1] if sep[0] == "," else brackets)
+
+    def _text(self, value, level: int) -> str:
+        """`value` formatted whole, laid out for nesting depth `level`."""
+        kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return int.__repr__(value)
+        if isinstance(value, _SCALARS):
+            return json.dumps(value)
+        outer = "\n" + "  " * level
+        inner = outer + "  "
+        if kind is tuple and value and all(type(x) is int for x in value):
+            text = self._rows.get((level, value))
+            if text is None:
+                text = "[" + inner + ("," + inner).join(map(str, value)) + outer + "]"
+                self._rows[level, value] = text
+            return text
+        pairs = _pairs(value)
+        if pairs is not None:
+            if not pairs:
+                return "{}"
+            body = [
+                encode_basestring_ascii(key) + ": " + self._text(item, level + 1)
+                for key, item in pairs
+            ]
+            return "{" + inner + ("," + inner).join(body) + outer + "}"
+        body = [self._text(item, level + 1) for item in value]
+        if not body:
+            return "[]"
+        return "[" + inner + ("," + inner).join(body) + outer + "]"
+
+
 def _emit(payload, output: str | None) -> None:
-    if isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write text as is, or anything else through _JsonWriter."""
+    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            _JsonWriter(fh).document(payload)
 
 
 def _load_arrangement(path: str):
@@ -79,12 +180,21 @@ def _cmd_gen(args) -> int:
 def _cmd_census(args) -> int:
     arr = _load_arrangement(args.input)
     records = codim2_census(arr)
-    _emit(census_to_json(records, arr.k), args.output)
+    _emit((_census_fields(rec, arr.k) for rec in records), args.output)
     if any(r.kind == OTHER for r in records):
         bad = [r for r in records if r.kind == OTHER]
         print(f"UNCLASSIFIED codimension-2 strata found: {bad}", file=sys.stderr)
         return DISCREPANCY
     return OK
+
+
+def _census_fields(rec, k: int) -> _Fields:
+    """One census record; dependent ones also carry t and s = (k+1-t)/2."""
+    fields = (("kind", rec.kind), ("members", rec.members), ("multiplicity", rec.multiplicity))
+    if rec.kind == DEPENDENT:
+        t = len(set(rec.members[0]).intersection(*rec.members[1:]))
+        fields += (("s", (k + 1 - t) // 2), ("t", t))
+    return _Fields(fields)
 
 
 def _cmd_dependent_construct(args) -> int:
@@ -191,6 +301,11 @@ def _cmd_presentation(args) -> int:
     return OK
 
 
+def _objects(keys, rows):
+    """Each row as a JSON object with the given (sorted) keys, lazily."""
+    return (_Fields(zip(keys, row)) for row in rows)
+
+
 def _cmd_relations(args) -> int:
     arr = _load_arrangement(args.input)
     try:
@@ -200,16 +315,9 @@ def _cmd_relations(args) -> int:
         return DISCREPANCY
     _emit(
         {
-            "full_sets": [
-                {"J": list(j), "K": list(k)} for j, k in families.full_sets
-            ],
-            "dependents": [
-                {"J": list(j), "triple": [list(m) for m in triple]}
-                for j, triple in families.dependents
-            ],
-            "commuting": [
-                {"J": list(j), "K": list(k)} for j, k in families.commuting
-            ],
+            "full_sets": _objects(("J", "K"), families.full_sets),
+            "dependents": _objects(("J", "triple"), families.dependents),
+            "commuting": _objects(("J", "K"), families.commuting),
             "counts": {
                 "full_sets": len(families.full_sets),
                 "dependents": len(families.dependents),

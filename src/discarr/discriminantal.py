@@ -22,12 +22,11 @@ the geometric dependency that produces multiplicity-3 flats:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from .arrangement import GenericArrangement, is_trace_generic
-from .linalg import QMatrix, int_rank, primitive_int_vector
+from .linalg import QMatrix, int_nullspace, int_rank, primitive_int_vector
 from .rng import SplitMix64
 
 GOOD = "GOOD"
@@ -80,17 +79,18 @@ def build_form(arr: GenericArrangement, subset) -> DiscForm:
     Entry j of the subset carries (-1)^position times the k x k minor of the
     normals on the other members (Laplace expansion of the concurrency
     determinant along its translate column); genericity makes every such
-    minor nonzero.
+    minor nonzero.  The minors come from `arr.minors`, which scales them all
+    by one factor, so the primitive vector is unchanged.
     """
     subset = tuple(sorted(subset))
     if len(subset) != arr.k + 1:
         raise ValueError(f"subset must have k+1={arr.k + 1} elements, got {len(subset)}")
     if len(set(subset)) != len(subset) or subset[0] < 1 or subset[-1] > arr.n:
         raise ValueError("subset must be distinct indices in [1..n]")
-    coeffs = [Fraction(0)] * arr.n
+    minors = arr.minors
+    coeffs = [0] * arr.n
     for pos, j in enumerate(subset):
-        others = [i for i in subset if i != j]
-        minor = arr.normal_rows(others).det()
+        minor = minors[subset[:pos] + subset[pos + 1 :]]
         if minor == 0:
             raise ValueError("trace is not generic: vanishing k x k minor")
         coeffs[j - 1] = minor if pos % 2 == 0 else -minor
@@ -223,10 +223,11 @@ def _dependency_test(arr: GenericArrangement, common, groups, spans=None) -> boo
     for g in groups:
         key = (tuple(g), tuple(common))
         if key not in spans:
-            basis = arr.normal_rows(key[0] + key[1]).nullspace_basis()
-            if basis.rows != s - 1:
+            normals = [arr.int_normals[i - 1] for i in key[0] + key[1]]
+            basis = int_nullspace(normals, arr.k)
+            if len(basis) != s - 1:
                 raise AssertionError("generic trace must cut subspaces of dimension s-1")
-            spans[key] = [primitive_int_vector(row) for row in basis.entries]
+            spans[key] = basis
         rows.extend(spans[key])
     return int_rank(rows) <= 2 * s - 2
 
@@ -367,22 +368,3 @@ def project(subsets, kept, k: int) -> list[tuple[int, ...]]:
         if len(set(sub) & kept_set) >= k + 1
     }
     return sorted(images)
-
-
-def census_to_json(records: list[StratumRecord], k: int) -> list[dict]:
-    out = []
-    for rec in records:
-        doc = {
-            "members": [list(m) for m in rec.members],
-            "multiplicity": rec.multiplicity,
-            "kind": rec.kind,
-        }
-        if rec.kind == DEPENDENT:
-            common = set(rec.members[0])
-            for m in rec.members[1:]:
-                common &= set(m)
-            t = len(common)
-            doc["t"] = t
-            doc["s"] = (k + 1 - t) // 2
-        out.append(doc)
-    return out

@@ -31,7 +31,7 @@ from itertools import combinations
 
 from .arrangement import GenericArrangement, _fraction_to_json, json_int
 from .discriminantal import build_form, group_partitions
-from .linalg import QMatrix, primitive_int_vector
+from .linalg import QMatrix, common_int_rows, int_nullspace, int_rank
 from .rng import SplitMix64
 
 SEXTUPLE_BUDGET = 100
@@ -98,24 +98,23 @@ def essential_normals_via_gale(arr: GenericArrangement):
     if n < k + 2:
         raise ValueError(f"essential part needs n >= k+2, got n={n}, k={k}")
     gale = gale_transform(PointConfig(arr.normals.transpose()))
-    g = gale.vectors  # (n-k) x n, columns are Gale points
+    g = common_int_rows(gale.vectors.entries)  # (n-k) x n, columns are Gale points
     out = []
     for subset in combinations(range(1, n + 1), k + 1):
         complement = [j for j in range(1, n + 1) if j not in set(subset)]
-        span_rows = QMatrix.from_rows([g.column(j - 1) for j in complement])
-        normal = span_rows.nullspace_basis()
-        if normal.rows != 1:
+        normal = int_nullspace([[row[j - 1] for row in g] for j in complement], n - k)
+        if len(normal) != 1:
             raise GaleMismatch(
                 f"Gale points of complement of {subset} do not span a hyperplane"
             )
-        pulled = normal @ g  # 1 x n, the normal composed with the quotient map
+        # the normal composed with the quotient map
+        pulled = [sum(a * row[j] for a, row in zip(normal[0], g)) for j in range(n)]
         form = build_form(arr, subset)
-        check = QMatrix.from_rows([pulled.row(0), form.coeffs])
-        if check.rank() != 1:
+        if int_rank([pulled, form.coeffs]) != 1:
             raise GaleMismatch(
                 f"Gale normal for {subset} is not proportional to its form"
             )
-        out.append((subset, primitive_int_vector(normal.row(0))))
+        out.append((subset, normal[0]))
     return out
 
 
@@ -149,16 +148,16 @@ def pencil_partition_exists(config: PointConfig):
     s = config.n // 3
     if config.dim != s + 1:
         raise ValueError(f"expected dimension s+1={s + 1} for n=3s={config.n}")
+    points = common_int_rows([config.point(i) for i in range(1, config.n + 1)])
     for partition in group_partitions(tuple(range(1, config.n + 1)), s):
         normals = []
         for group in partition:
-            rows = QMatrix.from_rows([config.point(i) for i in group])
-            basis = rows.nullspace_basis()
-            if basis.rows != 1:
+            basis = int_nullspace([points[i - 1] for i in group], config.dim)
+            if len(basis) != 1:
                 break  # group does not span a hyperplane
-            normals.append(basis.row(0))
+            normals.append(basis[0])
         else:
-            if QMatrix.from_rows(normals).rank() <= 2:
+            if int_rank(normals) <= 2:
                 return True, partition
     return False, None
 

@@ -6,12 +6,15 @@ a rank condition and a single rounding error flips a classification.
 Scalars are `fractions.Fraction` (always stored in lowest terms with
 positive denominator); matrices are immutable row-major grids of them.
 
-Determinants and ranks go through fraction-free (Bareiss-style) elimination
-on integer-scaled rows to keep intermediate operands small; `int_rank` is
-that rank on integer rows directly, for hot loops that never leave the
-integers.  Reduced row echelon form is the canonical normal form for
-subspaces: two row-equivalent matrices produce identical `rref()` output,
-so `nullspace_basis` is canonical too.
+The hot paths never leave the integers: `int_rank`, `_bareiss_det` and
+`int_nullspace` run fraction-free elimination on integer rows, which
+callers obtain once by clearing denominators (`common_int_rows` scales a
+whole matrix by one multiplier, so its minors keep their ratios).
+`QMatrix` determinants and ranks go through the same integer kernels.
+Reduced row echelon form stays the canonical normal form for subspaces:
+two row-equivalent matrices produce identical `rref()` output, so
+`nullspace_basis` is canonical too, and `int_nullspace` is defined (and
+tested) as its primitive integer image.
 """
 
 from __future__ import annotations
@@ -40,6 +43,16 @@ def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
         mult = lcm(*(f.denominator for f in row)) if row else 1
         out.append([int(f * mult) for f in row])
     return out
+
+
+def common_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """The rows times one common denominator, as integers.
+
+    Unlike row-by-row clearing, this scales every k x k minor by the same
+    factor, so ratios of minors (and the forms built from them) survive.
+    """
+    mult = lcm(*(f.denominator for row in rows for f in row))
+    return tuple(tuple(f.numerator * (mult // f.denominator) for f in row) for row in rows)
 
 
 def int_rank(rows: Iterable[Sequence[int]]) -> int:
@@ -105,6 +118,54 @@ def _bareiss_det(work: list[list[int]]) -> int:
             work[i][k] = 0
         prev = work[k][k]
     return sign * work[-1][-1]
+
+
+def int_nullspace(rows: Iterable[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
+    """Canonical primitive integer basis of the right nullspace.
+
+    One vector per free column, in column order; each equals
+    `primitive_int_vector` of the matching row of `QMatrix.nullspace_basis()`
+    (coprime entries, first nonzero positive).  Fraction-free Gauss-Jordan
+    elimination, each produced row divided by its content; a full-rank
+    input gives [].  Mutates nothing.
+    """
+    work = [list(r) for r in rows if any(r)]
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = None
+        for i in range(rank, len(work)):
+            if work[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        piv_row = work[rank]
+        piv = piv_row[col]
+        for i, row in enumerate(work):
+            head = row[col]
+            if head and i != rank:
+                row = [a * piv - b * head for a, b in zip(row, piv_row)]
+                g = gcd(*row)
+                work[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(work):
+            break
+    basis = []
+    pivot_set = set(pivots)
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        # x_free = m, x_pivot = -row[free] * m / row[pivot]
+        mult = lcm(*(work[i][p] for i, p in enumerate(pivots) if work[i][free]))
+        vec = [0] * cols
+        vec[free] = mult
+        for i, p in enumerate(pivots):
+            if work[i][free]:
+                vec[p] = -work[i][free] * (mult // work[i][p])
+        basis.append(primitive_int_vector(vec))
+    return basis
 
 
 def primitive_int_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:

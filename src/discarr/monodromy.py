@@ -293,7 +293,7 @@ def presentation(
     leftmost letter first, so P_{i+1} = b_i P_i acts as P_i after b_i):
 
         before: x_g -> P_i^-1(x_g), updated by substituting the images of
-                b_i^-1 into every entry;
+                b_i^-1 into every entry that has a letter of the block;
         after:  x_g -> P_i(x_g), updated by substituting the table into the
                 images of b_i, which differ from x_g only on the block.
 
@@ -317,8 +317,11 @@ def presentation(
         if reduce_relators and local:
             local.pop()
         relators.extend(local)
-        backward = _block_images(invert(beta), lo)
-        before = [apply_images(word, backward) for word in before]
+        backward = _block_images(invert(beta), lo)  # keyed by signed letters
+        before = [
+            word if backward.keys().isdisjoint(word) else apply_images(word, backward)
+            for word in before
+        ]
         forward = _block_images(beta, lo)
         after.update({x: apply_images(image, after) for x, image in forward.items()})
     return Presentation(n_strands, tuple(relators))

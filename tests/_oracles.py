@@ -1,25 +1,29 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 Deliberately naive: determinant by permutation expansion, rank by largest
-nonvanishing minor, the codimension-2 census by testing every form against
-every pair, the six-point concurrency search by cross products, the group
-triples by filtering all triples of groups, the planar rank oracle by one
-`int_rank` per collection, the class merge by restarting after every
-merge, and the van Kampen relators by expanding every conjugated braid and
-acting with it letter by letter.  Apart from `dims_by_rank`, which calls
-`int_rank` (itself checked against `rank_by_minors`), and
+nonvanishing minor, the concurrency forms from `Fraction` minors of the
+unscaled normals, the codimension-2 census by testing every form against
+every pair, the census JSON through intermediate dicts, the six-point
+concurrency search by cross products, the group triples by filtering all
+triples of groups, the planar rank oracle by one `int_rank` per
+collection, the class merge by restarting after every merge, and the van
+Kampen relators by expanding every conjugated braid and acting with it
+letter by letter.  Apart from `dims_by_rank`, which calls `int_rank`
+(itself checked against `rank_by_minors`), `build_form_by_fractions`,
+which normalises with `primitive_int_vector`, and
 `presentation_by_expansion`, which runs the Artin action of `braid.py`
 (its substitution step, `apply_images`, is checked on explicit words in
-test_braid.py), nothing here shares code with the elimination routines, the census keys,
-the partition enumerator, the depth-first planar walk, the one-pass merge
-or the image tables under test.
+test_braid.py), nothing here shares code with the elimination routines, the
+minors table, the census keys, the JSON writer, the partition enumerator,
+the depth-first planar walk, the one-pass merge or the image tables under
+test.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from discarr.braid import artin_images, reduce_free
-from discarr.linalg import int_rank
+from discarr.linalg import int_rank, primitive_int_vector
 from discarr.monodromy import Presentation
 
 
@@ -67,6 +71,41 @@ def rank_by_minors(rows) -> int:
                 if det_by_permutations(minor) != 0:
                     return size
     return 0
+
+
+def build_form_by_fractions(arr, subset):
+    """(subset, primitive coefficients) of one concurrency form, from Fractions.
+
+    Entry j carries (-1)^position times the k x k minor of the normals on
+    the other members, each minor expanded in the normals' own `Fraction`
+    entries with no scaling.
+    """
+    subset = tuple(sorted(subset))
+    coeffs = [0] * arr.n
+    for pos, j in enumerate(subset):
+        minor = det_by_permutations([arr.normals.row(i - 1) for i in subset if i != j])
+        coeffs[j - 1] = minor if pos % 2 == 0 else -minor
+    return subset, primitive_int_vector(coeffs)
+
+
+def census_to_json(records, k: int) -> list[dict]:
+    """The census as plain dicts, keyed as `discarr census` prints each record."""
+    out = []
+    for rec in records:
+        doc = {
+            "members": [list(m) for m in rec.members],
+            "multiplicity": rec.multiplicity,
+            "kind": rec.kind,
+        }
+        if rec.kind == "DEPENDENT":
+            common = set(rec.members[0])
+            for m in rec.members[1:]:
+                common &= set(m)
+            t = len(common)
+            doc["t"] = t
+            doc["s"] = (k + 1 - t) // 2
+        out.append(doc)
+    return out
 
 
 def census_by_minors(forms, k: int):

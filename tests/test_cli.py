@@ -1,8 +1,15 @@
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from discarr.cli import main
+from discarr.arrangement import random_generic
+from discarr.cli import _census_fields, _Fields, _JsonWriter, main
+from discarr.discriminantal import DEPENDENT, codim2_census, construct_dependent
+
+from _oracles import census_to_json
 
 
 def run(argv, capsys):
@@ -310,3 +317,80 @@ def test_exhausted_rejection_budget_exits_one(capsys, monkeypatch, reject, argv,
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# The streaming writer against json.dumps(sort_keys=True, indent=2).
+
+
+def written(payload) -> str:
+    buf = io.StringIO()
+    _JsonWriter(buf).document(payload)
+    return buf.getvalue()
+
+
+def dumped(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def lazy(value):
+    """The same document with every object as _Fields and every array an iterator."""
+    if isinstance(value, dict):
+        return _Fields(sorted((key, lazy(item)) for key, item in value.items()))
+    if isinstance(value, (list, tuple)):
+        return iter([lazy(item) for item in value])
+    return value
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**12), 10**12)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[]], "d": [{}], "": None})
+@example([(1, 2), [(1, 2)], {"k": (1, 2)}, (-3,), [True, False, 0]])
+@example({"\u00e9t\u00e9": "caf\u00e9 \u2192 \U0001d11e", "q": "\"\\\n\t\x00"})
+@example([{"kind": "DEPENDENT", "members": [[1, 2, 3, 4], [1, 2, 5, 6]], "s": 2, "t": 0}])
+def test_writer_matches_json_dumps(payload):
+    expected = dumped(payload)
+    assert written(payload) == expected
+    assert written(lazy(payload)) == expected
+
+
+def test_census_records_match_the_dict_oracle():
+    dependent = []
+    for arr in (
+        construct_dependent(2, 0, seed=11),
+        construct_dependent(2, 1, seed=0),
+        random_generic(6, 3, seed=4, bound=10),
+    ):
+        records = codim2_census(arr)
+        text = written(_census_fields(rec, arr.k) for rec in records)
+        assert text == dumped(census_to_json(records, arr.k))
+        dependent += [(r["s"], r["t"]) for r in json.loads(text) if r["kind"] == DEPENDENT]
+    assert dependent == [(2, 0), (2, 1)]
+
+
+def test_census_output_file_matches_stdout(tmp_path, capsys):
+    arr_path = str(tmp_path / "arr.json")
+    run(["gen", "--n", "8", "--k", "3", "--seed", "0", "--output", arr_path], capsys)
+    code, out = run(["census", "--input", arr_path], capsys)
+    assert code == 0
+    assert len(json.loads(out)) > _JsonWriter.CHUNK  # one piece per record: several writes
+    out_path = tmp_path / "census.json"
+    code, printed = run(["census", "--input", arr_path, "--output", str(out_path)], capsys)
+    assert code == 0 and printed == ""
+    assert out_path.read_bytes() == out.encode()

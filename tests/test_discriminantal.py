@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discarr.arrangement import GenericArrangement, random_generic, restrict
+from discarr.arrangement import (
+    GenericArrangement,
+    arrangement_from_json,
+    is_trace_generic,
+    random_generic,
+    restrict,
+)
 from discarr.discriminantal import (
     DEPENDENT,
     GOOD,
@@ -26,7 +32,13 @@ from discarr.discriminantal import (
 from discarr.linalg import QMatrix, int_rank
 from discarr.rng import SplitMix64
 
-from _oracles import census_by_minors, disjoint_group_triples, rank_by_minors
+from _oracles import (
+    build_form_by_fractions,
+    census_by_minors,
+    det_by_permutations,
+    disjoint_group_triples,
+    rank_by_minors,
+)
 
 DEP63_TRIPLE = ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
 
@@ -399,3 +411,35 @@ def test_census_matches_minor_oracle_dependent(shape, seed):
 def test_dependent_triples_memo_matches_call_by_call(shape, seed):
     arr = construct_dependent(*shape, seed=seed)
     assert [d.members for d in dependent_triples(arr)] == triples_call_by_call(arr)
+
+
+@st.composite
+def rational_arrangements(draw):
+    """(n, k) arrangements whose normals are "p/q" strings, as in the JSON.
+
+    Each row gets its own denominators, so clearing them row by row would
+    scale the minors by different factors.
+    """
+    n, k = draw(st.sampled_from([(n, k) for n in range(3, 7) for k in range(1, n - 1)]))
+    entry = st.tuples(st.integers(-9, 9), st.integers(1, 7)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    return arrangement_from_json({"n": n, "k": k, "normals": rows})
+
+
+@settings(ORACLE_SETTINGS, max_examples=150)
+@given(rational_arrangements())
+def test_forms_match_the_fraction_minor_oracle(arr):
+    generic = all(
+        det_by_permutations([arr.normals.row(i) for i in rows]) != 0
+        for rows in combinations(range(arr.n), arr.k)
+    )
+    assert is_trace_generic(arr) == generic
+    if not generic:
+        return
+    expected = [
+        build_form_by_fractions(arr, subset)
+        for subset in combinations(range(1, arr.n + 1), arr.k + 1)
+    ]
+    assert [(f.subset, f.coeffs) for f in build_all(arr)] == expected
+    subset, coeffs = expected[-1]
+    assert build_form(arr, reversed(subset)).coeffs == coeffs

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discarr.linalg import QMatrix, int_rank
+from discarr.linalg import (
+    QMatrix,
+    _bareiss_det,
+    common_int_rows,
+    int_nullspace,
+    int_rank,
+    primitive_int_vector,
+)
 from discarr.rng import SplitMix64
 
 from _oracles import det_by_permutations, rank_by_minors
@@ -153,3 +160,61 @@ def test_int_rank_matches_minor_oracle(rows):
     snapshot = [list(r) for r in rows]
     assert int_rank(rows) == rank_by_minors(rows)
     assert rows == snapshot
+
+
+@st.composite
+def square_int_matrices(draw):
+    """Square integer matrices up to 5 x 5, some with a zero or repeated row."""
+    size = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-9, 9), min_size=size, max_size=size)
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["plain", "zero", "repeat", "multiple"]))
+    if size > 1 and kind != "plain":
+        i, j = draw(st.permutations(range(size)))[:2]
+        if kind == "zero":
+            rows[i] = [0] * size
+        else:
+            factor = 1 if kind == "repeat" else draw(st.sampled_from([-2, 3]))
+            rows[i] = [factor * x for x in rows[j]]
+    return rows
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(square_int_matrices())
+@example([[0]])
+@example([[0, 1], [1, 0]])  # needs a row swap: the sign flips
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+def test_bareiss_det_matches_permutation_expansion(rows):
+    assert _bareiss_det([list(r) for r in rows]) == det_by_permutations(rows)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(int_matrices())
+@example([[0, 0, 0]])
+@example([[2, -4, 6, 0, 8]])
+@example([[1, 2], [1, 2], [0, 0]])
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # full rank: no basis
+@example([[0, 3, -6], [0, 3, -6]])
+def test_int_nullspace_is_the_primitive_rref_basis(rows):
+    cols = len(rows[0])
+    snapshot = [list(r) for r in rows]
+    expected = [
+        primitive_int_vector(v) for v in QMatrix.from_rows(rows).nullspace_basis().entries
+    ]
+    assert int_nullspace(rows, cols) == expected
+    assert rows == snapshot
+    if rank_by_minors(rows) == cols:
+        assert expected == []
+
+
+def test_int_nullspace_of_no_rows_is_the_standard_basis():
+    assert int_nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_common_int_rows_scales_every_minor_alike():
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 5), 1], [3, Fraction(-1, 7)]]
+    scaled = common_int_rows(rows)
+    assert scaled == ((105, 70), (84, 210), (630, -30))  # all times 210
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        true = QMatrix.from_rows([rows[i], rows[j]]).det()
+        assert _bareiss_det([list(scaled[i]), list(scaled[j])]) == true * 210**2
