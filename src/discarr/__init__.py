@@ -15,10 +15,8 @@ from .arrangement import (
     GenericArrangement,
     arrangement_from_json,
     arrangement_to_json,
-    is_affine_generic,
     is_trace_generic,
     random_generic,
-    restrict,
 )
 from .braid import BraidWord, braids_equal, full_twist, halftwist, smith_invariants
 from .discriminantal import (
@@ -35,16 +33,12 @@ from .discriminantal import (
     codim_intersection,
     construct_dependent,
     dependent_triples,
-    project,
 )
 from .gale import (
     PointConfig,
     concurrent_partition_exists,
-    config_from_json,
-    config_to_json,
     essential_normals_via_gale,
     gale_transform,
-    is_associated,
     pencil_partition_exists,
 )
 from .linalg import QMatrix
@@ -63,7 +57,6 @@ from .monodromy import (
 from .planar import (
     codim_combinatorial,
     dim_combinatorial,
-    dim_formula,
     merge_classes,
     verify_independence,
 )

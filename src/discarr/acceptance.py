@@ -24,13 +24,7 @@ from .discriminantal import (
     construct_dependent,
     dependent_triples,
 )
-from .gale import (
-    concurrent_partition_exists,
-    essential_normals_via_gale,
-    gale_transform,
-    random_concurrent_sextuple,
-    random_generic_sextuple,
-)
+from .gale import essential_normals_via_gale, gale_disagreements
 from .linalg import QMatrix
 from .monodromy import _relation_families, braid_monodromy, presentation, random_section
 from .planar import codim_combinatorial, verify_independence
@@ -166,20 +160,9 @@ def check_gale_normals() -> str:
 
 
 def check_gale_invariance() -> str:
-    agreements = 0
-    for i in range(20):
-        pos = random_concurrent_sextuple(seed=INVARIANCE_SEED + i)
-        a, _ = concurrent_partition_exists(pos)
-        b, _ = concurrent_partition_exists(gale_transform(pos))
-        _require(a and b, f"positive instance {i}: {a} vs {b}")
-        agreements += 1
-    for i in range(20):
-        neg = random_generic_sextuple(seed=INVARIANCE_SEED + i)
-        a, _ = concurrent_partition_exists(neg)
-        b, _ = concurrent_partition_exists(gale_transform(neg))
-        _require(not a and not b, f"negative instance {i}: {a} vs {b}")
-        agreements += 1
-    return f"{agreements}/40 instances agree with their Gale transform"
+    wrong = gale_disagreements(INVARIANCE_SEED, 20)
+    _require(not wrong, f"disagree with their Gale transform: {wrong}")
+    return "40/40 instances agree with their Gale transform"
 
 
 def check_monodromy_invariants() -> str:

@@ -76,15 +76,6 @@ def full_twist(n: int) -> Word:
     return half + half
 
 
-def permutation(word: Sequence[int], n: int) -> tuple[int, ...]:
-    """Strand permutation of a braid word: position i ends at result[i-1]."""
-    perm = list(range(1, n + 1))
-    for x in word:
-        m = abs(x)
-        perm[m - 1], perm[m] = perm[m], perm[m - 1]
-    return tuple(perm)
-
-
 def _letter_images(letter: int) -> dict[int, Word]:
     """One Artin generator's automorphism as an apply_images table."""
     m = abs(letter)

@@ -26,13 +26,7 @@ from .discriminantal import (
     codim2_census,
     construct_dependent,
 )
-from .gale import (
-    concurrent_partition_exists,
-    essential_normals_via_gale,
-    gale_transform,
-    random_concurrent_sextuple,
-    random_generic_sextuple,
-)
+from .gale import essential_normals_via_gale, gale_disagreements
 from .monodromy import (
     braid_monodromy,
     braids_to_json,
@@ -223,19 +217,7 @@ def _cmd_gale(args) -> int:
 
 
 def _cmd_gale_invariance(args) -> int:
-    disagreements = []
-    for i in range(args.trials):
-        config = random_concurrent_sextuple(seed=args.seed + i)
-        a, _ = concurrent_partition_exists(config)
-        b, _ = concurrent_partition_exists(gale_transform(config))
-        if a != b or not a:
-            disagreements.append({"kind": "positive", "index": i, "direct": a, "gale": b})
-    for i in range(args.trials):
-        config = random_generic_sextuple(seed=args.seed + i)
-        a, _ = concurrent_partition_exists(config)
-        b, _ = concurrent_partition_exists(gale_transform(config))
-        if a != b or a:
-            disagreements.append({"kind": "negative", "index": i, "direct": a, "gale": b})
+    disagreements = gale_disagreements(args.seed, args.trials)
     _emit(
         {
             "trials_each": args.trials,

@@ -352,19 +352,3 @@ def construct_dependent(group_size: int, common_count: int, seed: int) -> Generi
         f"dependent construction failed after {CONSTRUCT_BUDGET} resamples "
         f"(group_size={s}, common_count={t}, seed={seed})"
     )
-
-
-def project(subsets, kept, k: int) -> list[tuple[int, ...]]:
-    """Images of the given index subsets under forgetting indices outside `kept`.
-
-    Mirrors the coordinate projection of the translate space: a subset
-    survives exactly when its intersection with `kept` still has more than k
-    elements.  Duplicates collapse; output is lex sorted.
-    """
-    kept_set = set(kept)
-    images = {
-        tuple(sorted(set(sub) & kept_set))
-        for sub in subsets
-        if len(set(sub) & kept_set) >= k + 1
-    }
-    return sorted(images)

@@ -7,9 +7,6 @@ the columns of the canonical nullspace basis of the input matrix.  Fixing
 the canonical basis makes the transform deterministic, and every check
 downstream is invariant under the scale/basis ambiguity anyway.
 
-Two configurations are associated when X Lambda Y^t = 0 for a nonsingular
-diagonal Lambda; with Lambda the identity this recovers the Gale pairing.
-
 essential_normals_via_gale realizes the essential discriminantal arrangement
 inside the cokernel: the hyperplane dual to a (k+1)-subset is spanned by the
 Gale points of the complementary n-k-1 indices, and its normal pulls back to
@@ -20,7 +17,8 @@ pencil_partition_exists answers, for 3s points in dimension s+1, whether
 some partition into three groups of s spans three hyperplanes in a pencil;
 this property is a Gale invariant.  concurrent_partition_exists is its
 s = 2 case, six plane points whose pairs span three concurrent lines, with
-repeated points rejected.
+repeated points rejected.  gale_disagreements checks that invariance on
+seeded samples, for the gale-invariance command and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import GenericArrangement, _fraction_to_json, json_int
+from .arrangement import GenericArrangement
 from .discriminantal import build_form, group_partitions
 from .linalg import QMatrix, common_int_rows, int_nullspace, int_rank
 from .rng import SplitMix64
@@ -70,19 +68,6 @@ def gale_transform(config: PointConfig) -> PointConfig:
     if config.vectors.rank() != d:
         raise ValueError("configuration must span its ambient space")
     return PointConfig(config.vectors.nullspace_basis())
-
-
-def is_associated(x: PointConfig, diagonal, y: PointConfig) -> bool:
-    """Zero-pairing test X Lambda Y^t = 0 for a nonzero diagonal."""
-    if x.n != y.n or x.n != len(tuple(diagonal)):
-        raise ValueError("configurations and diagonal must share the point count")
-    lam = [Fraction(v) if not isinstance(v, Fraction) else v for v in diagonal]
-    if any(v == 0 for v in lam):
-        raise ValueError("diagonal entries must be nonzero")
-    scaled = QMatrix.from_rows(
-        [[a * lam[j] for j, a in enumerate(row)] for row in x.vectors.entries]
-    )
-    return (scaled @ y.vectors.transpose()).is_zero()
 
 
 def essential_normals_via_gale(arr: GenericArrangement):
@@ -170,6 +155,28 @@ def _coincident_pair(pts):
     return None
 
 
+def gale_disagreements(seed: int, trials: int) -> list[dict]:
+    """Sampled sextuples on which the concurrent-partition answer is wrong.
+
+    For each i < trials, the concurrent sextuple of seed + i and its Gale
+    transform must both admit a concurrent partition, and the generic
+    sextuple of seed + i and its transform must both admit none.  Returns
+    one record per failing instance, positives first.
+    """
+    out = []
+    for kind, sample, expected in (
+        ("positive", random_concurrent_sextuple, True),
+        ("negative", random_generic_sextuple, False),
+    ):
+        for i in range(trials):
+            config = sample(seed=seed + i)
+            a, _ = concurrent_partition_exists(config)
+            b, _ = concurrent_partition_exists(gale_transform(config))
+            if a != expected or b != expected:
+                out.append({"kind": kind, "index": i, "direct": a, "gale": b})
+    return out
+
+
 def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
     """Six plane points with pairs 12, 34, 56 spanning concurrent lines.
 
@@ -208,8 +215,8 @@ def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
         found, _ = concurrent_partition_exists(config)
         if not found:
             continue  # extra accidental degeneracy spoiled distinctness; retry
-        gale_pts = [gale_transform(config).point(i) for i in range(1, 7)]
-        if _coincident_pair(gale_pts):
+        dual = gale_transform(config)
+        if _coincident_pair([dual.point(i) for i in range(1, 7)]):
             continue
         return config
     raise RuntimeError(f"no concurrent sextuple after {SEXTUPLE_BUDGET} draws (seed={seed})")
@@ -232,32 +239,8 @@ def random_generic_sextuple(seed: int, bound: int = 9) -> PointConfig:
         found, _ = concurrent_partition_exists(config)
         if found:
             continue
-        gale_pts = [gale_transform(config).point(i) for i in range(1, 7)]
-        if _coincident_pair(gale_pts):
+        dual = gale_transform(config)
+        if _coincident_pair([dual.point(i) for i in range(1, 7)]):
             continue
         return config
     raise RuntimeError(f"no generic sextuple after {SEXTUPLE_BUDGET} draws (seed={seed})")
-
-
-def config_to_json(config: PointConfig) -> dict:
-    return {
-        "d": config.dim,
-        "n": config.n,
-        "vectors": [
-            [_fraction_to_json(x) for x in config.point(i)]
-            for i in range(1, config.n + 1)
-        ],
-    }
-
-
-def config_from_json(doc: dict) -> PointConfig:
-    try:
-        d = json_int(doc, "d")
-        n = json_int(doc, "n")
-        cols = doc["vectors"]
-        if len(cols) != n or any(len(c) != d for c in cols):
-            raise ValueError("vectors must be n columns of length d")
-        mat = QMatrix.from_rows(cols).transpose()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed configuration document: {exc}") from exc
-    return PointConfig(mat)

@@ -209,17 +209,9 @@ class QMatrix:
             raise ValueError(f"expected {cols} columns, got {width}")
         return cls(data, width)
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.entries)
@@ -229,21 +221,10 @@ class QMatrix:
             return QMatrix(tuple(() for _ in range(self.cols)), 0)
         return QMatrix(tuple(zip(*self.entries)), self.rows)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int] | None = None) -> "QMatrix":
-        cols = list(range(self.cols)) if col_idx is None else list(col_idx)
-        data = tuple(tuple(self.entries[i][j] for j in cols) for i in row_idx)
-        return QMatrix(data, len(cols))
-
     def vstack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
         return QMatrix(self.entries + other.entries, self.cols)
-
-    def hstack(self, other: "QMatrix") -> "QMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        data = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return QMatrix(data, self.cols + other.cols)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -254,9 +235,6 @@ class QMatrix:
             for row in self.entries
         )
         return QMatrix(data, other.cols)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     def rank(self) -> int:
         return int_rank(_scaled_int_rows(self.entries))

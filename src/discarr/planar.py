@@ -205,10 +205,9 @@ def _generic_rank(family, n: int) -> int:
 _memo: dict[tuple, int] = {}
 
 
-def dim_formula(sets, n: int) -> int:
-    """Dimension of the concurrency locus for a family with pairwise |∩| <= 1.
+def _dim_reduced(family: tuple[tuple[int, ...], ...], n: int) -> int:
+    """Dimension of the concurrency locus of a merged family (pairwise |∩| <= 1).
 
-    Rejects families violating the precondition; callers merge first.
     Writes C1 for the indices lying in >= 2 sets, C2 for the sets disjoint
     from all others, C3 for the indices in no set.  Sets keeping >= 3
     indices of C1 recurse (reduced to those indices, in an ambient counting
@@ -217,16 +216,6 @@ def dim_formula(sets, n: int) -> int:
     contribute nothing, their point being forced.  Isolated sets contribute
     once through the ambient and once through their own sliding point.
     """
-    family = _normalize_sets(sets)
-    for a, b in combinations(family, 2):
-        if len(set(a) & set(b)) >= 2:
-            raise ValueError(f"sets {a} and {b} share >= 2 indices; merge first")
-    if any(idx < 1 or idx > n for s in family for idx in s):
-        raise ValueError("set indices out of range [1..n]")
-    return _dim_reduced(family, n)
-
-
-def _dim_reduced(family: tuple[tuple[int, ...], ...], n: int) -> int:
     key = (_relabel(family), n)
     if key in _memo:
         return _memo[key]

@@ -48,8 +48,3 @@ class SplitMix64:
             x = self.randint(-bound, bound)
             if x != 0:
                 return x
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]

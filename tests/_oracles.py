@@ -17,13 +17,20 @@ test_braid.py), nothing here shares code with the elimination routines, the
 minors table, the census keys, the JSON writer, the partition enumerator,
 the depth-first planar walk, the one-pass merge or the image tables under
 test.
+
+The last three are not oracles but helpers that only tests read:
+`restrict` (an arrangement restricted to a flat, through `QMatrix.rref`
+and `is_trace_generic`), `permutation` (a braid word's strand permutation)
+and `shuffle` (a seeded in-place shuffle).
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from discarr.arrangement import GenericArrangement, is_trace_generic
 from discarr.braid import artin_images, reduce_free
-from discarr.linalg import int_rank, primitive_int_vector
+from discarr.linalg import QMatrix, int_rank, primitive_int_vector
 from discarr.monodromy import Presentation
 
 
@@ -83,7 +90,7 @@ def build_form_by_fractions(arr, subset):
     subset = tuple(sorted(subset))
     coeffs = [0] * arr.n
     for pos, j in enumerate(subset):
-        minor = det_by_permutations([arr.normals.row(i - 1) for i in subset if i != j])
+        minor = det_by_permutations([arr.normals.entries[i - 1] for i in subset if i != j])
         coeffs[j - 1] = minor if pos % 2 == 0 else -minor
     return subset, primitive_int_vector(coeffs)
 
@@ -270,3 +277,78 @@ def magnus_degree2(word, n: int):
                 coeff[a][b] += prefix[a] * sign
         prefix[b] += sign
     return [coeff[a][b] - coeff[b][a] for a, b in combinations(range(1, n + 1), 2)]
+
+
+def restrict(arr, chosen, chosen_offsets=None):
+    """Restrict to the flat cut out by the chosen hyperplanes.
+
+    `chosen` is a 1-based index subset of size < k; `chosen_offsets` are the
+    translate values pinning those hyperplanes (zero when omitted).  The
+    remaining hyperplanes are intersected with the flat and expressed in the
+    canonical chart obtained by solving the chosen equations for the pivot
+    variables of smallest index.  Output trace-genericity is asserted.
+    """
+    chosen = tuple(sorted(chosen))
+    t = len(chosen)
+    if t >= arr.k:
+        raise ValueError(f"can restrict to at most k-1={arr.k - 1} hyperplanes, got {t}")
+    if t == 0:
+        return arr
+    if chosen_offsets is None:
+        chosen_offsets = (0,) * t
+    if len(chosen_offsets) != t:
+        raise ValueError("one offset per chosen hyperplane")
+
+    aug = QMatrix.from_rows(
+        [arr.normals.entries[j - 1] + (x,) for j, x in zip(chosen, chosen_offsets)]
+    )
+    red, pivots = aug.rref()
+    if len(pivots) != t or arr.k in pivots:
+        raise ValueError("chosen hyperplanes do not cut a flat of codimension |T|")
+    free = [c for c in range(arr.k) if c not in pivots]
+
+    base_offsets = arr.offsets if arr.offsets is not None else (Fraction(0),) * arr.n
+    new_rows = []
+    new_offsets = []
+    for j in range(1, arr.n + 1):
+        if j in chosen:
+            continue
+        row = arr.normals.entries[j - 1]
+        # substitute pivot coordinates: y_p = rhs_i - sum_f red[i][f] * y_f
+        new_row = []
+        for f in free:
+            val = row[f]
+            for i, p in enumerate(pivots):
+                val -= row[p] * red.entries[i][f]
+            new_row.append(val)
+        off = base_offsets[j - 1]
+        for i, p in enumerate(pivots):
+            off -= row[p] * red.entries[i][arr.k]
+        new_rows.append(new_row)
+        new_offsets.append(off)
+
+    out = GenericArrangement(
+        arr.n - t,
+        arr.k - t,
+        QMatrix.from_rows(new_rows, cols=arr.k - t),
+        tuple(new_offsets),
+    )
+    if not is_trace_generic(out):
+        raise AssertionError("restriction of a generic trace must stay generic")
+    return out
+
+
+def permutation(word, n: int) -> tuple[int, ...]:
+    """Strand permutation of a braid word: position i ends at result[i-1]."""
+    perm = list(range(1, n + 1))
+    for x in word:
+        m = abs(x)
+        perm[m - 1], perm[m] = perm[m], perm[m - 1]
+    return tuple(perm)
+
+
+def shuffle(rng, items: list) -> None:
+    """Fisher-Yates shuffle of `items` in place, drawing from a SplitMix64."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(0, i)
+        items[i], items[j] = items[j], items[i]

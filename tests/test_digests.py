@@ -1,4 +1,4 @@
-"""Stdout of the benchmark's census and monodromy jobs matches the pinned digests.
+"""Stdout of every benchmark job matches the pinned digests.
 
 perfbench/digests.json pins the sha256 of every job's stdout at seed 0.
 This test builds each workload's inputs and runs its jobs, in order, with
@@ -39,7 +39,7 @@ def run(args) -> bytes:
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("name", ["census", "monodromy"])
+@pytest.mark.parametrize("name", ["census", "monodromy", "planar", "accept"])
 def test_seed0_stdout_matches_pinned_digests(name, tmp_path, monkeypatch):
     workload = load_workloads().WORKLOADS[name](0)
     pinned = json.loads((PERFBENCH / "digests.json").read_text())[name]

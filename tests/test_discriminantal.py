@@ -12,7 +12,6 @@ from discarr.arrangement import (
     arrangement_from_json,
     is_trace_generic,
     random_generic,
-    restrict,
 )
 from discarr.discriminantal import (
     DEPENDENT,
@@ -27,7 +26,6 @@ from discarr.discriminantal import (
     construct_dependent,
     dependent_triples,
     group_partitions,
-    project,
 )
 from discarr.linalg import QMatrix, int_rank
 from discarr.rng import SplitMix64
@@ -38,6 +36,7 @@ from _oracles import (
     det_by_permutations,
     disjoint_group_triples,
     rank_by_minors,
+    restrict,
 )
 
 DEP63_TRIPLE = ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
@@ -91,7 +90,7 @@ def test_concurrency_determinant_vanishes_on_common_point():
         [sum(arr.normals.entries[j - 1][i] * point[i] for i in range(arr.k))]
         for j in subset
     ]
-    aug = arr.normal_rows(subset).hstack(QMatrix.from_rows(col))
+    aug = QMatrix.from_rows([arr.normals.entries[j - 1] + tuple(c) for j, c in zip(subset, col)])
     assert aug.det() == 0
 
 
@@ -261,28 +260,6 @@ def test_construct_dependent_rejects_bad_parameters():
         construct_dependent(2, -1, seed=1)
 
 
-def test_project():
-    ks = [(1, 2, 3, 4), (3, 4, 5, 6), (1, 2, 5, 6)]
-    assert project(ks, range(1, 7), k=3) == sorted(tuple(s) for s in ks)
-    assert project(ks, (1, 2, 3), k=3) == []
-    assert project(ks, (1, 2, 3, 4, 5), k=3) == [(1, 2, 3, 4)]
-
-
-def test_project_codim_never_increases():
-    arr = random_generic(7, 3, seed=71, bound=12)
-    ks = [(1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 6)]
-    kept = (1, 2, 3, 4, 5)
-    images = project(ks, kept, k=3)
-    assert images == [(1, 2, 3, 4), (2, 3, 4, 5)]
-    sub = restrict_to_subindices(arr, kept)
-    assert codim_intersection(sub, images) <= codim_intersection(arr, ks)
-
-
-def restrict_to_subindices(arr, kept):
-    rows = [arr.normals.entries[j - 1] for j in kept]
-    return GenericArrangement(len(kept), arr.k, QMatrix.from_rows(rows))
-
-
 def test_census_k1_matches_braid_arrangement_structure():
     # k=1: concurrency sets are pairs-of-points; triangles {ij, ik, jk} give
     # the C(n,3) full-set strata, partner-disjoint pairs stay simple
@@ -430,7 +407,7 @@ def rational_arrangements(draw):
 @given(rational_arrangements())
 def test_forms_match_the_fraction_minor_oracle(arr):
     generic = all(
-        det_by_permutations([arr.normals.row(i) for i in rows]) != 0
+        det_by_permutations([arr.normals.entries[i] for i in rows]) != 0
         for rows in combinations(range(arr.n), arr.k)
     )
     assert is_trace_generic(arr) == generic

@@ -1,4 +1,3 @@
-import json
 from itertools import combinations
 
 import pytest
@@ -10,11 +9,8 @@ from discarr.discriminantal import construct_dependent, dependent_triples
 from discarr.gale import (
     PointConfig,
     concurrent_partition_exists,
-    config_from_json,
-    config_to_json,
     essential_normals_via_gale,
     gale_transform,
-    is_associated,
     pencil_partition_exists,
     random_concurrent_sextuple,
     random_generic_sextuple,
@@ -22,7 +18,7 @@ from discarr.gale import (
 from discarr.linalg import QMatrix
 from discarr.rng import SplitMix64
 
-from _oracles import concurrent_pairs_by_cross
+from _oracles import concurrent_pairs_by_cross, shuffle
 
 
 def random_config(rng, dim, n, bound=7):
@@ -34,11 +30,17 @@ def random_config(rng, dim, n, bound=7):
             return PointConfig(mat)
 
 
+def is_zero(m):
+    return all(x == 0 for row in m.entries for x in row)
+
+
 def test_gale_block_identity():
-    config = PointConfig(QMatrix.identity(3).hstack(QMatrix.identity(3)))
+    config = PointConfig(
+        QMatrix.from_rows([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]])
+    )
     dual = gale_transform(config)
     assert dual.dim == 3 and dual.n == 6
-    assert (dual.vectors @ config.vectors.transpose()).is_zero()
+    assert is_zero(dual.vectors @ config.vectors.transpose())
     assert dual.vectors.rank() == 3
 
 
@@ -55,30 +57,16 @@ def test_gale_contract_random():
     config = random_config(rng, 3, 6)
     dual = gale_transform(config)
     assert (dual.dim, dual.n) == (3, 6)
-    assert (dual.vectors @ config.vectors.transpose()).is_zero()
+    assert is_zero(dual.vectors @ config.vectors.transpose())
 
 
 def test_gale_rejects_degenerate():
     flat = PointConfig(QMatrix.from_rows([[1, 2, 3], [2, 4, 6]]))
     with pytest.raises(ValueError):
         gale_transform(flat)
-    square = PointConfig(QMatrix.identity(3))
+    square = PointConfig(QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(ValueError):
         gale_transform(square)
-
-
-def test_association():
-    rng = SplitMix64(23)
-    config = random_config(rng, 2, 5)
-    dual = gale_transform(config)
-    assert is_associated(config, [1] * 5, dual)
-    assert not is_associated(config, [1, 1, 1, 1, -1], dual)
-    with pytest.raises(ValueError):
-        is_associated(config, [1, 0, 1, 1, 1], dual)
-    # a configuration is rarely associated with itself under the identity
-    square = random_config(rng, 2, 4)
-    other = random_config(rng, 2, 4)
-    assert not is_associated(square, [1] * 4, other)
 
 
 def test_essential_normals_6_3_and_rejections():
@@ -147,9 +135,9 @@ def quadrilateral_vertices(seed):
         if any(QMatrix.from_rows(list(three)).rank() < 3 for three in combinations(lines, 3)):
             continue  # three concurrent lines would merge vertices
         points = [
-            QMatrix.from_rows([a, b]).nullspace_basis().row(0) for a, b in combinations(lines, 2)
+            QMatrix.from_rows([a, b]).nullspace_basis().entries[0] for a, b in combinations(lines, 2)
         ]
-        rng.shuffle(points)
+        shuffle(rng, points)
         return PointConfig(QMatrix.from_rows(points).transpose())
 
 
@@ -181,29 +169,6 @@ def test_dual_points_reflect_dependency():
             continue
         found, _ = concurrent_partition_exists(PointConfig(arr.normals.transpose()))
         assert not found
-
-
-def test_config_json_round_trip():
-    rng = SplitMix64(24)
-    config = random_config(rng, 3, 6)
-    doc = json.loads(json.dumps(config_to_json(config)))
-    assert config_from_json(doc) == config
-    with pytest.raises(ValueError):
-        config_from_json({"d": 3, "n": 6, "vectors": [[1, 2, 3]]})
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"d": 2.0, "n": 3, "vectors": [[1, 0], [0, 1], [1, 1]]},
-        {"d": 2, "n": True, "vectors": [[1, 0]]},
-        {"d": 2, "n": 3, "vectors": [[1, 0], [0, True], [1, 1]]},
-    ],
-    ids=["float-d", "bool-n", "bool-entry"],
-)
-def test_config_json_rejects_non_integers(doc):
-    with pytest.raises(ValueError, match="malformed configuration document"):
-        config_from_json(doc)
 
 
 def test_pencil_invariance_for_three_groups_of_three():
@@ -243,9 +208,10 @@ def test_concurrent_sampler_with_zero_bound_exits_one(capsys, monkeypatch):
     # every apex drawn from [0, 0] is zero, so the sampler spends its budget
     # and the CLI reports that instead of hanging
     import discarr.cli as cli
+    import discarr.gale as gale
 
     monkeypatch.setattr(
-        cli, "random_concurrent_sextuple", lambda seed: random_concurrent_sextuple(seed, bound=0)
+        gale, "random_concurrent_sextuple", lambda seed: random_concurrent_sextuple(seed, bound=0)
     )
     code = cli.main(["gale-invariance", "--trials", "1", "--seed", "7"])
     captured = capsys.readouterr()

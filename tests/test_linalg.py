@@ -14,7 +14,7 @@ from discarr.linalg import (
 )
 from discarr.rng import SplitMix64
 
-from _oracles import det_by_permutations, rank_by_minors
+from _oracles import det_by_permutations, rank_by_minors, shuffle
 
 
 def random_matrix(rng, rows, cols, bound=8):
@@ -23,8 +23,12 @@ def random_matrix(rng, rows, cols, bound=8):
     )
 
 
+def identity(n):
+    return QMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_rank_trivials():
-    assert QMatrix.identity(3).rank() == 3
+    assert identity(3).rank() == 3
     assert QMatrix.from_rows([[1, 1, 1]]).rank() == 1
     assert QMatrix.from_rows([], cols=0).rank() == 0
 
@@ -75,7 +79,7 @@ def test_nullspace_trivials():
     assert ns.rows == 2
     for row in ns.entries:
         assert sum(row) == 0
-    assert QMatrix.identity(5).nullspace_basis().rows == 0
+    assert identity(5).nullspace_basis().rows == 0
 
 
 def test_nullspace_annihilates_and_is_canonical_under_row_permutation():
@@ -84,9 +88,9 @@ def test_nullspace_annihilates_and_is_canonical_under_row_permutation():
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(2, 5))
         ns = m.nullspace_basis()
         if ns.rows:
-            assert (m @ ns.transpose()).is_zero()
+            assert all(x == 0 for row in (m @ ns.transpose()).entries for x in row)
         rows = list(m.entries)
-        rng.shuffle(rows)
+        shuffle(rng, rows)
         assert QMatrix.from_rows(rows).nullspace_basis().entries == ns.entries
 
 

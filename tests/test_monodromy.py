@@ -12,7 +12,6 @@ from discarr.braid import (
     artin_images,
     braids_equal,
     full_twist,
-    permutation,
     reduce_free,
     smith_invariants,
 )
@@ -32,7 +31,7 @@ from discarr.monodromy import (
     singular_points,
 )
 
-from _oracles import magnus_degree2, presentation_by_expansion
+from _oracles import magnus_degree2, permutation, presentation_by_expansion
 
 
 def section_for(arr, seed=101):

@@ -12,13 +12,12 @@ from discarr.planar import (
     _reduce,
     codim_combinatorial,
     dim_combinatorial,
-    dim_formula,
     merge_classes,
     verify_independence,
 )
 from discarr.rng import SplitMix64
 
-from _oracles import dims_by_rank, merge_by_restart, rank_by_minors
+from _oracles import dims_by_rank, merge_by_restart, rank_by_minors, shuffle
 
 
 def test_merge_trivials():
@@ -43,7 +42,7 @@ def test_merge_confluent_under_shuffle():
     reference = merge_classes(sets)
     for _ in range(10):
         shuffled = list(sets)
-        rng.shuffle(shuffled)
+        shuffle(rng, shuffled)
         assert merge_classes(shuffled) == reference
 
 
@@ -53,11 +52,9 @@ def test_merge_idempotent():
     assert merge_classes(once) == once
 
 
-def test_dim_formula_rejects_unmerged():
+def test_dim_combinatorial_rejects_sets_below_three():
     with pytest.raises(ValueError):
-        dim_formula([(1, 2, 3), (2, 3, 4)], 5)
-    with pytest.raises(ValueError):
-        dim_formula([(1, 2)], 4)
+        dim_combinatorial([(1, 2)], 4)
 
 
 def test_worked_examples():
