@@ -18,7 +18,7 @@ from .arrangement import (
     is_trace_generic,
     random_generic,
 )
-from .braid import BraidWord, braids_equal, full_twist, halftwist, smith_invariants
+from .braid import BraidWord, braids_equal, full_twist, halftwist
 from .discriminantal import (
     DEPENDENT,
     GOOD,

@@ -117,62 +117,3 @@ def braids_equal(w1: Sequence[int], w2: Sequence[int], n: int) -> bool:
     """Exact braid group equality via the faithful Artin representation."""
     return artin_images(reduce_free(w1), n) == artin_images(reduce_free(w2), n)
 
-
-def smith_invariants(matrix: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors of an integer matrix (Smith normal form)."""
-    work = [row[:] for row in matrix]
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    invariants: list[int] = []
-    top = 0
-    while top < rows and top < cols:
-        # find a nonzero entry to pivot on
-        pr = pc = -1
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if work[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        work[top], work[pr] = work[pr], work[top]
-        for row in work:
-            row[top], row[pc] = row[pc], row[top]
-        while True:
-            # clear column by remainders until everything divides
-            for i in range(top + 1, rows):
-                if work[i][top]:
-                    q = work[i][top] // work[top][top]
-                    for j in range(top, cols):
-                        work[i][j] -= q * work[top][j]
-                    if work[i][top]:
-                        work[top], work[i] = work[i], work[top]
-                        break
-            else:
-                for j in range(top + 1, cols):
-                    if work[top][j]:
-                        q = work[top][j] // work[top][top]
-                        for i in range(top, rows):
-                            work[i][j] -= q * work[i][top]
-                        if work[top][j]:
-                            for row in work:
-                                row[top], row[j] = row[j], row[top]
-                            break
-                else:
-                    break
-        invariants.append(abs(work[top][top]))
-        top += 1
-    # normalize the diagonal into a divisibility chain d1 | d2 | ...
-    from math import gcd, lcm
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(invariants) - 1):
-            a, b = invariants[i], invariants[i + 1]
-            if b % a:
-                invariants[i], invariants[i + 1] = gcd(a, b), lcm(a, b)
-                changed = True
-    return invariants

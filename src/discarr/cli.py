@@ -166,7 +166,8 @@ def _load_arrangement(path: str):
 
 
 def _cmd_gen(args) -> int:
-    arr = random_generic(args.n, args.k, seed=args.seed, bound=args.bound or max(args.n, 10))
+    bound = max(args.n, 10) if args.bound is None else args.bound
+    arr = random_generic(args.n, args.k, seed=args.seed, bound=bound)
     _emit(arrangement_to_json(arr), args.output)
     return OK
 

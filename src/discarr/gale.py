@@ -163,6 +163,8 @@ def gale_disagreements(seed: int, trials: int) -> list[dict]:
     sextuple of seed + i and its transform must both admit none.  Returns
     one record per failing instance, positives first.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     out = []
     for kind, sample, expected in (
         ("positive", random_concurrent_sextuple, True),

@@ -6,15 +6,17 @@ a rank condition and a single rounding error flips a classification.
 Scalars are `fractions.Fraction` (always stored in lowest terms with
 positive denominator); matrices are immutable row-major grids of them.
 
-The hot paths never leave the integers: `int_rank`, `_bareiss_det` and
-`int_nullspace` run fraction-free elimination on integer rows, which
-callers obtain once by clearing denominators (`common_int_rows` scales a
-whole matrix by one multiplier, so its minors keep their ratios).
-`QMatrix` determinants and ranks go through the same integer kernels.
-Reduced row echelon form stays the canonical normal form for subspaces:
-two row-equivalent matrices produce identical `rref()` output, so
-`nullspace_basis` is canonical too, and `int_nullspace` is defined (and
-tested) as its primitive integer image.
+The hot paths never leave the integers.  Each linear-algebra question has
+one fraction-free kernel on integer rows: `reduce_row` (one row against an
+echelon; `int_rank` folds it, the planar rank walk calls it directly),
+`_int_rref` (Gauss-Jordan; `int_nullspace` and `QMatrix.rref` read it) and
+`_bareiss_det`.  Callers obtain the integer rows once by clearing
+denominators with `common_int_rows`, which scales a whole matrix by one
+multiplier, so its minors keep their ratios; the `QMatrix` methods are thin
+entry points that do exactly that.  Reduced row echelon form stays the
+canonical normal form for subspaces: two row-equivalent matrices produce
+identical `rref()` output, so `nullspace_basis` is canonical too, and
+`int_nullspace` is its primitive integer image.
 """
 
 from __future__ import annotations
@@ -36,15 +38,6 @@ def to_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves rank)."""
-    out = []
-    for row in rows:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * mult) for f in row])
-    return out
-
-
 def common_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
     """The rows times one common denominator, as integers.
 
@@ -55,45 +48,37 @@ def common_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...]
     return tuple(tuple(f.numerator * (mult // f.denominator) for f in row) for row in rows)
 
 
-def int_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination.
+def reduce_row(vec: Sequence[int], echelon: list[tuple[int, Sequence[int]]]):
+    """`vec` reduced against the echelon rows: (pivot, primitive row) or None.
 
-    Mutates nothing; rows with only zeros are skipped.  Each produced row is
-    divided by its content so operands stay small in the hot loops.
+    Each echelon row is zero at the pivots of the rows before it, so
+    eliminating the pivots in order leaves the earlier ones zero, and the
+    result is None exactly when `vec` lies in the rows' span.  Fraction-free;
+    the produced row is divided by its content so the echelon's operands
+    stay small.  Mutates nothing.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    cols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < cols:
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        piv_row = work[rank]
-        piv = piv_row[col]
-        for i in range(rank + 1, len(work)):
-            row = work[i]
-            head = row[col]
-            if head:
-                for j in range(col, cols):
-                    row[j] = row[j] * piv - piv_row[j] * head
-                g = 0
-                for v in row:
-                    g = gcd(g, v)
-                if g > 1:
-                    for j in range(cols):
-                        row[j] //= g
-        rank += 1
-        col += 1
-    return rank
+    row = vec
+    for p, e in echelon:
+        head = row[p]
+        if head:
+            piv = e[p]
+            row = [x * piv - y * head for x, y in zip(row, e)]
+    g = gcd(*row)
+    if not g:
+        return None
+    if g > 1:
+        row = [x // g for x in row]
+    return next(p for p, x in enumerate(row) if x), row
+
+
+def int_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix: the echelon `reduce_row` builds row by row."""
+    echelon: list[tuple[int, Sequence[int]]] = []
+    for row in rows:
+        reduced = reduce_row(row, echelon)
+        if reduced is not None:
+            echelon.append(reduced)
+    return len(echelon)
 
 
 def _bareiss_det(work: list[list[int]]) -> int:
@@ -120,14 +105,12 @@ def _bareiss_det(work: list[list[int]]) -> int:
     return sign * work[-1][-1]
 
 
-def int_nullspace(rows: Iterable[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
-    """Canonical primitive integer basis of the right nullspace.
+def _int_rref(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination: (nonzero rows, pivot columns).
 
-    One vector per free column, in column order; each equals
-    `primitive_int_vector` of the matching row of `QMatrix.nullspace_basis()`
-    (coprime entries, first nonzero positive).  Fraction-free Gauss-Jordan
-    elimination, each produced row divided by its content; a full-rank
-    input gives [].  Mutates nothing.
+    Row i has its pivot at pivots[i] and zeros at every other pivot column;
+    dividing it by that entry gives row i of the reduced row echelon form.
+    Each produced row is divided by its content.  Mutates nothing.
     """
     work = [list(r) for r in rows if any(r)]
     pivots: list[int] = []
@@ -152,6 +135,18 @@ def int_nullspace(rows: Iterable[Sequence[int]], cols: int) -> list[tuple[int, .
         pivots.append(col)
         if len(pivots) == len(work):
             break
+    return work[: len(pivots)], pivots
+
+
+def int_nullspace(rows: Iterable[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
+    """Canonical primitive integer basis of the right nullspace.
+
+    One vector per free column, in column order; each equals
+    `primitive_int_vector` of the matching row of `QMatrix.nullspace_basis()`
+    (coprime entries, first nonzero positive).  A full-rank input gives [].
+    Mutates nothing.
+    """
+    work, pivots = _int_rref(rows, cols)
     basis = []
     pivot_set = set(pivots)
     for free in range(cols):
@@ -237,49 +232,25 @@ class QMatrix:
         return QMatrix(data, other.cols)
 
     def rank(self) -> int:
-        return int_rank(_scaled_int_rows(self.entries))
+        return int_rank(common_int_rows(self.entries))
 
     def det(self) -> Fraction:
         """Exact determinant, permutation-parity sign convention."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        scale = Fraction(1)
-        work = []
-        for row in self.entries:
-            mult = lcm(*(f.denominator for f in row)) if row else 1
-            scale *= mult
-            work.append([int(f * mult) for f in row])
-        return Fraction(_bareiss_det(work), 1) / scale
+        mult = lcm(*(f.denominator for row in self.entries for f in row))
+        work = [list(row) for row in common_int_rows(self.entries)]
+        return Fraction(_bareiss_det(work), mult**self.rows)
 
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
         """Canonical reduced row echelon form (zero rows dropped).
 
         Output depends only on the row space, so it serves as a normal form
-        for subspace identity tests.
+        for subspace identity tests.  The integer rows of `_int_rref`
+        divided by their pivot entries: the reduced form is unique.
         """
-        work = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = None
-            for i in range(r, len(work)):
-                if work[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = work[r][c]
-            work[r] = [x / inv for x in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        data = tuple(tuple(row) for row in work[:r])
+        work, pivots = _int_rref(common_int_rows(self.entries), self.cols)
+        data = tuple(tuple(Fraction(x, row[p]) for x in row) for row, p in zip(work, pivots))
         return QMatrix(data, self.cols), tuple(pivots)
 
     def nullspace_basis(self) -> "QMatrix":

@@ -30,7 +30,8 @@ measure zero, so the expected report is empty).
 The rank oracle behind verify_independence walks the collections of
 concurrency triples depth first: each node keeps the fraction-free echelon
 rows of its prefix and reduces only its new triple's slope form against
-them, so a collection costs one reduction instead of one rank computation.
+them with `linalg.reduce_row`, the step `int_rank` folds, so a collection
+costs one reduction instead of one rank computation.
 Within one size, preorder is the lex order of `combinations`, which is the
 order the formula side reads the collections in.
 """
@@ -38,8 +39,9 @@ order the formula side reads the collections in.
 from __future__ import annotations
 
 from itertools import accumulate, combinations
-from math import comb, gcd
+from math import comb
 
+from .linalg import reduce_row
 from .rng import SplitMix64
 
 SLOPE_BUDGET = 1000
@@ -79,12 +81,18 @@ def merge_classes(sets) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
-def _relabel(sets: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Relabel indices by first appearance in the lex-sorted family."""
+def _relabel(sets: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """Relabel indices by first appearance in the lex-sorted family.
+
+    The relabelled family no longer shows the indices, so this is where
+    they are checked against [1..n].
+    """
     mapping: dict[int, int] = {}
     for s in sets:
         for idx in s:
             if idx not in mapping:
+                if not 0 < idx <= n:
+                    raise ValueError("set indices out of range [1..n]")
                 mapping[idx] = len(mapping) + 1
     return tuple(tuple(sorted(mapping[i] for i in s)) for s in sets)
 
@@ -216,7 +224,7 @@ def _dim_reduced(family: tuple[tuple[int, ...], ...], n: int) -> int:
     contribute nothing, their point being forced.  Isolated sets contribute
     once through the ambient and once through their own sliding point.
     """
-    key = (_relabel(family), n)
+    key = (_relabel(family, n), n)
     if key in _memo:
         return _memo[key]
 
@@ -229,8 +237,6 @@ def _dim_reduced(family: tuple[tuple[int, ...], ...], n: int) -> int:
     covered = set()
     for s in family:
         covered.update(s)
-    if covered and (min(covered) < 1 or max(covered) > n):
-        raise ValueError("set indices out of range [1..n]")
     outside = n - len(covered)  # |C3|
 
     sliding = sum(1 for s in family if len(set(s) & shared) == 1)
@@ -285,29 +291,6 @@ def _sample_slopes(rng: SplitMix64, n: int, seed: int) -> list[int]:
     raise RuntimeError(f"no {n} distinct slopes after {SLOPE_BUDGET} draws (seed={seed})")
 
 
-def _reduce(vec: list[int], echelon: list[tuple[int, list[int]]]):
-    """`vec` reduced against the echelon rows: (pivot, primitive row) or None.
-
-    Each echelon row is zero at the pivots of the rows before it, so
-    eliminating the pivots in order leaves the earlier ones zero, and the
-    result is None exactly when `vec` lies in the rows' span.  Fraction-free;
-    the produced row is divided by its content, as in `int_rank`, so the
-    echelon's operands stay small.
-    """
-    row = vec
-    for p, e in echelon:
-        head = row[p]
-        if head:
-            piv = e[p]
-            row = [x * piv - y * head for x, y in zip(row, e)]
-    g = gcd(*row)
-    if not g:
-        return None
-    if g > 1:
-        row = [x // g for x in row]
-    return next(p for p, x in enumerate(row) if x), row
-
-
 def _walk(vectors, start: int, depth: int, echelon, dims: list[int], slots: list[int]) -> None:
     """Record n - rank of the current prefix extended by each form from `start` on.
 
@@ -320,7 +303,7 @@ def _walk(vectors, start: int, depth: int, echelon, dims: list[int], slots: list
     deeper = depth + 1 < len(slots)
     slot = slots[depth]
     for i in range(start, len(vectors)):
-        reduced = _reduce(vectors[i], echelon)
+        reduced = reduce_row(vectors[i], echelon)
         if reduced is not None:
             echelon.append(reduced)
         dims[slot] = n - len(echelon)
@@ -368,6 +351,8 @@ def verify_independence(
     """
     if n < 4:
         raise ValueError("need n >= 4")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     rng = SplitMix64(seed)
     traces = [_sample_slopes(rng, n, seed) for _ in range(trials)]
     tasks = [(slopes, n, tuple_size_cap) for slopes in traces]

@@ -1,22 +1,22 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 Deliberately naive: determinant by permutation expansion, rank by largest
-nonvanishing minor, the concurrency forms from `Fraction` minors of the
-unscaled normals, the codimension-2 census by testing every form against
-every pair, the census JSON through intermediate dicts, the six-point
-concurrency search by cross products, the group triples by filtering all
-triples of groups, the planar rank oracle by one `int_rank` per
-collection, the class merge by restarting after every merge, and the van
-Kampen relators by expanding every conjugated braid and acting with it
-letter by letter.  Apart from `dims_by_rank`, which calls `int_rank`
-(itself checked against `rank_by_minors`), `build_form_by_fractions`,
-which normalises with `primitive_int_vector`, and
-`presentation_by_expansion`, which runs the Artin action of `braid.py`
-(its substitution step, `apply_images`, is checked on explicit words in
-test_braid.py), nothing here shares code with the elimination routines, the
-minors table, the census keys, the JSON writer, the partition enumerator,
-the depth-first planar walk, the one-pass merge or the image tables under
-test.
+nonvanishing minor, reduced row echelon form by `Fraction` Gauss-Jordan,
+the concurrency forms from `Fraction` minors of the unscaled normals, the
+codimension-2 census by testing every form against every pair, the census
+JSON through intermediate dicts, the six-point concurrency search by cross
+products, the group triples by filtering all triples of groups, the planar
+rank oracle by one `int_rank` per collection, the class merge by
+restarting after every merge, and the van Kampen relators by expanding
+every conjugated braid and acting with it letter by letter.  Apart from
+`dims_by_rank`, which calls `int_rank` (itself checked against
+`rank_by_minors`), `build_form_by_fractions`, which normalises with
+`primitive_int_vector`, and `presentation_by_expansion`, which runs the
+Artin action of `braid.py` (its substitution step, `apply_images`, is
+checked on explicit words in test_braid.py), nothing here shares code with
+the elimination routines, the minors table, the census keys, the JSON
+writer, the partition enumerator, the depth-first planar walk, the
+one-pass merge or the image tables under test.
 
 The last three are not oracles but helpers that only tests read:
 `restrict` (an arrangement restricted to a flat, through `QMatrix.rref`
@@ -78,6 +78,27 @@ def rank_by_minors(rows) -> int:
                 if det_by_permutations(minor) != 0:
                     return size
     return 0
+
+
+def rref_by_fractions(rows, cols: int):
+    """(reduced rows, pivot columns) by Gauss-Jordan in `Fraction`s, zero rows dropped."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = work[r][c]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
 def build_form_by_fractions(arr, subset):

@@ -9,7 +9,6 @@ from discarr.braid import (
     halftwist,
     invert,
     reduce_free,
-    smith_invariants,
 )
 from discarr.rng import SplitMix64
 
@@ -92,12 +91,3 @@ def test_braidword_validation():
     assert product.letters == (1, 2, -2, -1)
     assert braids_equal(product.letters, (), 3)
 
-
-def test_smith_invariants():
-    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_invariants([[0, 0], [0, 0]]) == []
-    assert smith_invariants([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_invariants([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
-    # divisibility chain
-    inv = smith_invariants([[6, 0], [0, 4]])
-    assert inv == [2, 12]

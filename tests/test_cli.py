@@ -319,6 +319,29 @@ def test_exhausted_rejection_budget_exits_one(capsys, monkeypatch, reject, argv,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["planar-verify", "--n", "5", "--cap", "2", "--trials", "0", "--seed", "1"],
+            "need trials >= 1, got 0",
+        ),
+        (["gale-invariance", "--trials", "0", "--seed", "1"], "need trials >= 1, got 0"),
+        (
+            ["gen", "--n", "5", "--k", "2", "--seed", "1", "--bound", "0"],
+            "need bound >= n, got bound=0, n=5",
+        ),
+    ],
+    ids=["planar-verify", "gale-invariance", "gen"],
+)
+def test_empty_or_zero_size_arguments_exit_one(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # The streaming writer against json.dumps(sort_keys=True, indent=2).
 
 

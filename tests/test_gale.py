@@ -1,3 +1,7 @@
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
 from itertools import combinations
 
 import pytest
@@ -5,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discarr.arrangement import random_generic
+from discarr.cli import main
 from discarr.discriminantal import construct_dependent, dependent_triples
 from discarr.gale import (
     PointConfig,
@@ -218,3 +223,52 @@ def test_concurrent_sampler_with_zero_bound_exits_one(capsys, monkeypatch):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: no concurrent sextuple after 100 draws (seed=7)\n"
+
+
+# sha256 of the `gale` and `gale-invariance` stdout.  The printed normals
+# and the sampled sextuples come from `nullspace_basis`, which no benchmark
+# digest covers.  The inputs: a generic (6,3), a lifted dependent one, and
+# normals given as "p/q" strings, so rational entries reach the kernels too.
+FRACTION_NORMALS = {
+    "n": 6,
+    "k": 3,
+    "normals": [
+        ["1/2", 3, -1], [2, "-5/3", 4], [1, 1, "7/4"],
+        [-3, "2/5", 1], [5, -2, "1/3"], ["9/7", 4, -6],
+    ],
+}
+GALE_DIGESTS = [
+    (
+        ["gen", "--n", "6", "--k", "3", "--seed", "4"],
+        "4de56ba61cb7c10bb33fc57cfc74dd957473c2fda2488718c79b3bc0e78f1344",
+    ),
+    (
+        ["dependent-construct", "--s", "2", "--t", "1", "--seed", "3"],
+        "07715436b335f87d160bb748031bd2742581f4ce083172df211a5dc7dd0bc8f5",
+    ),
+    (FRACTION_NORMALS, "111e9db25df71fe7414703be702f7c77b8ac251a0d77425fcab9b4cd29bf239a"),
+]
+
+
+def cli_stdout(argv) -> bytes:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0, " ".join(argv)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("source, digest", GALE_DIGESTS, ids=["generic", "dependent", "fractions"])
+def test_gale_stdout_matches_pinned_digest(tmp_path, source, digest):
+    path = tmp_path / "arr.json"
+    if isinstance(source, dict):
+        path.write_text(json.dumps(source))
+    else:
+        path.write_bytes(cli_stdout(source))
+    out = cli_stdout(["gale", "--input", str(path)])
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_gale_invariance_stdout_matches_pinned_digest():
+    out = cli_stdout(["gale-invariance", "--trials", "20", "--seed", "0"])
+    expected = "ea3f879f13057961da7cd538a25c578eb07365d4d4eb439cb16ff02c328d208c"
+    assert hashlib.sha256(out).hexdigest() == expected

@@ -14,7 +14,7 @@ from discarr.linalg import (
 )
 from discarr.rng import SplitMix64
 
-from _oracles import det_by_permutations, rank_by_minors, shuffle
+from _oracles import det_by_permutations, rank_by_minors, rref_by_fractions, shuffle
 
 
 def random_matrix(rng, rows, cols, bound=8):
@@ -192,6 +192,55 @@ def test_bareiss_det_matches_permutation_expansion(rows):
     assert _bareiss_det([list(r) for r in rows]) == det_by_permutations(rows)
 
 
+def nullspace_from_rref(rows, cols):
+    """The canonical nullspace basis read off the `Fraction` oracle's rref.
+
+    One vector per free column: 1 there, 0 at the other free columns, and
+    minus that column of the reduced rows at the pivots.
+    """
+    red, pivots = rref_by_fractions(rows, cols)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for row, p in zip(red, pivots):
+            vec[p] = -row[free]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, cols): "p/q" and integer entries, maybe no rows, zero and repeated rows."""
+    cols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.integers(-6, 6),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 7)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=5))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat"]), max_size=2)):
+        new = [0] * cols if kind == "zero" or not rows else list(draw(st.sampled_from(rows)))
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, cols
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(rational_matrices())
+@example(([], 3))
+@example(([[0, 0]], 2))
+@example(([["1/2", 3], ["1/2", 3], [0, 0]], 2))
+@example(([["2/3", "-4/9", 0], [0, 0, "5/7"]], 3))
+def test_rref_and_nullspace_match_fraction_oracle(matrix):
+    rows, cols = matrix
+    m = QMatrix.from_rows(rows, cols=cols)
+    red, pivots = m.rref()
+    assert (red.entries, pivots) == rref_by_fractions(rows, cols)
+    assert red.cols == cols
+    basis = m.nullspace_basis()
+    assert basis.entries == nullspace_from_rref(rows, cols)
+    assert basis.cols == cols
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=300)
 @given(int_matrices())
 @example([[0, 0, 0]])
@@ -202,9 +251,7 @@ def test_bareiss_det_matches_permutation_expansion(rows):
 def test_int_nullspace_is_the_primitive_rref_basis(rows):
     cols = len(rows[0])
     snapshot = [list(r) for r in rows]
-    expected = [
-        primitive_int_vector(v) for v in QMatrix.from_rows(rows).nullspace_basis().entries
-    ]
+    expected = [primitive_int_vector(v) for v in nullspace_from_rref(rows, cols)]
     assert int_nullspace(rows, cols) == expected
     assert rows == snapshot
     if rank_by_minors(rows) == cols:

@@ -13,7 +13,6 @@ from discarr.braid import (
     braids_equal,
     full_twist,
     reduce_free,
-    smith_invariants,
 )
 from discarr.discriminantal import codim2_census, construct_dependent
 from discarr.linalg import int_rank
@@ -147,8 +146,8 @@ def test_presentation_counts_and_abelianization():
     assert len(pres.relators) == sum(len(p.block) for p, _ in records)
     reduced = presentation(records, n, reduce_relators=True)
     assert len(reduced.relators) == sum(len(p.block) - 1 for p, _ in records)
-    invariants = smith_invariants(pres.exponent_matrix())
-    assert n - sum(1 for d in invariants if d) == n  # free abelian of rank N
+    # every relator has exponent sum 0 in each generator: H1 is free abelian of rank N
+    assert not any(any(row) for row in pres.exponent_matrix())
 
 
 def test_full_twist_acts_by_boundary_conjugation():
@@ -269,8 +268,7 @@ def test_presentation_at_35_strands():
     assert n == 35
     pres = presentation(records, n)
     assert len(pres.relators) == sum(len(p.block) for p, _ in records)
-    invariants = smith_invariants(pres.exponent_matrix())
-    assert n - sum(1 for d in invariants if d) == n
+    assert not any(any(row) for row in pres.exponent_matrix())
 
 
 # Cross-layer checks: the section's blocks against the census, and the

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discarr.linalg import int_rank
+from discarr.linalg import int_rank, reduce_row
 from discarr.planar import (
     _check_trace,
     _generic_rank,
-    _reduce,
     codim_combinatorial,
     dim_combinatorial,
     merge_classes,
@@ -142,6 +141,15 @@ def test_verify_independence_rejects_small_n():
         verify_independence(3, 2, trials=1, seed=1)
 
 
+def test_out_of_range_index_is_rejected_on_a_warm_memo():
+    # (1, 2, 10) relabels to the memo key of (1, 2, 3): the range check must
+    # come before the lookup
+    assert dim_combinatorial(((1, 2, 3),), 5) == 4
+    for family in (((1, 2, 10),), ((0, 1, 2),), ((1, 2, 3), (3, 4, 6))):
+        with pytest.raises(ValueError, match="out of range"):
+            dim_combinatorial(family, 5)
+
+
 def test_triangle_family_boundary_case_against_oracle():
     # all sets keep exactly two shared indices: the recursion is empty, the
     # shared indices alone carry the image dimension
@@ -229,7 +237,7 @@ def test_depth_first_dims_match_per_collection_rank(trace):
 def test_reduce_keeps_primitive_echelon_of_full_rank(vectors):
     echelon = []
     for i, vec in enumerate(vectors):
-        reduced = _reduce(vec, echelon)
+        reduced = reduce_row(vec, echelon)
         if reduced is not None:
             pivot, row = reduced
             assert row[pivot] and gcd(*row) == 1
