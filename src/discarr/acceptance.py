@@ -180,7 +180,7 @@ def check_monodromy_invariants() -> str:
         _require(pair_total == comb(n_lines, 2))
         product = reduce_free(sum((braid.letters for _, braid in records), ()))
         _require(braids_equal(product, full_twist(n_lines), n_lines), label)
-        pres = presentation(records, n_lines)
+        pres = presentation(section, points)
         rank = n_lines - int_rank(pres.exponent_matrix())
         _require(rank == n_lines, f"{label}: abelianization rank {rank} != {n_lines}")
         census_mults = Counter(r.multiplicity for r in codim2_census(arr))

@@ -29,7 +29,6 @@ from .discriminantal import (
 from .gale import essential_normals_via_gale, gale_disagreements
 from .monodromy import (
     braid_monodromy,
-    braids_to_json,
     nilpotent_relations,
     presentation,
     presentation_to_text,
@@ -265,21 +264,26 @@ def _cmd_section(args) -> int:
     return OK
 
 
-def _section_records(args):
-    arr = _load_arrangement(args.input)
-    _, lines, points = random_section(arr, seed=args.seed)
-    return lines, braid_monodromy(lines, points)
+def _section(args):
+    """The lines and singular points of the input's generic section."""
+    _, lines, points = random_section(_load_arrangement(args.input), seed=args.seed)
+    return lines, points
 
 
 def _cmd_monodromy(args) -> int:
-    lines, records = _section_records(args)
-    _emit(braids_to_json(records, len(lines)), args.output)
+    lines, points = _section(args)
+    records = braid_monodromy(lines, points)
+    # words go out as lists: the writer keeps the text of every int tuple
+    braids = (
+        _Fields((("block", list(pt.block)), ("s", _frac(pt.s)), ("word", list(braid.letters))))
+        for pt, braid in records
+    )
+    _emit({"N": len(lines), "braids": braids}, args.output)
     return OK
 
 
 def _cmd_presentation(args) -> int:
-    lines, records = _section_records(args)
-    pres = presentation(records, len(lines), reduce_relators=args.reduce)
+    pres = presentation(*_section(args), reduce_relators=args.reduce)
     _emit(presentation_to_text(pres), args.output)
     return OK
 

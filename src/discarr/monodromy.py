@@ -1,25 +1,28 @@
 """Generic plane sections, braid monodromy, and fundamental group data.
 
-Substituting a parametrized 2-plane x_i = a_i t + b_i s + c_i into the
-concurrency forms turns the discriminantal arrangement into N = C(n, k+1)
-lines in the (t, s)-plane, all with rational coefficients, so every sweep
-event has exact rational coordinates and the event order is unambiguous.
+Substituting a parametrized 2-plane x_i = a_i t + b_i s + c_i with integer
+coefficients into the concurrency forms turns the discriminantal arrangement
+into N = C(n, k+1) lines u t + v s + w = 0 in the (t, s)-plane with integer
+u, v, w.  One pass over the pairs of lines finds every crossing at exact
+rational coordinates (and every parallel pair), so the event order is
+unambiguous.
 
-The sweep runs in increasing s from a basepoint below every singular value.
-Strands are numbered by t-order at the basepoint; crossing the i-th singular
-value, the block of concurrent lines occupies consecutive strand positions
-and undergoes a positive half twist b_i.  The monodromy braid of that value
-is the square of its half twist conjugated by the earlier half twists:
+The sweep (_sweep) runs in increasing s from a basepoint below every
+singular value.  Strands are numbered by t-order at the basepoint; crossing
+the i-th singular value, the block of concurrent lines occupies consecutive
+strand positions and undergoes a positive half twist b_i.  The monodromy
+braid of that value is the square of its half twist conjugated by the
+earlier half twists:
 
     Gamma_i = P_i^-1 b_i^2 P_i,   P_i = b_{i-1} ... b_1,
 
-which braid_monodromy emits as an explicit Artin word.  The van Kampen
-presentation of the complement equates Gamma_i(x_j) with x_j for the
-strands j of each block, under the Artin action on the free group with one
-generator per line (braid.py).  `presentation` never expands Gamma_i: it
-carries the images of P_i and P_i^-1 along the sweep as two tables of free
-words, and updates them with the short images of b_i and b_i^-1 at each
-singular value.
+which braid_monodromy emits as an explicit Artin word, for the monodromy
+JSON and the full-twist check.  The van Kampen presentation of the
+complement equates Gamma_i(x_j) with x_j for the strands j of each block,
+under the Artin action on the free group with one generator per line
+(braid.py).  `presentation` reads the same sweep and never expands a braid:
+it carries the images of P_i and P_i^-1 as two tables of free words, and
+updates them with the short images of b_i and b_i^-1 at each singular value.
 
 nilpotent_relations emits the three commutator relation families of the
 holonomy Lie algebra / nilpotent completion, keyed by the codimension-2
@@ -50,6 +53,7 @@ from .discriminantal import (
 from .rng import SplitMix64
 
 SECTION_BUDGET = 400
+SECTION_BOUND = 12  # plane coefficients are drawn from [-12, 12]
 
 
 class NonGenericSection(ValueError):
@@ -64,19 +68,23 @@ class NonGenericSection(ValueError):
 class SectionPlane:
     """Parametrization x_i = t_coeffs[i] * t + s_coeffs[i] * s + consts[i]."""
 
-    t_coeffs: tuple[Fraction, ...]
-    s_coeffs: tuple[Fraction, ...]
-    consts: tuple[Fraction, ...]
+    t_coeffs: tuple[int, ...]
+    s_coeffs: tuple[int, ...]
+    consts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class SectionLine:
-    """One section line u*t + v*s + w = 0, labeled by its (k+1)-subset."""
+    """One section line u*t + v*s + w = 0, labeled by its (k+1)-subset.
+
+    The coefficients are ints when the plane's are (Fractions for a
+    rational plane).
+    """
 
     subset: tuple[int, ...]
-    u: Fraction
-    v: Fraction
-    w: Fraction
+    u: int
+    v: int
+    w: int
 
     def t_at(self, s: Fraction) -> Fraction:
         return -(self.v * s + self.w) / self.u
@@ -101,9 +109,9 @@ def section_lines(
 ) -> tuple[list[SectionLine], list[SingularPoint]]:
     """Substitute the plane into every form; validate section genericity.
 
-    Returns the lines and their singular points, which the validation
-    computes.  Raises NonGenericSection naming each violated invariant: a
-    vanishing t-coefficient, coincident or parallel lines, singular points
+    Returns the lines and their singular points.  Raises NonGenericSection
+    naming each violated invariant: a vanishing t-coefficient, coincident
+    or parallel lines (as singular_points finds them), singular points
     sharing an s-coordinate.
     """
     n = arr.n
@@ -112,22 +120,19 @@ def section_lines(
     lines = []
     failures = []
     for form in build_all(arr):
-        u = sum(Fraction(c) * plane.t_coeffs[j] for j, c in enumerate(form.coeffs))
-        v = sum(Fraction(c) * plane.s_coeffs[j] for j, c in enumerate(form.coeffs))
-        w = sum(Fraction(c) * plane.consts[j] for j, c in enumerate(form.coeffs))
+        u, v, w = (
+            sum(c * x for c, x in zip(form.coeffs, row))
+            for row in (plane.t_coeffs, plane.s_coeffs, plane.consts)
+        )
         if u == 0:
             failures.append(f"line {form.subset} parallel to the t-axis")
         lines.append(SectionLine(form.subset, u, v, w))
-    for i, j in combinations(range(len(lines)), 2):
-        a, b = lines[i], lines[j]
-        if a.u * b.v == b.u * a.v:
-            if a.u * b.w == b.u * a.w and a.v * b.w == b.v * a.w:
-                failures.append(f"lines {a.subset} and {b.subset} coincide")
-            else:
-                failures.append(f"lines {a.subset} and {b.subset} are parallel")
+    try:
+        points = singular_points(lines)
+    except NonGenericSection as exc:
+        failures.extend(exc.failures)
     if failures:
         raise NonGenericSection(failures)
-    points = singular_points(lines)
     by_s: dict[Fraction, set] = {}
     for pt in points:
         by_s.setdefault(pt.s, set()).add(pt)
@@ -140,18 +145,18 @@ def section_lines(
     return lines, points
 
 
-def random_section(arr: GenericArrangement, seed: int, bound: int = 12):
-    """Sample SectionPlane coefficients until all invariants hold.
+def random_section(arr: GenericArrangement, seed: int):
+    """Sample integer SectionPlane coefficients until all invariants hold.
 
     Returns (plane, lines, singular points) as section_lines gives them.
     """
     rng = SplitMix64(seed)
     for _ in range(SECTION_BUDGET):
-        plane = SectionPlane(
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(arr.n)),
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(arr.n)),
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(arr.n)),
+        rows = (
+            tuple(rng.randint(-SECTION_BOUND, SECTION_BOUND) for _ in range(arr.n))
+            for _ in range(3)
         )
+        plane = SectionPlane(*rows)
         try:
             lines, points = section_lines(arr, plane)
         except NonGenericSection:
@@ -163,19 +168,27 @@ def random_section(arr: GenericArrangement, seed: int, bound: int = 12):
 def singular_points(lines: list[SectionLine]) -> list[SingularPoint]:
     """All pairwise intersection points, grouped exactly, sorted by s.
 
-    Blocks refer to 1-based positions in the given list.  Every pair of
-    lines meets exactly once, so the block sizes satisfy
+    Blocks refer to 1-based positions in the given list.  The one pass over
+    the pairs works in the lines' own arithmetic and raises
+    NonGenericSection naming every coincident or parallel pair; otherwise
+    every pair of lines meets exactly once, so the block sizes satisfy
     sum C(|P|, 2) = C(N, 2).
     """
     points: dict[tuple[Fraction, Fraction], set[int]] = {}
+    failures = []
     for i, j in combinations(range(len(lines)), 2):
         a, b = lines[i], lines[j]
         denom = a.u * b.v - b.u * a.v
+        s_num = b.u * a.w - a.u * b.w
+        t_num = a.v * b.w - b.v * a.w
         if denom == 0:
-            raise ValueError(f"parallel lines {a.subset} and {b.subset}")
-        s = (b.u * a.w - a.u * b.w) / denom
-        t = (a.v * b.w - b.v * a.w) / denom
-        points.setdefault((s, t), set()).update((i + 1, j + 1))
+            kind = "coincide" if s_num == t_num == 0 else "are parallel"
+            failures.append(f"lines {a.subset} and {b.subset} {kind}")
+        elif not failures:
+            key = (Fraction(s_num, denom), Fraction(t_num, denom))
+            points.setdefault(key, set()).update((i + 1, j + 1))
+    if failures:
+        raise NonGenericSection(failures)
     out = [
         SingularPoint(s, t, tuple(sorted(block)))
         for (s, t), block in points.items()
@@ -191,43 +204,51 @@ class SweepError(AssertionError):
     """A concurrency block was not consecutive at its critical value."""
 
 
+def _sweep(lines: list[SectionLine], points: list[SingularPoint]):
+    """The sweep in increasing s: yields (point, lo, hi) per singular value.
+
+    The basepoint is one below the first singular s (the t-order, hence
+    every braid, is the same at any s below it).  Lines are renumbered as
+    strands 1..N by t-order there, and each yielded point carries its block
+    as strand numbers.  The block occupies positions lo..hi just below its
+    value; its half twist reverses them.  Midway from the previous value
+    the predicted positions must be the lines' t-order, and the block must
+    be consecutive, or SweepError.
+    """
+    basepoint_s = points[0].s - 1 if points else Fraction(0)
+    order = sorted(range(len(lines)), key=lambda i: lines[i].t_at(basepoint_s))
+    strand_of = {line_idx + 1: pos + 1 for pos, line_idx in enumerate(order)}
+    sorted_lines = [lines[i] for i in order]
+    strands = range(1, len(lines) + 1)
+    positions = list(strands)  # positions[p-1] = strand at position p
+    prev_s = basepoint_s
+    for point in points:
+        block = tuple(sorted(strand_of[i] for i in point.block))
+        mid = (prev_s + point.s) / 2
+        if sorted(strands, key=lambda j: sorted_lines[j - 1].t_at(mid)) != positions:
+            raise SweepError("sweep order diverged from predicted strand positions")
+        at = sorted(positions.index(j) + 1 for j in block)
+        lo, hi = at[0], at[-1]
+        if at != list(range(lo, hi + 1)):
+            raise SweepError(f"block {block} occupies non-consecutive positions {at}")
+        positions[lo - 1 : hi] = positions[lo - 1 : hi][::-1]
+        yield SingularPoint(point.s, point.t, block), lo, hi
+        prev_s = point.s
+
+
 def braid_monodromy(
     lines: list[SectionLine], points: list[SingularPoint]
 ) -> list[tuple[SingularPoint, BraidWord]]:
     """Monodromy braids of the section, one per singular value of s.
 
     `points` are the singular points of `lines`, as singular_points (or
-    random_section) returns them.  The basepoint is one below the first
-    singular s (the t-order, hence every braid, is the same at any s below
-    it).  Lines are renumbered as strands 1..N by t-order at the basepoint;
-    each returned SingularPoint carries its block as strand numbers, and each
-    braid is the conjugated full twist on the block, fully expanded in Artin
-    generators.
+    random_section) returns them.  Each returned SingularPoint carries its
+    block as strand numbers (see _sweep), and each braid is the conjugated
+    full twist on the block, fully expanded in Artin generators.
     """
-    basepoint_s = points[0].s - 1 if points else Fraction(0)
-    order = sorted(range(len(lines)), key=lambda i: lines[i].t_at(basepoint_s))
-    strand_of = {line_idx + 1: pos + 1 for pos, line_idx in enumerate(order)}
-    strands = [
-        SingularPoint(p.s, p.t, tuple(sorted(strand_of[i] for i in p.block)))
-        for p in points
-    ]
-    n_strands = len(lines)
-
-    # positions[p-1] = strand at position p, evolving along the sweep
-    positions = [strand_of[i + 1] for i in order]
-    if positions != list(range(1, n_strands + 1)):
-        raise SweepError("basepoint strand numbering is not 1..N in t-order")
-    sorted_lines = [lines[i] for i in order]
-
     twists: list[tuple[int, ...]] = []
     records: list[tuple[SingularPoint, BraidWord]] = []
-    prev_s = basepoint_s
-    for pt in strands:
-        mid = (prev_s + pt.s) / 2
-        t_order = sorted(range(1, n_strands + 1), key=lambda j: sorted_lines[j - 1].t_at(mid))
-        if t_order != positions:
-            raise SweepError("sweep order diverged from predicted strand positions")
-        lo, hi = _twist(positions, pt.block)
+    for point, lo, hi in _sweep(lines, points):
         beta = halftwist(lo, hi - lo + 1)
         gamma: list[int] = []
         for earlier in twists:
@@ -236,25 +257,9 @@ def braid_monodromy(
         gamma.extend(beta)
         for earlier in reversed(twists):
             gamma.extend(earlier)
-        records.append((pt, BraidWord(n_strands, tuple(gamma))))
+        records.append((point, BraidWord(len(lines), tuple(gamma))))
         twists.append(beta)
-        prev_s = pt.s
     return records
-
-
-def _twist(positions: list[int], block: tuple[int, ...]) -> tuple[int, int]:
-    """Half twist the block's strands in place; return the positions lo..hi.
-
-    `positions[p-1]` is the strand at position p just below the block's
-    singular value and the strand just above it on return.  The block must
-    occupy consecutive positions, or SweepError.
-    """
-    at = sorted(positions.index(j) + 1 for j in block)
-    lo, hi = at[0], at[-1]
-    if at != list(range(lo, hi + 1)):
-        raise SweepError(f"block {block} occupies non-consecutive positions {at}")
-    positions[lo - 1 : hi] = positions[lo - 1 : hi][::-1]
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -275,20 +280,21 @@ class Presentation:
 
 
 def presentation(
-    braids: list[tuple[SingularPoint, BraidWord]],
-    n_strands: int,
+    lines: list[SectionLine],
+    points: list[SingularPoint],
     reduce_relators: bool = False,
 ) -> Presentation:
-    """Van Kampen presentation from the monodromy braids.
+    """Van Kampen presentation of the section's complement.
 
+    `points` are the singular points of `lines`, as for braid_monodromy.
     Each singular point contributes the relators Gamma_i(x_j) x_j^-1 for the
     strands j through the point; relations for the remaining strands are
     consequences and omitted.  With reduce_relators, the last relator of
     each point (itself a consequence of the others) is dropped too, leaving
     |P_i| - 1 per point.
 
-    Only the blocks are read: the half twists b_i are replayed from them,
-    and Gamma_i = P_i^-1 b_i^2 P_i with P_i = b_{i-1} ... b_1 is never
+    The half twists b_i come from the sweep (_sweep), and
+    Gamma_i = P_i^-1 b_i^2 P_i with P_i = b_{i-1} ... b_1 is never
     expanded.  Two image tables follow the sweep instead (a word acts
     leftmost letter first, so P_{i+1} = b_i P_i acts as P_i after b_i):
 
@@ -301,12 +307,11 @@ def presentation(
     unique, so each relator is the reduced word that the letter-by-letter
     Artin action of Gamma_i gives.
     """
+    n_strands = len(lines)
     before = [(g,) for g in range(1, n_strands + 1)]
     after: dict[int, tuple[int, ...]] = {}  # apply_images fixes unnamed letters
-    positions = list(range(1, n_strands + 1))
     relators: list[tuple[int, ...]] = []
-    for point, _ in braids:
-        lo, hi = _twist(positions, point.block)
+    for point, lo, hi in _sweep(lines, points):
         beta = halftwist(1, hi - lo + 1)
         square = _block_images(beta + beta, lo)
         local = [
@@ -393,19 +398,6 @@ def _relation_families(arr: GenericArrangement, census) -> RelationFamilies:
             commuting.append((a, b))
             commuting.append((b, a))
     return RelationFamilies(tuple(full_sets), tuple(dependents), tuple(commuting))
-
-
-def braids_to_json(records: list[tuple[SingularPoint, BraidWord]], n_strands: int) -> dict:
-    def frac(x: Fraction) -> str:
-        return f"{x.numerator}/{x.denominator}"
-
-    return {
-        "N": n_strands,
-        "braids": [
-            {"s": frac(pt.s), "block": list(pt.block), "word": list(braid.letters)}
-            for pt, braid in records
-        ],
-    }
 
 
 def presentation_to_text(pres: Presentation) -> str:

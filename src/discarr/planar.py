@@ -351,8 +351,9 @@ def verify_independence(
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    for name, value in (("cap", tuple_size_cap), ("trials", trials), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"need {name} >= 1, got {value}")
     rng = SplitMix64(seed)
     traces = [_sample_slopes(rng, n, seed) for _ in range(trials)]
     tasks = [(slopes, n, tuple_size_cap) for slopes in traces]

@@ -7,16 +7,19 @@ codimension-2 census by testing every form against every pair, the census
 JSON through intermediate dicts, the six-point concurrency search by cross
 products, the group triples by filtering all triples of groups, the planar
 rank oracle by one `int_rank` per collection, the class merge by
-restarting after every merge, and the van Kampen relators by expanding
-every conjugated braid and acting with it letter by letter.  Apart from
-`dims_by_rank`, which calls `int_rank` (itself checked against
-`rank_by_minors`), `build_form_by_fractions`, which normalises with
-`primitive_int_vector`, and `presentation_by_expansion`, which runs the
-Artin action of `braid.py` (its substitution step, `apply_images`, is
-checked on explicit words in test_braid.py), nothing here shares code with
-the elimination routines, the minors table, the census keys, the JSON
-writer, the partition enumerator, the depth-first planar walk, the
-one-pass merge or the image tables under test.
+restarting after every merge, the plane section in `Fraction`s with its
+parallel test and its intersections in two separate passes, and the van
+Kampen relators by expanding every conjugated braid and acting with it
+letter by letter.  Apart from `dims_by_rank`, which calls `int_rank`
+(itself checked against `rank_by_minors`), `build_form_by_fractions`,
+which normalises with `primitive_int_vector`, `section_by_two_passes`,
+which substitutes into the forms of `build_all`, and
+`presentation_by_expansion`, which runs the Artin action of `braid.py`
+(its substitution step, `apply_images`, is checked on explicit words in
+test_braid.py), nothing here shares code with the elimination routines,
+the minors table, the census keys, the JSON writer, the partition
+enumerator, the depth-first planar walk, the one-pass merge, the
+single-pass section or the image tables under test.
 
 The last three are not oracles but helpers that only tests read:
 `restrict` (an arrangement restricted to a flat, through `QMatrix.rref`
@@ -30,8 +33,14 @@ from itertools import combinations, permutations
 
 from discarr.arrangement import GenericArrangement, is_trace_generic
 from discarr.braid import artin_images, reduce_free
+from discarr.discriminantal import build_all
 from discarr.linalg import QMatrix, int_rank, primitive_int_vector
-from discarr.monodromy import Presentation
+from discarr.monodromy import (
+    NonGenericSection,
+    Presentation,
+    SectionLine,
+    SingularPoint,
+)
 
 
 def perm_sign(perm) -> int:
@@ -260,6 +269,64 @@ def merge_by_restart(sets):
                 changed = True
                 break
     return tuple(sorted(set(current)))
+
+
+def section_by_two_passes(arr, plane):
+    """(lines, singular points) of a plane section, all in `Fraction`s.
+
+    A first pass over the pairs of lines tests them for coincidence or
+    parallelism; only a plane that passes it (and has no line parallel to
+    the t-axis) gets its points, from `singular_points_by_fractions`, and
+    the shared-s test.  Raises NonGenericSection with the failures and
+    their order of `monodromy.section_lines`.
+    """
+    lines = []
+    failures = []
+    for form in build_all(arr):
+        u = sum(Fraction(c) * plane.t_coeffs[j] for j, c in enumerate(form.coeffs))
+        v = sum(Fraction(c) * plane.s_coeffs[j] for j, c in enumerate(form.coeffs))
+        w = sum(Fraction(c) * plane.consts[j] for j, c in enumerate(form.coeffs))
+        if u == 0:
+            failures.append(f"line {form.subset} parallel to the t-axis")
+        lines.append(SectionLine(form.subset, u, v, w))
+    for a, b in combinations(lines, 2):
+        if a.u * b.v == b.u * a.v:
+            if a.u * b.w == b.u * a.w and a.v * b.w == b.v * a.w:
+                failures.append(f"lines {a.subset} and {b.subset} coincide")
+            else:
+                failures.append(f"lines {a.subset} and {b.subset} are parallel")
+    if failures:
+        raise NonGenericSection(failures)
+    points = singular_points_by_fractions(lines)
+    by_s = {}
+    for pt in points:
+        by_s.setdefault(pt.s, set()).add(pt)
+    for s_val, pts in by_s.items():
+        if len(pts) > 1:
+            blocks = sorted(tuple(lines[i - 1].subset for i in p.block) for p in pts)
+            failures.append(f"distinct singular points share s={s_val}: {blocks}")
+    if failures:
+        raise NonGenericSection(failures)
+    return lines, points
+
+
+def singular_points_by_fractions(lines):
+    """Pairwise intersections of lines with no parallel pair, sorted by s.
+
+    Each pair's (s, t) is solved by `Fraction` division; blocks are 1-based
+    positions grouped by the exact point.
+    """
+    points = {}
+    for i, j in combinations(range(len(lines)), 2):
+        a, b = lines[i], lines[j]
+        au, av, aw, bu, bv, bw = map(Fraction, (a.u, a.v, a.w, b.u, b.v, b.w))
+        denom = au * bv - bu * av
+        s = (bu * aw - au * bw) / denom
+        t = (av * bw - bv * aw) / denom
+        points.setdefault((s, t), set()).update((i + 1, j + 1))
+    out = [SingularPoint(s, t, tuple(sorted(block))) for (s, t), block in points.items()]
+    out.sort(key=lambda p: p.s)
+    return out
 
 
 def presentation_by_expansion(braids, n_strands: int, reduce_relators: bool = False):

@@ -159,6 +159,7 @@ def test_census_inconsistent_flat_exits_two(tmp_path, capsys, monkeypatch):
 
 def test_monodromy_sweep_error_exits_two(tmp_path, capsys, monkeypatch):
     import discarr.cli as cli
+    import discarr.monodromy as monodromy
     from discarr.monodromy import SweepError
 
     arr_path = str(tmp_path / "arr.json")
@@ -167,12 +168,28 @@ def test_monodromy_sweep_error_exits_two(tmp_path, capsys, monkeypatch):
     def diverge(lines, points):
         raise SweepError("sweep order diverged from predicted strand positions")
 
-    monkeypatch.setattr(cli, "braid_monodromy", diverge)
+    # both commands run the one sweep
+    monkeypatch.setattr(monodromy, "_sweep", diverge)
     for command in ("monodromy", "presentation"):
         code = cli.main([command, "--input", arr_path])
         captured = capsys.readouterr()
         assert code == 2
         assert "sweep order diverged" in captured.err
+
+
+def test_presentation_expands_no_braid(tmp_path, capsys, monkeypatch):
+    import discarr.cli as cli
+
+    arr_path = str(tmp_path / "arr.json")
+    run(["gen", "--n", "5", "--k", "2", "--seed", "3", "--output", arr_path], capsys)
+    code, expected = run(["presentation", "--input", arr_path], capsys)
+    assert code == 0
+
+    def refuse(lines, points):
+        raise AssertionError("presentation expanded the monodromy braids")
+
+    monkeypatch.setattr(cli, "braid_monodromy", refuse)
+    assert run(["presentation", "--input", arr_path], capsys) == (0, expected)
 
 
 def test_monodromy_byte_deterministic(tmp_path, capsys):
@@ -326,13 +343,37 @@ def test_exhausted_rejection_budget_exits_one(capsys, monkeypatch, reject, argv,
             ["planar-verify", "--n", "5", "--cap", "2", "--trials", "0", "--seed", "1"],
             "need trials >= 1, got 0",
         ),
+        (
+            ["planar-verify", "--n", "5", "--cap", "0", "--trials", "2", "--seed", "1"],
+            "need cap >= 1, got 0",
+        ),
+        (
+            ["planar-verify", "--n", "5", "--cap", "-3", "--trials", "2", "--seed", "1"],
+            "need cap >= 1, got -3",
+        ),
+        (
+            ["planar-verify", "--n", "5", "--cap", "2", "--jobs", "0", "--seed", "1"],
+            "need jobs >= 1, got 0",
+        ),
+        (
+            ["planar-verify", "--n", "5", "--cap", "2", "--jobs", "-4", "--seed", "1"],
+            "need jobs >= 1, got -4",
+        ),
         (["gale-invariance", "--trials", "0", "--seed", "1"], "need trials >= 1, got 0"),
         (
             ["gen", "--n", "5", "--k", "2", "--seed", "1", "--bound", "0"],
             "need bound >= n, got bound=0, n=5",
         ),
     ],
-    ids=["planar-verify", "gale-invariance", "gen"],
+    ids=[
+        "planar-verify",
+        "planar-verify-cap0",
+        "planar-verify-cap-negative",
+        "planar-verify-jobs0",
+        "planar-verify-jobs-negative",
+        "gale-invariance",
+        "gen",
+    ],
 )
 def test_empty_or_zero_size_arguments_exit_one(capsys, argv, message):
     code = main(argv)

@@ -17,6 +17,7 @@ from discarr.braid import (
 from discarr.discriminantal import codim2_census, construct_dependent
 from discarr.linalg import int_rank
 from discarr.monodromy import (
+    SECTION_BOUND,
     NonGenericSection,
     Presentation,
     SectionLine,
@@ -29,18 +30,26 @@ from discarr.monodromy import (
     section_lines,
     singular_points,
 )
+from discarr.rng import SplitMix64
 
-from _oracles import magnus_degree2, permutation, presentation_by_expansion
+from _oracles import (
+    magnus_degree2,
+    permutation,
+    presentation_by_expansion,
+    section_by_two_passes,
+    singular_points_by_fractions,
+)
 
 
 def section_for(arr, seed=101):
-    _, lines, _ = random_section(arr, seed=seed)
-    return lines
+    """The section lines and their singular points."""
+    _, lines, points = random_section(arr, seed=seed)
+    return lines, points
 
 
 def records_for(arr, seed=101):
     """The section lines and their monodromy records."""
-    _, lines, points = random_section(arr, seed=seed)
+    lines, points = section_for(arr, seed=seed)
     return lines, braid_monodromy(lines, points)
 
 
@@ -77,16 +86,15 @@ def test_two_lines_cross_once():
 
 def test_singular_points_pair_count_identity():
     for arr in (random_generic(5, 2, seed=22, bound=9), construct_dependent(2, 0, seed=11)):
-        lines = section_for(arr)
-        points = singular_points(lines)
+        lines, points = section_for(arr)
         assert sum(comb(len(p.block), 2) for p in points) == comb(len(lines), 2)
 
 
 def test_dep63_section_block_structure():
     dep63 = construct_dependent(2, 0, seed=11)
-    lines = section_for(dep63)
+    lines, points = section_for(dep63)
     assert len(lines) == 15
-    sizes = Counter(len(p.block) for p in singular_points(lines))
+    sizes = Counter(len(p.block) for p in points)
     assert sizes == {5: 6, 3: 1, 2: 42}
 
 
@@ -130,22 +138,21 @@ def test_blocks_match_census_multiplicities():
 
 
 def test_presentation_of_one_simple_crossing_is_commutation():
-    records = braid_monodromy(TWO_LINES, singular_points(TWO_LINES))
-    pres = presentation(records, 2)
+    points = singular_points(TWO_LINES)
+    pres = presentation(TWO_LINES, points)
     # sigma_1^2 relators: both say x1 and x2 commute
     assert pres.relators == ((1, 2, 1, -2, -1, -1), (1, 2, -1, -2))
-    reduced = presentation(records, 2, reduce_relators=True)
+    reduced = presentation(TWO_LINES, points, reduce_relators=True)
     assert len(reduced.relators) == 1
 
 
 def test_presentation_counts_and_abelianization():
     arr = construct_dependent(2, 0, seed=11)
-    lines, records = records_for(arr)
-    n = len(lines)
-    pres = presentation(records, n)
-    assert len(pres.relators) == sum(len(p.block) for p, _ in records)
-    reduced = presentation(records, n, reduce_relators=True)
-    assert len(reduced.relators) == sum(len(p.block) - 1 for p, _ in records)
+    lines, points = section_for(arr)
+    pres = presentation(lines, points)
+    assert len(pres.relators) == sum(len(p.block) for p in points)
+    reduced = presentation(lines, points, reduce_relators=True)
+    assert len(reduced.relators) == sum(len(p.block) - 1 for p in points)
     # every relator has exponent sum 0 in each generator: H1 is free abelian of rank N
     assert not any(any(row) for row in pres.exponent_matrix())
 
@@ -233,6 +240,55 @@ def sectioned_arrangements(draw):
     return random_generic(n, k, seed=seed, bound=max(n, 10))
 
 
+@st.composite
+def sectioned_planes(draw):
+    """An arrangement and an integer plane drawn as random_section draws
+    them; entries in [-1, 1] give parallel lines, vanishing t-coefficients
+    and shared s-values."""
+    arr = draw(sectioned_arrangements())
+    bound = draw(st.sampled_from([1, SECTION_BOUND]))
+    rng = SplitMix64(draw(st.integers(0, 2**32 - 1)))
+    rows = [tuple(rng.randint(-bound, bound) for _ in range(arr.n)) for _ in range(3)]
+    return arr, SectionPlane(*rows)
+
+
+# The single-pass integer section against the two-pass Fraction oracle: the
+# same lines and points (s, t, block) for a generic plane, the same failures
+# for a rejected one.
+B42 = random_generic(4, 2, seed=21, bound=9)
+B52 = random_generic(5, 2, seed=22, bound=9)
+
+
+@settings(ORACLE_SETTINGS, max_examples=60)
+@given(case=sectioned_planes())
+# all four lines coincide
+@example(case=(B42, SectionPlane((1, -1, 0, 0), (-1, -1, 1, -1), (-1, -1, 1, -1))))
+# a quadruple point and a double point share s = -140/89
+@example(case=(B52, SectionPlane((1, 0, -1, 1, -2), (2, -1, 1, 1, -1), (2, 0, 1, -2, -2))))
+def test_section_matches_fraction_oracle(case):
+    arr, plane = case
+    try:
+        expected = section_by_two_passes(arr, plane)
+    except NonGenericSection as exc:
+        with pytest.raises(NonGenericSection) as got:
+            section_lines(arr, plane)
+        assert got.value.failures == exc.failures
+    else:
+        assert section_lines(arr, plane) == expected
+
+
+def test_fraction_lines_match_fraction_oracle():
+    assert singular_points(TWO_LINES) == singular_points_by_fractions(TWO_LINES)
+    half = SectionLine((1, 3, 4), Fraction(1, 2), Fraction(1, 3), Fraction(-1))
+    [point] = singular_points([TWO_LINES[1], half])
+    assert [point] == singular_points_by_fractions([TWO_LINES[1], half])
+    assert (point.s, point.t) == (Fraction(-3), Fraction(4))
+    parallel = SectionLine((2, 3, 4), Fraction(2), Fraction(2), Fraction(1, 2))
+    with pytest.raises(NonGenericSection) as exc:
+        singular_points([*TWO_LINES, parallel])
+    assert exc.value.failures == ["lines (1, 2, 4) and (2, 3, 4) are parallel"]
+
+
 @settings(ORACLE_SETTINGS, max_examples=12)
 @given(
     arr=sectioned_arrangements(),
@@ -242,20 +298,22 @@ def sectioned_arrangements(draw):
 @example(arr=construct_dependent(2, 0, seed=11), section_seed=101, reduce_relators=False)
 @example(arr=random_generic(5, 3, seed=4, bound=10), section_seed=7, reduce_relators=True)
 def test_presentation_matches_expansion_oracle(arr, section_seed, reduce_relators):
-    lines, records = records_for(arr, seed=section_seed)
+    lines, points = section_for(arr, seed=section_seed)
     n = len(lines)
-    fast = presentation_to_text(presentation(records, n, reduce_relators))
+    fast = presentation_to_text(presentation(lines, points, reduce_relators))
+    records = braid_monodromy(lines, points)
     slow = presentation_to_text(presentation_by_expansion(records, n, reduce_relators))
     assert fast == slow
 
 
 @pytest.mark.parametrize("reduce_relators", [False, True])
 def test_presentation_matches_expansion_oracle_small_cases(reduce_relators):
-    records = braid_monodromy(TWO_LINES, singular_points(TWO_LINES))
-    for recs, n in ((records, 2), ([], 1)):
-        fast = presentation(recs, n, reduce_relators)
-        assert fast == presentation_by_expansion(recs, n, reduce_relators)
-    assert presentation([], 1, reduce_relators) == Presentation(1, ())
+    points = singular_points(TWO_LINES)
+    records = braid_monodromy(TWO_LINES, points)
+    for lines, pts, recs in ((TWO_LINES, points, records), (TWO_LINES[:1], [], [])):
+        fast = presentation(lines, pts, reduce_relators)
+        assert fast == presentation_by_expansion(recs, len(lines), reduce_relators)
+    assert presentation(TWO_LINES[:1], [], reduce_relators) == Presentation(1, ())
 
 
 def test_presentation_at_35_strands():
@@ -263,11 +321,10 @@ def test_presentation_at_35_strands():
     # the 420 conjugated braids takes about 40 s here, the tables well
     # under one second
     arr = random_generic(7, 2, seed=0, bound=10)
-    lines, records = records_for(arr, seed=0)
-    n = len(lines)
-    assert n == 35
-    pres = presentation(records, n)
-    assert len(pres.relators) == sum(len(p.block) for p, _ in records)
+    lines, points = section_for(arr, seed=0)
+    assert len(lines) == 35
+    pres = presentation(lines, points)
+    assert len(pres.relators) == sum(len(p.block) for p in points)
     assert not any(any(row) for row in pres.exponent_matrix())
 
 
@@ -286,7 +343,7 @@ def census_blocks(lines, records):
     return sorted(tuple(sorted(subset[j] for j in p.block)) for p, _ in records)
 
 
-def holonomy_ranks(lines, records, census):
+def holonomy_ranks(lines, points, records, census):
     """Check 2: int_rank of the relators' degree-2 Magnus vectors, of the
     holonomy relations [X_j, sum_{i in P} X_i] over the census flats P (in
     strand numbers), and of both stacked."""
@@ -302,16 +359,17 @@ def holonomy_ranks(lines, records, census):
                 if i != j:
                     row[pair_index[(min(i, j), max(i, j))]] = 1 if j < i else -1
             holonomy.append(row)
-    magnus = [magnus_degree2(rel, n) for rel in presentation(records, n).relators]
+    magnus = [magnus_degree2(rel, n) for rel in presentation(lines, points).relators]
     return int_rank(magnus), int_rank(holonomy), int_rank(magnus + holonomy)
 
 
 def check_section_against_census(arr, section_seed):
     """Both checks; returns the three ranks of check 2."""
-    lines, records = records_for(arr, seed=section_seed)
+    lines, points = section_for(arr, seed=section_seed)
+    records = braid_monodromy(lines, points)
     census = codim2_census(arr)
     assert census_blocks(lines, records) == sorted(r.members for r in census)
-    return holonomy_ranks(lines, records, census)
+    return holonomy_ranks(lines, points, records, census)
 
 
 @pytest.mark.parametrize(
