@@ -1,11 +1,10 @@
 """Generic hyperplane arrangements and their traces at infinity.
 
 An arrangement of n hyperplanes in k-space is stored as the n x k matrix of
-normal coefficients (row j holds the linear form of hyperplane j) plus
-optional translation offsets.  The discriminantal machinery downstream only
-ever reads the normals: the trace at infinity alone determines the space of
-parallel translates.  Offsets are carried only so that the JSON
-interchange format round-trips them.
+normal coefficients (row j holds the linear form of hyperplane j).  The
+discriminantal machinery only ever reads the normals: the trace at infinity
+alone determines the space of parallel translates, so translation offsets
+in a JSON document are validated and dropped.
 
 Hyperplane indices are 1-based on every public surface, matching the JSON
 interchange format.
@@ -29,13 +28,10 @@ class GenericArrangement:
     n: int
     k: int
     normals: QMatrix  # n x k
-    offsets: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         if self.normals.rows != self.n or self.normals.cols != self.k:
             raise ValueError("normals must be an n x k matrix")
-        if self.offsets is not None and len(self.offsets) != self.n:
-            raise ValueError("offsets must have length n")
 
     @cached_property
     def int_normals(self) -> tuple[tuple[int, ...], ...]:
@@ -67,6 +63,12 @@ def is_trace_generic(arr: GenericArrangement) -> bool:
     return all(arr.minors.values())
 
 
+def check_shape(n: int, k: int) -> None:
+    """ValueError unless n > k >= 1, as for every sampled or loaded arrangement."""
+    if not (n > k >= 1):
+        raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
+
+
 def random_generic(n: int, k: int, seed: int, bound: int) -> GenericArrangement:
     """Deterministically sample a trace-generic arrangement.
 
@@ -74,8 +76,7 @@ def random_generic(n: int, k: int, seed: int, bound: int) -> GenericArrangement:
     Raises RuntimeError with the seed and attempt count if the budget runs
     out, which signals that `bound` is too small.
     """
-    if not (n > k >= 1):
-        raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
+    check_shape(n, k)
     if bound < n:
         raise ValueError(f"need bound >= n, got bound={bound}, n={n}")
     rng = SplitMix64(seed)
@@ -97,14 +98,11 @@ def _fraction_to_json(x: Fraction):
 
 
 def arrangement_to_json(arr: GenericArrangement) -> dict:
-    doc = {
+    return {
         "n": arr.n,
         "k": arr.k,
         "normals": [[_fraction_to_json(x) for x in row] for row in arr.normals.entries],
     }
-    if arr.offsets is not None:
-        doc["offsets"] = [_fraction_to_json(x) for x in arr.offsets]
-    return doc
 
 
 def json_int(doc: dict, key: str) -> int:
@@ -116,13 +114,15 @@ def json_int(doc: dict, key: str) -> int:
 
 
 def arrangement_from_json(doc: dict) -> GenericArrangement:
+    """The arrangement of a document; an `offsets` list of n rationals is dropped."""
     try:
         n = json_int(doc, "n")
         k = json_int(doc, "k")
         normals = QMatrix.from_rows(doc["normals"], cols=k)
-        offsets = None
-        if "offsets" in doc and doc["offsets"] is not None:
-            offsets = tuple(to_fraction(x) for x in doc["offsets"])
-    except (KeyError, TypeError, ValueError) as exc:
+        offsets = doc.get("offsets")
+        if offsets is not None and len([to_fraction(x) for x in offsets]) != n:
+            raise ValueError("offsets must have length n")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed arrangement document: {exc}") from exc
-    return GenericArrangement(n, k, normals, offsets)
+    check_shape(n, k)
+    return GenericArrangement(n, k, normals)

@@ -3,26 +3,28 @@
 Substituting a parametrized 2-plane x_i = a_i t + b_i s + c_i with integer
 coefficients into the concurrency forms turns the discriminantal arrangement
 into N = C(n, k+1) lines u t + v s + w = 0 in the (t, s)-plane with integer
-u, v, w.  One pass over the pairs of lines finds every crossing at exact
-rational coordinates (and every parallel pair), so the event order is
-unambiguous.
+u, v, w.  One integer pass over the pairs of lines finds every parallel pair
+and every crossing, keyed by its reduced integer coordinates (s, t, d) for
+the point (s/d, t/d); only the distinct points become `Fraction`s, so the
+event order is exact.
 
 The sweep (_sweep) runs in increasing s from a basepoint below every
-singular value.  Strands are numbered by t-order at the basepoint; crossing
-the i-th singular value, the block of concurrent lines occupies consecutive
-strand positions and undergoes a positive half twist b_i.  The monodromy
-braid of that value is the square of its half twist conjugated by the
-earlier half twists:
+singular value, where the t-order of the lines is their slope order.
+Strands are numbered by t-order there; crossing the i-th singular value,
+the block of concurrent lines occupies consecutive strand positions and
+undergoes a positive half twist b_i.  The monodromy braid of that value is
+the square of its half twist conjugated by the earlier half twists:
 
     Gamma_i = P_i^-1 b_i^2 P_i,   P_i = b_{i-1} ... b_1,
 
 which braid_monodromy emits as an explicit Artin word, for the monodromy
-JSON and the full-twist check.  The van Kampen presentation of the
-complement equates Gamma_i(x_j) with x_j for the strands j of each block,
-under the Artin action on the free group with one generator per line
-(braid.py).  `presentation` reads the same sweep and never expands a braid:
-it carries the images of P_i and P_i^-1 as two tables of free words, and
-updates them with the short images of b_i and b_i^-1 at each singular value.
+JSON and the full-twist check, growing P_i and P_i^-1 by one half twist
+per singular value.  The van Kampen presentation of the complement equates
+Gamma_i(x_j) with x_j for the strands j of each block, under the Artin
+action on the free group with one generator per line (braid.py).
+`presentation` reads the same sweep and never expands a braid: it carries
+the images of P_i and P_i^-1 as two tables of free words, and updates them
+with the short images of b_i and b_i^-1 at each singular value.
 
 nilpotent_relations emits the three commutator relation families of the
 holonomy Lie algebra / nilpotent completion, keyed by the codimension-2
@@ -36,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, groupby, pairwise
+from math import comb, gcd
 
 from .arrangement import GenericArrangement
 from .braid import BraidWord, apply_images, artin_images, halftwist, invert, reduce_free
@@ -66,7 +68,10 @@ class NonGenericSection(ValueError):
 
 @dataclass(frozen=True)
 class SectionPlane:
-    """Parametrization x_i = t_coeffs[i] * t + s_coeffs[i] * s + consts[i]."""
+    """Parametrization x_i = t_coeffs[i] * t + s_coeffs[i] * s + consts[i].
+
+    The coefficients are ints; section_lines rejects any other entry.
+    """
 
     t_coeffs: tuple[int, ...]
     s_coeffs: tuple[int, ...]
@@ -75,19 +80,13 @@ class SectionPlane:
 
 @dataclass(frozen=True)
 class SectionLine:
-    """One section line u*t + v*s + w = 0, labeled by its (k+1)-subset.
-
-    The coefficients are ints when the plane's are (Fractions for a
-    rational plane).
-    """
+    """One section line u*t + v*s + w = 0 with integer u, v, w, labeled by
+    its (k+1)-subset."""
 
     subset: tuple[int, ...]
     u: int
     v: int
     w: int
-
-    def t_at(self, s: Fraction) -> Fraction:
-        return -(self.v * s + self.w) / self.u
 
 
 @dataclass(frozen=True)
@@ -114,16 +113,15 @@ def section_lines(
     or parallel lines (as singular_points finds them), singular points
     sharing an s-coordinate.
     """
-    n = arr.n
-    if not (len(plane.t_coeffs) == len(plane.s_coeffs) == len(plane.consts) == n):
+    rows = (plane.t_coeffs, plane.s_coeffs, plane.consts)
+    if any(len(row) != arr.n for row in rows):
         raise ValueError("plane vectors must have length n")
+    if any(type(x) is not int for row in rows for x in row):
+        raise ValueError("plane coefficients must be ints")
     lines = []
     failures = []
     for form in build_all(arr):
-        u, v, w = (
-            sum(c * x for c, x in zip(form.coeffs, row))
-            for row in (plane.t_coeffs, plane.s_coeffs, plane.consts)
-        )
+        u, v, w = (sum(c * x for c, x in zip(form.coeffs, row)) for row in rows)
         if u == 0:
             failures.append(f"line {form.subset} parallel to the t-axis")
         lines.append(SectionLine(form.subset, u, v, w))
@@ -133,10 +131,8 @@ def section_lines(
         failures.extend(exc.failures)
     if failures:
         raise NonGenericSection(failures)
-    by_s: dict[Fraction, set] = {}
-    for pt in points:
-        by_s.setdefault(pt.s, set()).add(pt)
-    for s_val, pts in by_s.items():
+    for s_val, group in groupby(points, key=lambda p: p.s):
+        pts = list(group)
         if len(pts) > 1:
             blocks = sorted(tuple(lines[i - 1].subset for i in p.block) for p in pts)
             failures.append(f"distinct singular points share s={s_val}: {blocks}")
@@ -168,13 +164,13 @@ def random_section(arr: GenericArrangement, seed: int):
 def singular_points(lines: list[SectionLine]) -> list[SingularPoint]:
     """All pairwise intersection points, grouped exactly, sorted by s.
 
-    Blocks refer to 1-based positions in the given list.  The one pass over
-    the pairs works in the lines' own arithmetic and raises
-    NonGenericSection naming every coincident or parallel pair; otherwise
-    every pair of lines meets exactly once, so the block sizes satisfy
-    sum C(|P|, 2) = C(N, 2).
+    Blocks refer to 1-based positions in the given list.  The one integer
+    pass over the pairs raises NonGenericSection naming every coincident or
+    parallel pair; otherwise every pair of lines meets exactly once, at
+    (s/d, t/d) with d > 0 and gcd(s, t, d) = 1, the key of its block, so
+    the block sizes satisfy sum C(|P|, 2) = C(N, 2).
     """
-    points: dict[tuple[Fraction, Fraction], set[int]] = {}
+    points: dict[tuple[int, int, int], set[int]] = {}
     failures = []
     for i, j in combinations(range(len(lines)), 2):
         a, b = lines[i], lines[j]
@@ -185,13 +181,14 @@ def singular_points(lines: list[SectionLine]) -> list[SingularPoint]:
             kind = "coincide" if s_num == t_num == 0 else "are parallel"
             failures.append(f"lines {a.subset} and {b.subset} {kind}")
         elif not failures:
-            key = (Fraction(s_num, denom), Fraction(t_num, denom))
+            g = gcd(s_num, t_num, denom) if denom > 0 else -gcd(s_num, t_num, denom)
+            key = (s_num // g, t_num // g, denom // g)
             points.setdefault(key, set()).update((i + 1, j + 1))
     if failures:
         raise NonGenericSection(failures)
     out = [
-        SingularPoint(s, t, tuple(sorted(block)))
-        for (s, t), block in points.items()
+        SingularPoint(Fraction(s, d), Fraction(t, d), tuple(sorted(block)))
+        for (s, t, d), block in points.items()
     ]
     out.sort(key=lambda p: p.s)
     total = sum(comb(len(p.block), 2) for p in out)
@@ -207,25 +204,28 @@ class SweepError(AssertionError):
 def _sweep(lines: list[SectionLine], points: list[SingularPoint]):
     """The sweep in increasing s: yields (point, lo, hi) per singular value.
 
-    The basepoint is one below the first singular s (the t-order, hence
-    every braid, is the same at any s below it).  Lines are renumbered as
-    strands 1..N by t-order there, and each yielded point carries its block
+    Below every crossing the t-order of the lines (no two are parallel) is
+    the same at every s, the order of their slopes v/u.  Lines are renumbered
+    as strands 1..N in that order, and each yielded point carries its block
     as strand numbers.  The block occupies positions lo..hi just below its
     value; its half twist reverses them.  Midway from the previous value
-    the predicted positions must be the lines' t-order, and the block must
-    be consecutive, or SweepError.
+    (the first one less 1), at s = p/q, each pair a, b of adjacent
+    positions must be in t-order, t_a < t_b, which in integers reads
+    ((a.v p + a.w q) b.u - (b.v p + b.w q) a.u) a.u b.u > 0; and the block
+    must be consecutive; or SweepError.
     """
-    basepoint_s = points[0].s - 1 if points else Fraction(0)
-    order = sorted(range(len(lines)), key=lambda i: lines[i].t_at(basepoint_s))
+    order = sorted(range(len(lines)), key=lambda i: Fraction(lines[i].v, lines[i].u))
     strand_of = {line_idx + 1: pos + 1 for pos, line_idx in enumerate(order)}
     sorted_lines = [lines[i] for i in order]
-    strands = range(1, len(lines) + 1)
-    positions = list(strands)  # positions[p-1] = strand at position p
-    prev_s = basepoint_s
+    positions = list(range(1, len(lines) + 1))  # positions[p-1] = strand at position p
+    prev_s = points[0].s - 1 if points else None
     for point in points:
         block = tuple(sorted(strand_of[i] for i in point.block))
         mid = (prev_s + point.s) / 2
-        if sorted(strands, key=lambda j: sorted_lines[j - 1].t_at(mid)) != positions:
+        p, q = mid.numerator, mid.denominator
+        column = (sorted_lines[j - 1] for j in positions)
+        heights = [(line.v * p + line.w * q, line.u) for line in column]
+        if any((ha * ub - hb * ua) * ua * ub <= 0 for (ha, ua), (hb, ub) in pairwise(heights)):
             raise SweepError("sweep order diverged from predicted strand positions")
         at = sorted(positions.index(j) + 1 for j in block)
         lo, hi = at[0], at[-1]
@@ -246,19 +246,14 @@ def braid_monodromy(
     block as strand numbers (see _sweep), and each braid is the conjugated
     full twist on the block, fully expanded in Artin generators.
     """
-    twists: list[tuple[int, ...]] = []
+    inverse: tuple[int, ...] = ()  # P_i^-1
+    prefix: tuple[int, ...] = ()  # P_i
     records: list[tuple[SingularPoint, BraidWord]] = []
     for point, lo, hi in _sweep(lines, points):
         beta = halftwist(lo, hi - lo + 1)
-        gamma: list[int] = []
-        for earlier in twists:
-            gamma.extend(invert(earlier))
-        gamma.extend(beta)
-        gamma.extend(beta)
-        for earlier in reversed(twists):
-            gamma.extend(earlier)
-        records.append((point, BraidWord(len(lines), tuple(gamma))))
-        twists.append(beta)
+        records.append((point, BraidWord(len(lines), inverse + beta + beta + prefix)))
+        inverse += invert(beta)
+        prefix = beta + prefix
     return records
 
 

@@ -8,23 +8,27 @@ JSON through intermediate dicts, the six-point concurrency search by cross
 products, the group triples by filtering all triples of groups, the planar
 rank oracle by one `int_rank` per collection, the class merge by
 restarting after every merge, the plane section in `Fraction`s with its
-parallel test and its intersections in two separate passes, and the van
-Kampen relators by expanding every conjugated braid and acting with it
-letter by letter.  Apart from `dims_by_rank`, which calls `int_rank`
+parallel test and its intersections in two separate passes, the sweep by
+sorting every line by its `Fraction` t-value at every midpoint, the
+monodromy braids by re-inverting every earlier half twist for every point,
+and the van Kampen relators by expanding every conjugated braid and acting
+with it letter by letter.  Apart from `dims_by_rank`, which calls `int_rank`
 (itself checked against `rank_by_minors`), `build_form_by_fractions`,
 which normalises with `primitive_int_vector`, `section_by_two_passes`,
-which substitutes into the forms of `build_all`, and
-`presentation_by_expansion`, which runs the Artin action of `braid.py`
-(its substitution step, `apply_images`, is checked on explicit words in
-test_braid.py), nothing here shares code with the elimination routines,
+which substitutes into the forms of `build_all`,
+`braid_monodromy_by_reinversion`, which builds half twists with
+`braid.halftwist`, and `presentation_by_expansion`, which runs the Artin
+action of `braid.py` (its substitution step, `apply_images`, is checked
+on explicit words in test_braid.py), nothing here shares code with the elimination routines,
 the minors table, the census keys, the JSON writer, the partition
 enumerator, the depth-first planar walk, the one-pass merge, the
-single-pass section or the image tables under test.
+single-pass section, the integer sweep, the shared-prefix braids or the
+image tables under test.
 
 The last three are not oracles but helpers that only tests read:
-`restrict` (an arrangement restricted to a flat, through `QMatrix.rref`
-and `is_trace_generic`), `permutation` (a braid word's strand permutation)
-and `shuffle` (a seeded in-place shuffle).
+`restrict` (an arrangement and its offsets restricted to a flat, through
+`QMatrix.rref` and `is_trace_generic`), `permutation` (a braid word's
+strand permutation) and `shuffle` (a seeded in-place shuffle).
 """
 
 from fractions import Fraction
@@ -32,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from discarr.arrangement import GenericArrangement, is_trace_generic
-from discarr.braid import artin_images, reduce_free
+from discarr.braid import BraidWord, artin_images, halftwist, invert, reduce_free
 from discarr.discriminantal import build_all
 from discarr.linalg import QMatrix, int_rank, primitive_int_vector
 from discarr.monodromy import (
@@ -40,6 +44,7 @@ from discarr.monodromy import (
     Presentation,
     SectionLine,
     SingularPoint,
+    SweepError,
 )
 
 
@@ -329,6 +334,62 @@ def singular_points_by_fractions(lines):
     return out
 
 
+def sweep_by_sorting(lines, points):
+    """The sweep of `monodromy._sweep`, every t-order found by sorting.
+
+    The basepoint is one below the first singular s.  The lines are sorted
+    by their `Fraction` t = -(v s + w) / u there, and again at the midpoint
+    before each singular value, where the sort must give the predicted
+    positions.  Yields (point, lo, hi) and raises SweepError as `_sweep`
+    does.
+    """
+
+    def t_at(line, s):
+        return -(line.v * s + line.w) / Fraction(line.u)
+
+    basepoint_s = points[0].s - 1 if points else Fraction(0)
+    order = sorted(range(len(lines)), key=lambda i: t_at(lines[i], basepoint_s))
+    strand_of = {line_idx + 1: pos + 1 for pos, line_idx in enumerate(order)}
+    sorted_lines = [lines[i] for i in order]
+    strands = range(1, len(lines) + 1)
+    positions = list(strands)
+    prev_s = basepoint_s
+    for point in points:
+        block = tuple(sorted(strand_of[i] for i in point.block))
+        mid = (prev_s + point.s) / 2
+        if sorted(strands, key=lambda j: t_at(sorted_lines[j - 1], mid)) != positions:
+            raise SweepError("sweep order diverged from predicted strand positions")
+        at = sorted(positions.index(j) + 1 for j in block)
+        lo, hi = at[0], at[-1]
+        if at != list(range(lo, hi + 1)):
+            raise SweepError(f"block {block} occupies non-consecutive positions {at}")
+        positions[lo - 1 : hi] = positions[lo - 1 : hi][::-1]
+        yield SingularPoint(point.s, point.t, block), lo, hi
+        prev_s = point.s
+
+
+def braid_monodromy_by_reinversion(lines, points):
+    """The records of `monodromy.braid_monodromy`, from `sweep_by_sorting`.
+
+    Each Gamma_i is written out letter by letter: every earlier half twist
+    inverted, then b_i twice, then the earlier half twists, latest first.
+    """
+    twists = []
+    records = []
+    for point, lo, hi in sweep_by_sorting(lines, points):
+        beta = halftwist(lo, hi - lo + 1)
+        gamma = []
+        for earlier in twists:
+            gamma.extend(invert(earlier))
+        gamma.extend(beta)
+        gamma.extend(beta)
+        for earlier in reversed(twists):
+            gamma.extend(earlier)
+        records.append((point, BraidWord(len(lines), tuple(gamma))))
+        twists.append(beta)
+    return records
+
+
 def presentation_by_expansion(braids, n_strands: int, reduce_relators: bool = False):
     """Van Kampen relators Gamma_i(x_j) x_j^-1 from the expanded braid words.
 
@@ -367,35 +428,33 @@ def magnus_degree2(word, n: int):
     return [coeff[a][b] - coeff[b][a] for a, b in combinations(range(1, n + 1), 2)]
 
 
-def restrict(arr, chosen, chosen_offsets=None):
+def restrict(arr, chosen, offsets=None):
     """Restrict to the flat cut out by the chosen hyperplanes.
 
-    `chosen` is a 1-based index subset of size < k; `chosen_offsets` are the
-    translate values pinning those hyperplanes (zero when omitted).  The
+    Hyperplane j is normal_j . y = offsets[j-1] (zero when `offsets` is
+    omitted).  `chosen` is a 1-based index subset of size < k.  The
     remaining hyperplanes are intersected with the flat and expressed in the
     canonical chart obtained by solving the chosen equations for the pivot
-    variables of smallest index.  Output trace-genericity is asserted.
+    variables of smallest index.  Returns the restricted arrangement and
+    the offsets of its hyperplanes.  Output trace-genericity is asserted.
     """
     chosen = tuple(sorted(chosen))
     t = len(chosen)
     if t >= arr.k:
         raise ValueError(f"can restrict to at most k-1={arr.k - 1} hyperplanes, got {t}")
+    if offsets is None:
+        offsets = (Fraction(0),) * arr.n
+    if len(offsets) != arr.n:
+        raise ValueError("one offset per hyperplane")
     if t == 0:
-        return arr
-    if chosen_offsets is None:
-        chosen_offsets = (0,) * t
-    if len(chosen_offsets) != t:
-        raise ValueError("one offset per chosen hyperplane")
+        return arr, tuple(offsets)
 
-    aug = QMatrix.from_rows(
-        [arr.normals.entries[j - 1] + (x,) for j, x in zip(chosen, chosen_offsets)]
-    )
+    aug = QMatrix.from_rows([arr.normals.entries[j - 1] + (offsets[j - 1],) for j in chosen])
     red, pivots = aug.rref()
     if len(pivots) != t or arr.k in pivots:
         raise ValueError("chosen hyperplanes do not cut a flat of codimension |T|")
     free = [c for c in range(arr.k) if c not in pivots]
 
-    base_offsets = arr.offsets if arr.offsets is not None else (Fraction(0),) * arr.n
     new_rows = []
     new_offsets = []
     for j in range(1, arr.n + 1):
@@ -409,21 +468,16 @@ def restrict(arr, chosen, chosen_offsets=None):
             for i, p in enumerate(pivots):
                 val -= row[p] * red.entries[i][f]
             new_row.append(val)
-        off = base_offsets[j - 1]
+        off = offsets[j - 1]
         for i, p in enumerate(pivots):
             off -= row[p] * red.entries[i][arr.k]
         new_rows.append(new_row)
         new_offsets.append(off)
 
-    out = GenericArrangement(
-        arr.n - t,
-        arr.k - t,
-        QMatrix.from_rows(new_rows, cols=arr.k - t),
-        tuple(new_offsets),
-    )
+    out = GenericArrangement(arr.n - t, arr.k - t, QMatrix.from_rows(new_rows, cols=arr.k - t))
     if not is_trace_generic(out):
         raise AssertionError("restriction of a generic trace must stay generic")
-    return out
+    return out, tuple(new_offsets)
 
 
 def permutation(word, n: int) -> tuple[int, ...]:

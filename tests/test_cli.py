@@ -118,6 +118,35 @@ def test_bad_input_exits_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--input", str(bad)])
     assert "1:2" in str(exc.value)
+    # a zero denominator, in the normals or the offsets, is a malformed
+    # document: one line on stderr, exit 1, no traceback
+    import subprocess
+    import sys
+
+    for doc in (
+        {"n": 3, "k": 1, "normals": [["1/0"], [2], [3]]},
+        {"n": 3, "k": 1, "normals": [[1], [2], [3]], "offsets": ["1/0", 0, 0]},
+    ):
+        bad.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "discarr.cli", "census", "--input", str(bad)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"{bad}: malformed arrangement document: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command", ["census", "relations", "gale", "section", "monodromy", "presentation"]
+)
+def test_zero_k_document_exits_one(command, tmp_path):
+    # gen --k 0 is rejected, and so is a document with k = 0
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"n": 4, "k": 0, "normals": [[], [], [], []]}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(path)])
+    assert exc.value.code == f"{path}: need n > k >= 1, got n=4, k=0"
 
 
 def test_precondition_failure_exits_one(capsys):

@@ -247,7 +247,7 @@ def test_construct_dependent_3_0():
 
 def test_construct_dependent_restriction_recovers_planar_dependency():
     lifted = construct_dependent(2, 2, seed=5)
-    small = restrict(lifted, (7, 8))
+    small, _ = restrict(lifted, (7, 8))
     assert (small.n, small.k) == (6, 3)
     [triple] = dependent_triples(small)
     assert (triple.common_count, triple.overlap_size) == (0, 2)

@@ -22,6 +22,8 @@ from discarr.monodromy import (
     Presentation,
     SectionLine,
     SectionPlane,
+    SweepError,
+    _sweep,
     braid_monodromy,
     nilpotent_relations,
     presentation,
@@ -33,11 +35,13 @@ from discarr.monodromy import (
 from discarr.rng import SplitMix64
 
 from _oracles import (
+    braid_monodromy_by_reinversion,
     magnus_degree2,
     permutation,
     presentation_by_expansion,
     section_by_two_passes,
     singular_points_by_fractions,
+    sweep_by_sorting,
 )
 
 
@@ -53,10 +57,7 @@ def records_for(arr, seed=101):
     return lines, braid_monodromy(lines, points)
 
 
-TWO_LINES = [
-    SectionLine((1, 2, 3), Fraction(1), Fraction(0), Fraction(0)),
-    SectionLine((1, 2, 4), Fraction(1), Fraction(1), Fraction(-1)),
-]
+TWO_LINES = [SectionLine((1, 2, 3), 1, 0, 0), SectionLine((1, 2, 4), 1, 1, -1)]
 
 
 def test_section_lines_counts_and_validation():
@@ -71,10 +72,16 @@ def test_section_lines_counts_and_validation():
 
 def test_degenerate_section_rejected():
     arr = random_generic(4, 2, seed=21, bound=9)
-    n = arr.n
-    zero = (Fraction(0),) * n
+    zero = (0,) * arr.n
     plane = SectionPlane(zero, zero, zero)
     with pytest.raises(NonGenericSection):
+        section_lines(arr, plane)
+
+
+def test_rational_plane_rejected():
+    arr = random_generic(4, 2, seed=21, bound=9)
+    plane = SectionPlane((3, -1, 2, 5), (1, 1, 2, 3), (1, 2, Fraction(-3, 2), 7))
+    with pytest.raises(ValueError, match="plane coefficients must be ints"):
         section_lines(arr, plane)
 
 
@@ -210,12 +217,7 @@ def test_large_section_sweep_and_total_monodromy():
 def test_section_without_s_dependence_rejected():
     # dropping the s-coefficients makes every pair of section lines parallel
     arr = random_generic(4, 2, seed=21, bound=9)
-    rng_vals = [Fraction(v) for v in (3, -1, 2, 5)]
-    plane = SectionPlane(
-        tuple(rng_vals),
-        (Fraction(0),) * 4,
-        (Fraction(1), Fraction(2), Fraction(-3), Fraction(7)),
-    )
+    plane = SectionPlane((3, -1, 2, 5), (0,) * 4, (1, 2, -3, 7))
     with pytest.raises(NonGenericSection) as exc:
         section_lines(arr, plane)
     assert any("parallel" in f for f in exc.value.failures)
@@ -279,14 +281,36 @@ def test_section_matches_fraction_oracle(case):
 
 def test_fraction_lines_match_fraction_oracle():
     assert singular_points(TWO_LINES) == singular_points_by_fractions(TWO_LINES)
-    half = SectionLine((1, 3, 4), Fraction(1, 2), Fraction(1, 3), Fraction(-1))
+    half = SectionLine((1, 3, 4), 3, 2, -6)
     [point] = singular_points([TWO_LINES[1], half])
     assert [point] == singular_points_by_fractions([TWO_LINES[1], half])
     assert (point.s, point.t) == (Fraction(-3), Fraction(4))
-    parallel = SectionLine((2, 3, 4), Fraction(2), Fraction(2), Fraction(1, 2))
+    parallel = SectionLine((2, 3, 4), 4, 4, 1)
     with pytest.raises(NonGenericSection) as exc:
         singular_points([*TWO_LINES, parallel])
     assert exc.value.failures == ["lines (1, 2, 4) and (2, 3, 4) are parallel"]
+
+
+# The integer sweep and the shared-prefix braids against the Fraction sort
+# and the re-inverting expansion.
+@settings(ORACLE_SETTINGS, max_examples=12)
+@given(arr=sectioned_arrangements(), section_seed=st.integers(0, 2**32 - 1))
+@example(arr=construct_dependent(2, 0, seed=11), section_seed=101)
+def test_sweep_and_braids_match_sorting_oracle(arr, section_seed):
+    lines, points = section_for(arr, seed=section_seed)
+    assert list(_sweep(lines, points)) == list(sweep_by_sorting(lines, points))
+    assert braid_monodromy(lines, points) == braid_monodromy_by_reinversion(lines, points)
+
+
+def test_sweep_rejects_a_missing_point():
+    # without an interior point its block is never reversed, so the next
+    # midpoint finds an adjacent pair out of t-order
+    lines, points = section_for(construct_dependent(2, 0, seed=11))
+    for i in (1, len(points) // 2, len(points) - 2):
+        missing = points[:i] + points[i + 1 :]
+        for sweep in (_sweep, sweep_by_sorting):
+            with pytest.raises(SweepError, match="diverged"):
+                list(sweep(lines, missing))
 
 
 @settings(ORACLE_SETTINGS, max_examples=12)
@@ -330,25 +354,25 @@ def test_presentation_at_35_strands():
 
 # Cross-layer checks: the section's blocks against the census, and the
 # presentation's degree-2 Magnus part against the census holonomy relations.
-def subset_of_strand(lines, records):
-    """Strand number -> (k+1)-subset, from the t-order below every point."""
-    basepoint_s = records[0][0].s - 1
-    order = sorted(lines, key=lambda line: line.t_at(basepoint_s))
+def subset_of_strand(lines):
+    """Strand number -> (k+1)-subset, from the t-order below every point:
+    as s falls, t = -(v s + w) / u orders the lines by slope v / u."""
+    order = sorted(lines, key=lambda line: Fraction(line.v, line.u))
     return {strand: line.subset for strand, line in enumerate(order, 1)}
 
 
 def census_blocks(lines, records):
     """Check 1's left side: each point's block as sorted (k+1)-subsets."""
-    subset = subset_of_strand(lines, records)
+    subset = subset_of_strand(lines)
     return sorted(tuple(sorted(subset[j] for j in p.block)) for p, _ in records)
 
 
-def holonomy_ranks(lines, points, records, census):
+def holonomy_ranks(lines, points, census):
     """Check 2: int_rank of the relators' degree-2 Magnus vectors, of the
     holonomy relations [X_j, sum_{i in P} X_i] over the census flats P (in
     strand numbers), and of both stacked."""
     n = len(lines)
-    strand = {s: j for j, s in subset_of_strand(lines, records).items()}
+    strand = {s: j for j, s in subset_of_strand(lines).items()}
     pair_index = {pair: i for i, pair in enumerate(combinations(range(1, n + 1), 2))}
     holonomy = []
     for rec in census:
@@ -369,7 +393,7 @@ def check_section_against_census(arr, section_seed):
     records = braid_monodromy(lines, points)
     census = codim2_census(arr)
     assert census_blocks(lines, records) == sorted(r.members for r in census)
-    return holonomy_ranks(lines, points, records, census)
+    return holonomy_ranks(lines, points, census)
 
 
 @pytest.mark.parametrize(
