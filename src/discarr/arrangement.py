@@ -116,13 +116,20 @@ def json_int(doc: dict, key: str) -> int:
 def arrangement_from_json(doc: dict) -> GenericArrangement:
     """The arrangement of a document; an `offsets` list of n rationals is dropped."""
     try:
+        if not isinstance(doc, dict):
+            raise TypeError("document must be a JSON object")
+        for key in ("n", "k", "normals"):
+            if key not in doc:
+                raise ValueError(f"missing field {key!r}")
         n = json_int(doc, "n")
         k = json_int(doc, "k")
         normals = QMatrix.from_rows(doc["normals"], cols=k)
+        if normals.rows != n:
+            raise ValueError("normals must be an n x k matrix")
         offsets = doc.get("offsets")
         if offsets is not None and len([to_fraction(x) for x in offsets]) != n:
             raise ValueError("offsets must have length n")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed arrangement document: {exc}") from exc
     check_shape(n, k)
     return GenericArrangement(n, k, normals)

@@ -8,7 +8,8 @@ positive denominator); matrices are immutable row-major grids of them.
 
 The hot paths never leave the integers.  Each linear-algebra question has
 one fraction-free kernel on integer rows: `reduce_row` (one row against an
-echelon; `int_rank` folds it, the planar rank walk calls it directly),
+echelon; `int_rank` folds it, the planar rank walk calls it directly, and
+its elimination step `eliminate` alone at the walk's leaves),
 `_int_rref` (Gauss-Jordan; `int_nullspace` and `QMatrix.rref` read it) and
 `_bareiss_det`.  Callers obtain the integer rows once by clearing
 denominators with `common_int_rows`, which scales a whole matrix by one
@@ -48,14 +49,12 @@ def common_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...]
     return tuple(tuple(f.numerator * (mult // f.denominator) for f in row) for row in rows)
 
 
-def reduce_row(vec: Sequence[int], echelon: list[tuple[int, Sequence[int]]]):
-    """`vec` reduced against the echelon rows: (pivot, primitive row) or None.
+def eliminate(vec: Sequence[int], echelon: list[tuple[int, Sequence[int]]]) -> Sequence[int]:
+    """`vec` with every echelon pivot eliminated, fraction-free.
 
     Each echelon row is zero at the pivots of the rows before it, so
     eliminating the pivots in order leaves the earlier ones zero, and the
-    result is None exactly when `vec` lies in the rows' span.  Fraction-free;
-    the produced row is divided by its content so the echelon's operands
-    stay small.  Mutates nothing.
+    result is zero exactly when `vec` lies in the rows' span.  Mutates nothing.
     """
     row = vec
     for p, e in echelon:
@@ -63,6 +62,16 @@ def reduce_row(vec: Sequence[int], echelon: list[tuple[int, Sequence[int]]]):
         if head:
             piv = e[p]
             row = [x * piv - y * head for x, y in zip(row, e)]
+    return row
+
+
+def reduce_row(vec: Sequence[int], echelon: list[tuple[int, Sequence[int]]]):
+    """`vec` reduced against the echelon rows: (pivot, primitive row) or None.
+
+    The row `eliminate` leaves, None when it is zero; otherwise divided by
+    its content so the echelon's operands stay small.  Mutates nothing.
+    """
+    row = eliminate(vec, echelon)
     g = gcd(*row)
     if not g:
         return None

@@ -27,21 +27,27 @@ Zariski-general trace, and verify_independence reports any sampled trace
 that disagrees (for random integer slopes the degeneration locus has
 measure zero, so the expected report is empty).
 
-The rank oracle behind verify_independence walks the collections of
-concurrency triples depth first: each node keeps the fraction-free echelon
-rows of its prefix and reduces only its new triple's slope form against
-them with `linalg.reduce_row`, the step `int_rank` folds, so a collection
-costs one reduction instead of one rank computation.
-Within one size, preorder is the lex order of `combinations`, which is the
-order the formula side reads the collections in.
+verify_independence walks the collections of concurrency triples depth
+first, twice, and both walks fill the same layout: one block per size,
+smaller sizes first, each block in the lex order of `combinations` (which
+is preorder restricted to one size).  The rank oracle's walk, once per
+trace, keeps the fraction-free echelon rows of the prefix and reduces only
+the new triple's slope form against them with `linalg.reduce_row`, the step
+`int_rank` folds; at the deepest level nothing is pushed, so the form is
+only eliminated (`linalg.eliminate`) and tested for zero.  The formula's
+walk carries the prefix's merge classes and folds in the new triple, since
+merging is an order-independent closure; each distinct class family then
+goes through `_dim_reduced` once.  The two layouts are compared position by
+position, and a collection is spelled out only where they differ.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate, combinations
 from math import comb
 
-from .linalg import reduce_row
+from .linalg import eliminate, reduce_row
 from .rng import SplitMix64
 
 SLOPE_BUDGET = 1000
@@ -57,28 +63,43 @@ def _normalize_sets(sets) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(set(out)))
 
 
+def _fold_class(classes: tuple[tuple[int, ...], ...], s) -> tuple[tuple[int, ...], ...]:
+    """merge_classes of the merged `classes` and one more sorted set `s`.
+
+    `s` absorbs every class sharing >= 2 indices with it, sweeping again
+    while the union grows; the classes it leaves share at most one index
+    with it or with each other.  The sweep runs at least once, as `s` is
+    not empty.
+    """
+    merged = set(s)
+    rest = classes
+    size = 0
+    while size != len(merged):
+        size = len(merged)
+        kept = []
+        for c in rest:
+            if len(merged.intersection(c)) >= 2:
+                merged.update(c)
+            else:
+                kept.append(c)
+        rest = kept
+    kept.append(s if size == len(s) else tuple(sorted(merged)))
+    kept.sort()
+    return tuple(kept)
+
+
 def merge_classes(sets) -> tuple[tuple[int, ...], ...]:
     """Union sets chained by pairwise intersections of size >= 2, to fixpoint.
 
-    One pass: each set absorbs every class sharing >= 2 indices with it,
-    sweeping again while the union grows, so the classes kept always share
-    at most one index pairwise.  Idempotent and independent of input order.
+    Folds the sets in one at a time (`_fold_class`), so the classes kept
+    always share at most one index pairwise.  Idempotent and independent of
+    input order, which is what lets the formula walk carry a prefix's
+    classes down to its extensions.
     """
-    classes: list[set[int]] = []
+    classes: tuple[tuple[int, ...], ...] = ()
     for s in _normalize_sets(sets):
-        merged = set(s)
-        size = 0
-        while size != len(merged):
-            size = len(merged)
-            rest = []
-            for c in classes:
-                if len(c & merged) >= 2:
-                    merged |= c
-                else:
-                    rest.append(c)
-            classes = rest
-        classes.append(merged)
-    return tuple(sorted(tuple(sorted(c)) for c in classes))
+        classes = _fold_class(classes, s)
+    return classes
 
 
 def _relabel(sets: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
@@ -291,25 +312,58 @@ def _sample_slopes(rng: SplitMix64, n: int, seed: int) -> list[int]:
     raise RuntimeError(f"no {n} distinct slopes after {SLOPE_BUDGET} draws (seed={seed})")
 
 
+def _layout(count: int, cap: int) -> tuple[list[int], int]:
+    """(first position of each collection size, total) for up to `cap` of `count` items.
+
+    Sizes 1..cap take consecutive blocks, smaller sizes first, and each
+    block holds its collections in the lex order of `combinations`.
+    """
+    starts = list(accumulate((comb(count, size) for size in range(1, cap + 1)), initial=0))
+    return starts[:-1], starts[-1]
+
+
+def _collection(items, starts: list[int], pos: int) -> tuple:
+    """The collection at position `pos` of the `_layout` of `items`."""
+    size = bisect_right(starts, pos)
+    rank = pos - starts[size - 1]
+    chosen = []
+    i = 0
+    while len(chosen) < size:
+        # the collections of this size that pick items[i] next
+        block = comb(len(items) - i - 1, size - len(chosen) - 1)
+        if rank < block:
+            chosen.append(items[i])
+        else:
+            rank -= block
+        i += 1
+    return tuple(chosen)
+
+
 def _walk(vectors, start: int, depth: int, echelon, dims: list[int], slots: list[int]) -> None:
     """Record n - rank of the current prefix extended by each form from `start` on.
 
     The prefix is a collection of `depth` forms and `echelon` holds its
     reduced rows; `slots[d]` is the next free position in `dims` for a
     collection of d + 1 forms.  Each extension recurses while the size cap,
-    len(slots), allows.
+    len(slots), allows.  A leaf's row would never be pushed, so there the
+    form is only eliminated and tested for zero.
     """
     n = len(vectors[0])
-    deeper = depth + 1 < len(slots)
     slot = slots[depth]
+    if depth + 1 == len(slots):
+        dim = n - len(echelon)
+        for i in range(start, len(vectors)):
+            dims[slot] = dim - 1 if any(eliminate(vectors[i], echelon)) else dim
+            slot += 1
+        slots[depth] = slot
+        return
     for i in range(start, len(vectors)):
         reduced = reduce_row(vectors[i], echelon)
         if reduced is not None:
             echelon.append(reduced)
         dims[slot] = n - len(echelon)
         slot += 1
-        if deeper:
-            _walk(vectors, i + 1, depth + 1, echelon, dims, slots)
+        _walk(vectors, i + 1, depth + 1, echelon, dims, slots)
         if reduced is not None:
             echelon.pop()
     slots[depth] = slot
@@ -321,16 +375,49 @@ def _check_trace(args):
     Walks the collections of triples depth first, keeping the echelon rows of
     the current prefix and reducing only the new triple's form against them.
     Preorder restricted to one size is the lex order of `combinations`, so
-    each size fills its own block of the result, smaller sizes first, in the
-    order verify_independence reads.
+    each size fills its own block of the result, smaller sizes first (the
+    `_layout` that verify_independence reads).
     """
     slopes, n, cap = args
     vectors = [_slope_form(slopes, t, n) for t in combinations(range(1, n + 1), 3)]
-    counts = [comb(len(vectors), size) for size in range(1, cap + 1)]
-    slots = list(accumulate(counts, initial=0))[:-1]
-    dims = [0] * sum(counts)
+    slots, total = _layout(len(vectors), cap)
+    dims = [0] * total
     if slots:
         _walk(vectors, 0, 0, [], dims, slots)
+    return dims
+
+
+def _formula_walk(
+    triples, start: int, depth: int, classes, n: int, dims: list[int], slots: list[int], known: dict
+) -> None:
+    """`_walk`'s twin on the formula side: dim_combinatorial of every extension.
+
+    `classes` are the merge classes of the current prefix; an extension
+    folds its one new triple into them.  Far fewer class families than
+    collections occur (6 258 of 59 535 at n = 7, cap 4), so `known` keeps
+    each family's dimension and `_dim_reduced` sees every family once.
+    """
+    deeper = depth + 1 < len(slots)
+    slot = slots[depth]
+    for i in range(start, len(triples)):
+        child = _fold_class(classes, triples[i])
+        dim = known.get(child)
+        if dim is None:
+            dim = known[child] = _dim_reduced(child, n)
+        dims[slot] = dim
+        slot += 1
+        if deeper:
+            _formula_walk(triples, i + 1, depth + 1, child, n, dims, slots, known)
+    slots[depth] = slot
+
+
+def _formula_dims(n: int, cap: int) -> list[int]:
+    """dim_combinatorial of every collection of up to `cap` triples, in `_layout` order."""
+    triples = list(combinations(range(1, n + 1), 3))
+    slots, total = _layout(len(triples), cap)
+    dims = [0] * total
+    if slots:
+        _formula_walk(triples, 0, 0, (), n, dims, slots, {})
     return dims
 
 
@@ -346,14 +433,17 @@ def verify_independence(
     For `trials` random generic traces (n distinct slopes), computes the
     codimension of every collection of concurrency hyperplanes up to the
     size cap, and reports any collection on which either two traces
-    disagree or the oracle disagrees with dim_combinatorial.  The expected
-    report has an empty discrepancy list.
+    disagree or the oracle disagrees with dim_combinatorial.  With at least
+    one trace, that is any collection on which some trace disagrees with
+    the formula.  The expected report has an empty discrepancy list.
     """
     if n < 4:
         raise ValueError("need n >= 4")
     for name, value in (("cap", tuple_size_cap), ("trials", trials), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"need {name} >= 1, got {value}")
+    # first, so that its class families are freed before the traces' dims exist
+    formula = _formula_dims(n, tuple_size_cap)
     rng = SplitMix64(seed)
     traces = [_sample_slopes(rng, n, seed) for _ in range(trials)]
     tasks = [(slopes, n, tuple_size_cap) for slopes in traces]
@@ -365,28 +455,25 @@ def verify_independence(
     else:
         per_trace = [_check_trace(t) for t in tasks]
 
+    failing = sorted({
+        pos
+        for dims in per_trace
+        if dims != formula
+        for pos, (d, f) in enumerate(zip(dims, formula))
+        if d != f
+    })
     triples = list(combinations(range(1, n + 1), 3))
-    discrepancies = []
-    checked = 0
-    pos = 0
-    for size in range(1, tuple_size_cap + 1):
-        for coll in combinations(triples, size):
-            oracle_dims = [dims[pos] for dims in per_trace]
-            formula = dim_combinatorial(coll, n)
-            checked += 1
-            if any(d != oracle_dims[0] for d in oracle_dims) or (
-                oracle_dims and formula != oracle_dims[0]
-            ):
-                discrepancies.append(
-                    {
-                        "collection": [list(t) for t in coll],
-                        "formula": formula,
-                        "oracle_dims": oracle_dims,
-                    }
-                )
-            pos += 1
+    starts, _ = _layout(len(triples), tuple_size_cap)
+    discrepancies = [
+        {
+            "collection": [list(t) for t in _collection(triples, starts, pos)],
+            "formula": formula[pos],
+            "oracle_dims": [dims[pos] for dims in per_trace],
+        }
+        for pos in failing
+    ]
     return {
         "n": n,
-        "collections_checked": checked,
+        "collections_checked": len(formula),
         "discrepancies": discrepancies,
     }

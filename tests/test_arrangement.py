@@ -104,9 +104,8 @@ def test_json_rationals_as_strings():
 
 
 def test_json_malformed_rejected():
-    with pytest.raises(ValueError):
-        arrangement_from_json({"n": 2, "k": 1, "normals": [[1], [1], [1]]})
     for doc in (
+        {"n": 2, "k": 1, "normals": [[1], [1], [1]]},
         {"n": 2, "k": 1},
         {"n": 2, "k": 1, "normals": [["1/0"], [1]]},
         {"n": 2, "k": 1, "normals": [[1], [2]], "offsets": ["1/0", 0]},
@@ -115,6 +114,22 @@ def test_json_malformed_rejected():
     ):
         with pytest.raises(ValueError, match="malformed arrangement document"):
             arrangement_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 2, "k": 1}, "missing field 'normals'"),
+        ({"k": 1, "normals": [[1], [2]]}, "missing field 'n'"),
+        ([], "document must be a JSON object"),
+        ({"n": 2, "k": 1, "normals": [[1], [1], [1]]}, "normals must be an n x k matrix"),
+    ],
+    ids=["no-normals", "no-n", "top-level-list", "extra-row"],
+)
+def test_json_malformed_message_names_the_fault(doc, message):
+    with pytest.raises(ValueError) as exc:
+        arrangement_from_json(doc)
+    assert str(exc.value) == f"malformed arrangement document: {message}"
 
 
 def test_restrict_chart_preserves_incidence_algebra():

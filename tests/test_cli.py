@@ -137,9 +137,32 @@ def test_bad_input_exits_one(tmp_path, capsys):
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "command", ["census", "relations", "gale", "section", "monodromy", "presentation"]
-)
+INPUT_COMMANDS = ["census", "relations", "gale", "section", "monodromy", "presentation"]
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_missing_field_and_non_object_documents_exit_one(command, tmp_path):
+    # neither message may leak a Python internal such as a KeyError repr or
+    # "list indices must be integers or slices, not str"
+    import subprocess
+    import sys
+
+    for doc, message in (
+        ({"n": 3, "k": 1}, "missing field 'normals'"),
+        ([], "document must be a JSON object"),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "discarr.cli", command, "--input", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"{path}: malformed arrangement document: {message}\n"
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
 def test_zero_k_document_exits_one(command, tmp_path):
     # gen --k 0 is rejected, and so is a document with k = 0
     path = tmp_path / "arr.json"

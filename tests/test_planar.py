@@ -1,14 +1,24 @@
-from itertools import combinations
-from math import gcd
+import json
+import os
+import subprocess
+import sys
+from itertools import chain, combinations
+from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discarr.linalg import int_rank, reduce_row
+from discarr import planar
 from discarr.planar import (
     _check_trace,
+    _collection,
+    _fold_class,
+    _formula_dims,
     _generic_rank,
+    _layout,
     codim_combinatorial,
     dim_combinatorial,
     merge_classes,
@@ -221,6 +231,10 @@ def traces(draw):
 @given(traces())
 @example(([1, 2, 3, 4, 5, 6], 6, 4))  # arithmetic progression: quadrangles degenerate
 @example(([0, 1, 3, 7, 12, 20, 30], 7, 4))
+@example(([5, -3, 8, 0, 11], 5, 1))  # cap 1: every node is a leaf
+@example(([1, 2, 3, 4, 5, 6], 6, 1))
+@example(([2, -9, 4, 7, -1, 12, 0], 7, 2))  # cap 2: one level of pushes
+@example(([1, 2, 4, 8, 16, 32], 6, 2))
 def test_depth_first_dims_match_per_collection_rank(trace):
     slopes, n, cap = trace
     assert _check_trace(trace) == dims_by_rank(slopes, n, cap)
@@ -260,3 +274,91 @@ def test_merge_matches_restart_oracle(family, rnd):
     shuffled = [rnd.sample(s, len(s)) for s in family]
     rnd.shuffle(shuffled)
     assert merge_classes(shuffled) == merged
+
+
+def all_collections(items, cap):
+    return chain.from_iterable(combinations(items, size) for size in range(1, cap + 1))
+
+
+@settings(ORACLE_SETTINGS, max_examples=12)
+@given(st.integers(4, 7), st.integers(1, 4))
+@example(7, 4)
+@example(4, 4)
+def test_carried_classes_give_dim_combinatorial_slot_by_slot(n, cap):
+    triples = list(combinations(range(1, n + 1), 3))
+    expected = [dim_combinatorial(coll, n) for coll in all_collections(triples, cap)]
+    assert _formula_dims(n, cap) == expected
+
+
+triple_of_ten = st.lists(st.integers(1, 10), min_size=3, max_size=3, unique=True).map(
+    lambda s: tuple(sorted(s))
+)
+
+
+@settings(ORACLE_SETTINGS, max_examples=300)
+@given(families, triple_of_ten)
+@example([[1, 2, 3], [3, 4, 5], [5, 6, 1]], (1, 3, 5))  # one triple joins three classes
+@example([[1, 2, 3, 4]], (2, 3, 4))  # absorbed into a class that contains it
+def test_folding_a_triple_into_merged_classes_matches_a_fresh_merge(prefix, triple):
+    whole = [*prefix, triple]
+    folded = _fold_class(merge_classes(prefix), triple)
+    assert folded == merge_classes(whole)
+    assert folded == merge_by_restart(whole)
+
+
+def test_collection_unranks_every_layout_position():
+    items = list(range(9))
+    starts, total = _layout(len(items), 4)
+    expected = list(all_collections(items, 4))
+    assert total == len(expected)
+    assert [_collection(items, starts, pos) for pos in range(total)] == expected
+
+
+def test_discrepancies_on_degenerate_traces_match_per_collection_report(monkeypatch):
+    # arithmetic and geometric progressions degenerate every quadrangle, so
+    # the report is non-empty; it must list exactly the collections, with
+    # the formula and every trace's dimension, that the per-collection
+    # comparison finds
+    n, cap = 6, 4
+    traces = [[3, -7, 11, 2, 5, -1], [1, 2, 3, 4, 5, 6], [1, 2, 4, 8, 16, 32]]
+    drawn = iter(traces)
+    monkeypatch.setattr(planar, "_sample_slopes", lambda rng, n, seed: next(drawn))
+    report = verify_independence(n, cap, trials=len(traces), seed=0)
+
+    per_trace = [dims_by_rank(slopes, n, cap) for slopes in traces]
+    expected = []
+    triples = list(combinations(range(1, n + 1), 3))
+    for pos, coll in enumerate(all_collections(triples, cap)):
+        oracle_dims = [dims[pos] for dims in per_trace]
+        formula = dim_combinatorial(coll, n)
+        if any(d != formula for d in oracle_dims):
+            collection = [list(t) for t in coll]
+            expected.append(
+                {"collection": collection, "formula": formula, "oracle_dims": oracle_dims}
+            )
+    assert expected  # the degenerate traces do show
+    assert report["collections_checked"] == pos + 1
+    assert report["discrepancies"] == expected
+
+
+def test_planar_verify_cli_prints_the_same_bytes_for_any_jobs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "discarr.cli", "planar-verify", "--n", "6", "--cap", "3",
+             "--trials", "3", "--seed", "0", "--jobs", jobs],
+            capture_output=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["discrepancies"] == []
+    assert report["collections_checked"] == comb(20, 1) + comb(20, 2) + comb(20, 3)
+    # the tracer's planar.memo_entries gauge reads this dict after a command
+    planar._memo.clear()
+    verify_independence(6, 3, trials=1, seed=0)
+    assert planar._memo
