@@ -6,7 +6,11 @@ for which some k+1 of the hyperplanes become concurrent form one hyperplane
 per (k+1)-subset.  This module builds those hyperplanes as exact coefficient
 vectors, enumerates every codimension-2 flat of the resulting arrangement,
 classifies each flat by its multiplicity pattern, and detects or constructs
-the geometric dependency that produces multiplicity-3 flats:
+the geometric dependency that produces multiplicity-3 flats.  The census
+tests the few forms that a pair's supports allow for membership in the
+pair's span, by one integer identity (`codim2_census`); dependent triples of
+groups of two are found by a bracket identity of the k x k minors, larger
+groups by a rank test (`dependent_triples`).  The flat kinds are:
 
 * GOOD       multiplicity k+2, the flat where a full (k+2)-subset concurs;
              there are exactly C(n, k+2) of these for every generic trace.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb
 
 from .arrangement import GenericArrangement, is_trace_generic
 from .linalg import QMatrix, int_nullspace, int_rank, primitive_int_vector
@@ -113,27 +117,6 @@ def codim_intersection(arr: GenericArrangement, subsets) -> int:
     return int_rank([build_form(arr, s).coeffs for s in subsets])
 
 
-def _plucker_key(f: DiscForm, g: DiscForm, support) -> tuple[tuple[int, int, int], ...]:
-    """Primitive Plücker vector of span(f, g): its nonzero 2x2 minors (i, j, m).
-
-    Minors outside the union `support` of the two supports vanish.  Two
-    pairs span the same 2-space exactly when their Plücker vectors are
-    proportional, so dividing by the gcd and making the first entry positive
-    gives a canonical key.
-    """
-    fc, gc = f.coeffs, g.coeffs
-    minors = []
-    content = 0
-    for i, j in combinations(support, 2):
-        m = fc[i] * gc[j] - fc[j] * gc[i]
-        if m:
-            minors.append((i, j, m))
-            content = gcd(content, m)
-    if minors[0][2] < 0:
-        content = -content
-    return tuple((i, j, m // content) for i, j, m in minors)
-
-
 def _classify(members: tuple[tuple[int, ...], ...], k: int) -> str:
     mult = len(members)
     union = set()
@@ -152,44 +135,98 @@ def _classify(members: tuple[tuple[int, ...], ...], k: int) -> str:
     return OTHER
 
 
+def _in_span(h, f, g, i, j, support) -> bool:
+    """Whether the form h lies in span(f, g), by one integer identity.
+
+    f is nonzero and g zero at coordinate i, and the other way round at j,
+    so h = a f + b g forces a = h_i / f_i and b = h_j / g_j: h is in the
+    span exactly when h f_i g_j = h_i g_j f + h_j f_i g at every coordinate
+    of `support`, the union of the supports of f and g (all three vanish
+    outside it).
+    """
+    figj = f[i] * g[j]
+    a = h[i] * g[j]
+    b = h[j] * f[i]
+    for x in support:
+        if h[x] * figj != a * f[x] + b * g[x]:
+            return False
+    return True
+
+
 def codim2_census(arr: GenericArrangement) -> list[StratumRecord]:
     """Enumerate and classify every codimension-2 flat.
 
-    Groups the unordered pairs of forms by the primitive integer Plücker
-    vector of their 2-dimensional span (see `_plucker_key`); the
-    multiplicity of a flat is the number of forms lying in the span.
+    Each pair of forms f, g spans one flat, whose members are the forms in
+    span(f, g).  Let J, K be their supports and d = |J - K|.  A third member
+    h = a f + b g has a, b != 0, so it is nonzero on the 2d indices of the
+    symmetric difference of J and K and zero outside J | K; as every form
+    has exactly k+1 nonzero entries, h has support (J ^ K) | C' for some C'
+    inside J & K with |C'| = k+1-2d.  A pair with 2d > k+1 is therefore a
+    SIMPLE crossing and needs no arithmetic (GOOD pairs have d = 1, pairs in
+    a dependent triple d = s <= (k+1)/2); any other pair tests its
+    C(k+1-d, d) candidates with `_in_span`.
 
-    A pair of forms with supports J, K and 2|J - K| > k+1 spans a SIMPLE
-    flat and is recorded without arithmetic: a third form a*f + b*g with
-    a, b != 0 is nonzero on the whole symmetric difference of J and K, which
-    has 2|J - K| entries, but every form has exactly k+1.  GOOD pairs have
-    |J - K| = 1 and pairs in a dependent triple have |J - K| = s <= (k+1)/2,
-    so neither is pruned.
+    A flat of three or more forms is emitted by its lexicographically first
+    pair.  Every later pair of it must find the same members, and the flats
+    must cover each pair exactly once, or the census raises AssertionError.
+    The multiple flats come first, most members first; the SIMPLE pairs
+    follow in the order `combinations` visits them, which is sorted order.
     """
     if arr.n < arr.k + 2:
         raise ValueError(f"census needs n >= k+2, got n={arr.n}, k={arr.k}")
     forms = build_all(arr)
-    supports = [frozenset(j - 1 for j in f.subset) for f in forms]
+    k1 = arr.k + 1
+    subsets = [f.subset for f in forms]
+    coeffs = [f.coeffs for f in forms]
+    # supports as bitmasks of 0-based coordinates
+    masks = [sum(1 << (j - 1) for j in subset) for subset in subsets]
+    index = {mask: c for c, mask in enumerate(masks)}
+    coords: dict[int, tuple[int, ...]] = {}  # J | K -> its coordinates
+    extras: dict[int, list[int]] = {}  # J & K -> the masks of its possible C'
+    flats = []  # member indices of each multiple flat, from its first pair
+    emitted = set()
+    simple = []
+    for a, (ma, fa, sa) in enumerate(zip(masks, coeffs, subsets)):
+        for b in range(a + 1, len(forms)):
+            mb = masks[b]
+            common = ma & mb
+            d = k1 - common.bit_count()
+            if 2 * d <= k1:
+                union = ma | mb
+                support = coords.get(union)
+                if support is None:
+                    support = coords[union] = tuple(x for x in range(arr.n) if union >> x & 1)
+                candidates = extras.get(common)
+                if candidates is None:
+                    bits = [1 << x for x in range(arr.n) if common >> x & 1]
+                    candidates = extras[common] = [sum(c) for c in combinations(bits, k1 - 2 * d)]
+                fb = coeffs[b]
+                i = (ma & ~mb).bit_length() - 1
+                j = (mb & ~ma).bit_length() - 1
+                sym = ma ^ mb
+                members = [a, b]
+                for extra in candidates:
+                    c = index[sym | extra]
+                    if _in_span(coeffs[c], fa, fb, i, j, support):
+                        members.append(c)
+                if len(members) > 2:
+                    members.sort()
+                    key = tuple(members)
+                    if key[:2] == (a, b):
+                        emitted.add(key)
+                        flats.append(key)
+                    elif key not in emitted:
+                        raise AssertionError("span membership produced an inconsistent flat")
+                    continue
+            simple.append(StratumRecord((sa, subsets[b]), 2, SIMPLE))
+    if sum(comb(len(key), 2) for key in flats) + len(simple) != comb(len(forms), 2):
+        raise AssertionError("span membership produced an inconsistent flat")
+    flats.sort(key=lambda key: (-len(key), key))
     records = []
-    groups: dict[tuple, dict] = {}
-    for a, b in combinations(range(len(forms)), 2):
-        overlap = len(supports[a] & supports[b])
-        if 2 * (arr.k + 1 - overlap) > arr.k + 1:
-            members = (forms[a].subset, forms[b].subset)
-            records.append(StratumRecord(members, 2, _classify(members, arr.k)))
-            continue
-        key = _plucker_key(forms[a], forms[b], sorted(supports[a] | supports[b]))
-        entry = groups.setdefault(key, {"members": set(), "pairs": 0})
-        entry["members"].add(forms[a].subset)
-        entry["members"].add(forms[b].subset)
-        entry["pairs"] += 1
-    for entry in groups.values():
-        members = tuple(sorted(entry["members"]))
-        mult = len(members)
-        if entry["pairs"] != mult * (mult - 1) // 2:
-            raise AssertionError("span grouping produced an inconsistent flat")
-        records.append(StratumRecord(members, mult, _classify(members, arr.k)))
-    records.sort(key=lambda r: (-r.multiplicity, r.members))
+    for key in flats:
+        members = tuple(subsets[c] for c in key)
+        records.append(StratumRecord(members, len(members), _classify(members, arr.k)))
+    records.extend(simple)
     return records
 
 
@@ -232,15 +269,46 @@ def _dependency_test(arr: GenericArrangement, common, groups, spans=None) -> boo
     return int_rank(rows) <= 2 * s - 2
 
 
+def _brackets(arr: GenericArrangement, common) -> dict[tuple[int, int, int], int]:
+    """The bracket [x y z] of every ordered triple of indices outside `common`.
+
+    [x y z] is the determinant of the integer normals in the row order
+    (x, y, z, *common), read off `arr.minors` with the sign of sorting that
+    order.  Up to one nonzero factor that depends only on `common`, it is
+    the 3 x 3 determinant of the normals x, y, z restricted to the common
+    hyperplanes' intersection (used when k - |common| = 3).
+    """
+    minors = arr.minors
+    pool = [j for j in range(1, arr.n + 1) if j not in common]
+    out = {}
+    for x, y, z in combinations(pool, 3):
+        # sorting (x, y, z, *common) moves each of x < y < z past the common
+        # indices below it
+        value = minors[tuple(sorted((x, y, z) + common))]
+        if sum(c < u for u in (x, y, z) for c in common) % 2:
+            value = -value
+        out[x, y, z] = out[y, z, x] = out[z, x, y] = value
+        out[y, x, z] = out[x, z, y] = out[z, y, x] = -value
+    return out
+
+
 def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
     """All triples of forms meeting in codimension 2 for dependency reasons.
 
     Candidates are pruned combinatorially first: a triple can only fail
     transversality if each subset is covered by its overlaps with the other
     two, the three-way overlap has some size t with k+1-t even, and the
-    pairwise overlaps outside it all have equal size s >= 2.  Each surviving
-    candidate then takes the geometric span test; a group's direction space
-    is computed once per call and shared by every candidate containing it.
+    pairwise overlaps outside it all have equal size s >= 2.
+
+    For s = 2 the trace restricted to the t common hyperplanes is a
+    3-dimensional space, and each group {a, b} cuts a direction line in it.
+    Three such lines are coplanar exactly when the lines through the
+    normals' points ab, cd, ef concur in the dual projective plane, which
+    is the classical bracket identity [a b e][c d f] = [a b f][c d e]; the
+    brackets of each common set are built once by `_brackets`.  Larger
+    groups take the span test `_dependency_test`, where a group's
+    direction space is computed once per call and shared by every candidate
+    containing it.
     """
     if not is_trace_generic(arr):
         raise ValueError("trace must be generic")
@@ -252,9 +320,15 @@ def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
             continue
         for common in combinations(range(1, arr.n + 1), t):
             pool = tuple(j for j in range(1, arr.n + 1) if j not in set(common))
+            brackets = _brackets(arr, common) if s == 2 else None
             for union in combinations(pool, 3 * s):
                 for g1, g2, g3 in group_partitions(union, s):
-                    if not _dependency_test(arr, common, (g1, g2, g3), spans):
+                    if brackets is not None:
+                        (a, b), (c, d), (e, f) = g1, g2, g3
+                        left = brackets[a, b, e] * brackets[c, d, f]
+                        if left != brackets[a, b, f] * brackets[c, d, e]:
+                            continue
+                    elif not _dependency_test(arr, common, (g1, g2, g3), spans):
                         continue
                     pairs = ((g1, g2), (g2, g3), (g1, g3))
                     members = tuple(sorted(tuple(sorted(common + x + y)) for x, y in pairs))

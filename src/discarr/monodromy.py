@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, pairwise
+from itertools import combinations, pairwise
 from math import comb, gcd
 
 from .arrangement import GenericArrangement
@@ -126,19 +126,24 @@ def section_lines(
             failures.append(f"line {form.subset} parallel to the t-axis")
         lines.append(SectionLine(form.subset, u, v, w))
     try:
-        points = singular_points(lines)
+        crossings = _crossings(lines)
     except NonGenericSection as exc:
         failures.extend(exc.failures)
     if failures:
         raise NonGenericSection(failures)
-    for s_val, group in groupby(points, key=lambda p: p.s):
-        pts = list(group)
-        if len(pts) > 1:
-            blocks = sorted(tuple(lines[i - 1].subset for i in p.block) for p in pts)
-            failures.append(f"distinct singular points share s={s_val}: {blocks}")
+    # shared s-values are found on the integer keys, so a rejected plane
+    # builds a Fraction only for the s-values it names
+    by_s: dict[tuple[int, int], list[set[int]]] = {}
+    for (s, _, d), block in crossings.items():
+        g = gcd(s, d)
+        by_s.setdefault((s // g, d // g), []).append(block)
+    shared = {Fraction(*key): group for key, group in by_s.items() if len(group) > 1}
+    for s_val, group in sorted(shared.items()):
+        blocks = sorted(tuple(lines[i - 1].subset for i in sorted(block)) for block in group)
+        failures.append(f"distinct singular points share s={s_val}: {blocks}")
     if failures:
         raise NonGenericSection(failures)
-    return lines, points
+    return lines, singular_points(lines, crossings)
 
 
 def random_section(arr: GenericArrangement, seed: int):
@@ -161,15 +166,28 @@ def random_section(arr: GenericArrangement, seed: int):
     raise RuntimeError(f"no generic section after {SECTION_BUDGET} draws (seed={seed})")
 
 
-def singular_points(lines: list[SectionLine]) -> list[SingularPoint]:
+def singular_points(lines: list[SectionLine], crossings=None) -> list[SingularPoint]:
     """All pairwise intersection points, grouped exactly, sorted by s.
 
     Blocks refer to 1-based positions in the given list.  The one integer
-    pass over the pairs raises NonGenericSection naming every coincident or
-    parallel pair; otherwise every pair of lines meets exactly once, at
-    (s/d, t/d) with d > 0 and gcd(s, t, d) = 1, the key of its block, so
-    the block sizes satisfy sum C(|P|, 2) = C(N, 2).
+    pass over the pairs (`_crossings`) raises NonGenericSection naming every
+    coincident or parallel pair; otherwise every pair of lines meets exactly
+    once, at (s/d, t/d) with d > 0 and gcd(s, t, d) = 1, the key of its
+    block, so the block sizes satisfy sum C(|P|, 2) = C(N, 2).  `crossings`,
+    if given, is that pass's result, which the caller already holds.
     """
+    if crossings is None:
+        crossings = _crossings(lines)
+    out = [
+        SingularPoint(Fraction(s, d), Fraction(t, d), tuple(sorted(block)))
+        for (s, t, d), block in crossings.items()
+    ]
+    out.sort(key=lambda p: p.s)
+    return out
+
+
+def _crossings(lines: list[SectionLine]) -> dict[tuple[int, int, int], set[int]]:
+    """The blocks of singular_points keyed by their integer (s, t, d)."""
     points: dict[tuple[int, int, int], set[int]] = {}
     failures = []
     for i, j in combinations(range(len(lines)), 2):
@@ -186,15 +204,10 @@ def singular_points(lines: list[SectionLine]) -> list[SingularPoint]:
             points.setdefault(key, set()).update((i + 1, j + 1))
     if failures:
         raise NonGenericSection(failures)
-    out = [
-        SingularPoint(Fraction(s, d), Fraction(t, d), tuple(sorted(block)))
-        for (s, t, d), block in points.items()
-    ]
-    out.sort(key=lambda p: p.s)
-    total = sum(comb(len(p.block), 2) for p in out)
+    total = sum(comb(len(block), 2) for block in points.values())
     if total != comb(len(lines), 2):
         raise AssertionError("pair count identity violated")
-    return out
+    return points
 
 
 class SweepError(AssertionError):

@@ -3,7 +3,8 @@
 Deliberately naive: determinant by permutation expansion, rank by largest
 nonvanishing minor, reduced row echelon form by `Fraction` Gauss-Jordan,
 the concurrency forms from `Fraction` minors of the unscaled normals, the
-codimension-2 census by testing every form against every pair, the census
+codimension-2 census by testing every form against every pair and by
+grouping the pairs under the primitive Plücker vector of their span, the census
 JSON through intermediate dicts, the six-point concurrency search by cross
 products, the group triples by filtering all triples of groups, the planar
 rank oracle by one `int_rank` per collection, the class merge by
@@ -20,7 +21,7 @@ which substitutes into the forms of `build_all`,
 `braid.halftwist`, and `presentation_by_expansion`, which runs the Artin
 action of `braid.py` (its substitution step, `apply_images`, is checked
 on explicit words in test_braid.py), nothing here shares code with the elimination routines,
-the minors table, the census keys, the JSON writer, the partition
+the minors table, the census's candidate test, the brackets, the JSON writer, the partition
 enumerator, the depth-first planar walk, the one-pass merge, the
 single-pass section, the integer sweep, the shared-prefix braids or the
 image tables under test.
@@ -34,6 +35,7 @@ strand permutation) and `shuffle` (a seeded in-place shuffle).
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb, gcd
 
 from discarr.arrangement import GenericArrangement, is_trace_generic
 from discarr.braid import BraidWord, artin_images, halftwist, invert, reduce_free
@@ -178,6 +180,37 @@ def census_by_minors(forms, k: int):
             )
         )
         flats.add(members)
+    return _census_records(flats, k)
+
+
+def census_by_plucker_keys(forms, k: int):
+    """Codimension-2 flats of the discriminantal forms, by Plücker vectors.
+
+    `forms` is as for `census_by_minors`.  Every pair of forms is keyed by
+    the primitive integer Plücker vector of its span: all of its 2 x 2
+    minors, divided by their gcd, signed so the first nonzero one is
+    positive.  Two pairs span the same 2-space exactly when the keys agree;
+    a flat's members are the forms of the pairs under one key, and a key
+    must hold C(m, 2) pairs for its m members.
+    """
+    groups = {}
+    for (sa, fa), (sb, fb) in combinations(forms, 2):
+        minors = [fa[i] * fb[j] - fa[j] * fb[i] for i, j in combinations(range(len(fa)), 2)]
+        content = gcd(*minors)
+        if next(m for m in minors if m) < 0:
+            content = -content
+        key = tuple(m // content for m in minors)
+        members, pairs = groups.get(key, (set(), 0))
+        groups[key] = (members | {sa, sb}, pairs + 1)
+    flats = set()
+    for members, pairs in groups.values():
+        assert pairs == comb(len(members), 2), "pairs of one key do not form a flat"
+        flats.add(tuple(sorted(members)))
+    return _census_records(flats, k)
+
+
+def _census_records(flats, k: int):
+    """Sorted (members, multiplicity, kind) triples, most members first."""
     out = []
     for members in flats:
         union = sorted(set().union(*members))
@@ -192,6 +225,8 @@ def census_by_minors(forms, k: int):
         out.append((members, len(members), kind))
     out.sort(key=lambda rec: (-rec[1], rec[0]))
     return out
+
+
 
 
 def _pair_partitions(items):

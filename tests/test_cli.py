@@ -194,14 +194,16 @@ def test_census_other_stratum_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_census_inconsistent_flat_exits_two(tmp_path, capsys, monkeypatch):
-    # one key for every pair merges distinct flats; the census consistency
-    # check must surface that as a discrepancy, not a traceback
+    # a membership test that accepts every candidate merges distinct flats;
+    # the census consistency check must surface that as a discrepancy, not a
+    # traceback.  At k <= 3 the candidates of every pair happen to form a
+    # consistent partition, so the input has k = 4.
     import discarr.discriminantal as disc
 
     arr_path = str(tmp_path / "arr.json")
-    run(["gen", "--n", "5", "--k", "2", "--seed", "3", "--output", arr_path], capsys)
+    run(["gen", "--n", "7", "--k", "4", "--seed", "3", "--output", arr_path], capsys)
 
-    monkeypatch.setattr(disc, "_plucker_key", lambda f, g, support: ())
+    monkeypatch.setattr(disc, "_in_span", lambda h, f, g, i, j, support: True)
     code = main(["census", "--input", arr_path])
     captured = capsys.readouterr()
     assert code == 2

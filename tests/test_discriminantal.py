@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -13,11 +13,13 @@ from discarr.arrangement import (
     is_trace_generic,
     random_generic,
 )
+import discarr.discriminantal as disc
 from discarr.discriminantal import (
     DEPENDENT,
     GOOD,
     OTHER,
     SIMPLE,
+    _brackets,
     _dependency_test,
     build_all,
     build_form,
@@ -27,16 +29,19 @@ from discarr.discriminantal import (
     dependent_triples,
     group_partitions,
 )
-from discarr.linalg import QMatrix, int_rank
+from discarr.linalg import QMatrix, _bareiss_det, int_rank
 from discarr.rng import SplitMix64
 
 from _oracles import (
     build_form_by_fractions,
     census_by_minors,
+    census_by_plucker_keys,
     det_by_permutations,
     disjoint_group_triples,
+    perm_sign,
     rank_by_minors,
     restrict,
+    shuffle,
 )
 
 DEP63_TRIPLE = ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
@@ -344,10 +349,13 @@ def oracle_census(arr):
     return census_by_minors([(f.subset, f.coeffs) for f in build_all(arr)], arr.k)
 
 
-def triples_call_by_call(arr):
-    """Members of every candidate passing `_dependency_test` with no shared memo."""
+def triples_call_by_call(arr, sizes=None):
+    """Members of every candidate passing `_dependency_test` with no shared memo.
+
+    `sizes` limits the group sizes s searched; all of them by default.
+    """
     found = []
-    for s in range(2, (arr.k + 1) // 2 + 1):
+    for s in sizes or range(2, (arr.k + 1) // 2 + 1):
         t = arr.k + 1 - 2 * s
         for common in combinations(range(1, arr.n + 1), t):
             pool = tuple(j for j in range(1, arr.n + 1) if j not in common)
@@ -388,6 +396,122 @@ def test_census_matches_minor_oracle_dependent(shape, seed):
 def test_dependent_triples_memo_matches_call_by_call(shape, seed):
     arr = construct_dependent(*shape, seed=seed)
     assert [d.members for d in dependent_triples(arr)] == triples_call_by_call(arr)
+
+
+# The candidate census against both brute-force censuses, and the s = 2
+# bracket test against the span test, candidate by candidate.
+CENSUS_SHAPES = {
+    k: [(n, k) for n in range(k + 2, k + 5) if comb(n, k + 1) <= 56] for k in range(1, 7)
+}
+
+
+def oracle_censuses(arr):
+    forms = [(f.subset, f.coeffs) for f in build_all(arr)]
+    return census_by_minors(forms, arr.k), census_by_plucker_keys(forms, arr.k)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@settings(ORACLE_SETTINGS, max_examples=3)
+@given(data=st.data())
+def test_census_matches_both_oracles_generic(k, data):
+    n, _ = data.draw(st.sampled_from(CENSUS_SHAPES[k]))
+    arr = random_generic(n, k, seed=data.draw(st.integers(0, 2**32 - 1)), bound=max(n, 10))
+    by_minors, by_keys = oracle_censuses(arr)
+    assert census_summary(arr) == by_minors == by_keys
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0)], ids=["s2t0", "s2t1", "s2t2", "s2t3", "s3t0"]
+)
+@settings(ORACLE_SETTINGS, max_examples=1)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_census_matches_both_oracles_dependent(shape, seed):
+    arr = construct_dependent(*shape, seed=seed)
+    by_minors, by_keys = oracle_censuses(arr)
+    assert census_summary(arr) == by_minors == by_keys
+
+
+def test_census_inconsistent_membership_raises(monkeypatch):
+    arr = random_generic(6, 3, seed=31, bound=12)
+    assert not dependent_triples(arr)
+    forms = {f.subset: f.coeffs for f in build_all(arr)}
+    real = disc._in_span
+
+    # a form dropped from one span: a later pair of its GOOD flat finds a
+    # member set that the flat's first pair never emitted
+    first = forms[1, 2, 3, 4]
+    monkeypatch.setattr(disc, "_in_span", lambda h, *rest: h != first and real(h, *rest))
+    with pytest.raises(AssertionError, match="inconsistent flat"):
+        codim2_census(arr)
+
+    # a form added to one span: the false triple and the true simple
+    # crossings of its other pairs both cover those pairs
+    f, g, h = forms[1, 2, 3, 4], forms[1, 2, 5, 6], forms[3, 4, 5, 6]
+    monkeypatch.setattr(
+        disc, "_in_span", lambda *args: args[:3] == (h, f, g) or real(*args)
+    )
+    with pytest.raises(AssertionError, match="inconsistent flat"):
+        codim2_census(arr)
+
+
+def hexagon():
+    """Six points of an affinely regular hexagon as k = 3 normals (x, y, 1).
+
+    No three are collinear, but the three main diagonals meet at the centre
+    and each of the three classes of parallel sides and diagonal meets at
+    infinity, so the trace is generic with four dependent triples.
+    """
+    rows = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
+    return GenericArrangement(6, 3, QMatrix.from_rows(rows))
+
+
+def test_hexagon_has_four_dependent_triples():
+    arr = hexagon()
+    assert is_trace_generic(arr)
+    triples = [d.members for d in dependent_triples(arr)]
+    assert len(triples) == 4
+    assert triples == triples_call_by_call(arr)
+    assert triples == [m for m, _, kind in census_summary(arr) if kind == DEPENDENT]
+
+
+@st.composite
+def two_group_arrangements(draw):
+    """Arrangements with k >= 3, generic or carrying one s = 2 triple."""
+    t = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return construct_dependent(2, t, seed=seed)
+    k = t + 3
+    n = draw(st.integers(k + 3, k + 4))
+    return random_generic(n, k, seed=seed, bound=max(n, 10))
+
+
+@settings(ORACLE_SETTINGS, max_examples=16)
+@given(two_group_arrangements())
+def test_bracket_identity_matches_span_test(arr):
+    found = [d.members for d in dependent_triples(arr) if d.overlap_size == 2]
+    assert found == triples_call_by_call(arr, sizes=(2,))
+
+
+@settings(ORACLE_SETTINGS, max_examples=10)
+@given(t=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_brackets_are_signed_determinants(t, seed):
+    k = t + 3
+    arr = random_generic(k + 3, k, seed=seed, bound=10)
+    rng = SplitMix64(seed)
+    pool = list(range(1, arr.n + 1))
+    shuffle(rng, pool)
+    common = tuple(sorted(pool[:t]))
+    brackets = _brackets(arr, common)
+    rest = [j for j in range(1, arr.n + 1) if j not in common]
+    assert set(brackets) == {tuple(p) for c in combinations(rest, 3) for p in permutations(c)}
+    for triple, value in brackets.items():
+        rows = list(triple + common)
+        assert value == _bareiss_det([list(arr.int_normals[i - 1]) for i in rows])
+        order = list(range(k))
+        shuffle(rng, order)
+        shuffled = [list(arr.int_normals[rows[p] - 1]) for p in order]
+        assert perm_sign(order) * value == _bareiss_det(shuffled)
 
 
 @st.composite

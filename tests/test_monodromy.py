@@ -279,6 +279,25 @@ def test_section_matches_fraction_oracle(case):
         assert section_lines(arr, plane) == expected
 
 
+def test_shared_s_rejected_before_points_are_built(monkeypatch):
+    # the shared-s test reads the integer keys: a rejected plane never
+    # builds the sorted Fraction points
+    import discarr.monodromy as monodromy
+
+    plane = SectionPlane((1, 0, -1, 1, -2), (2, -1, 1, 1, -1), (2, 0, 1, -2, -2))
+    with pytest.raises(NonGenericSection) as expected:
+        section_by_two_passes(B52, plane)
+
+    def unreachable(lines, crossings=None):
+        raise AssertionError("points built for a rejected plane")
+
+    monkeypatch.setattr(monodromy, "singular_points", unreachable)
+    with pytest.raises(NonGenericSection) as got:
+        section_lines(B52, plane)
+    assert got.value.failures == expected.value.failures
+    assert len(got.value.failures) == 1 and "share s=-140/89" in got.value.failures[0]
+
+
 def test_fraction_lines_match_fraction_oracle():
     assert singular_points(TWO_LINES) == singular_points_by_fractions(TWO_LINES)
     half = SectionLine((1, 3, 4), 3, 2, -6)
