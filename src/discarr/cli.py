@@ -8,15 +8,21 @@ flagged, never swallowed.
 
 Same command, same seed: byte-identical output, on any machine (all
 randomness flows from the splitmix64-v1 generator in rng.py).
+
+Every JSON document is `json.dumps(value, sort_keys=True, indent=2) + "\n"`
+byte for byte.  Small ones are made by that call.  The large ones (census,
+relations, monodromy) are formatted per record from fixed templates, with
+each integer row's text memoised, and written about every CHUNK characters,
+so the whole document is never held in memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
-from json.encoder import encode_basestring_ascii
 
 from . import acceptance
 from .arrangement import arrangement_from_json, arrangement_to_json, random_generic
@@ -39,115 +45,68 @@ from .planar import verify_independence
 OK, PRECONDITION, DISCREPANCY = 0, 1, 2
 
 
-class _Fields(tuple):
-    """(key, value) pairs in key order, written as a JSON object."""
+CHUNK = 1 << 16  # characters buffered per write
 
 
-_SCALARS = (str, int, float, type(None))  # bool is an int
-
-
-def _pairs(value):
-    """An object's (key, value) pairs in output order, or None for an array."""
-    if isinstance(value, dict):
-        return sorted(value.items())
-    if isinstance(value, _Fields):
-        return value
-    return None
-
-
-class _JsonWriter:
-    """Writes `json.dumps(value, sort_keys=True, indent=2) + "\\n"` in chunks.
-
-    Takes what that call takes here (dicts with str keys, lists, tuples,
-    str, int, bool, None, float) and two lazy forms, so that large outputs
-    are formatted straight from their records and never held whole: any
-    other iterable is an array, and `_Fields` an object.  The top-level
-    value and every lazy array go out item by item; each item is formatted
-    whole.  Strings are escaped by the stdlib's own `encode_basestring_ascii`.
-    """
-
-    CHUNK = 1024  # pieces buffered per write
-
-    def __init__(self, fh):
-        self._fh = fh
-        self._parts: list[str] = []
-        # (level, integer tuple) -> text: a census repeats each (k+1)-subset
-        # in hundreds of records
-        self._rows: dict[tuple, str] = {}
-
-    def document(self, value) -> None:
-        self._stream(value, 0)
-        self._parts.append("\n")
-        self._fh.write("".join(self._parts))
-        self._parts.clear()
-
-    def _put(self, text: str) -> None:
-        self._parts.append(text)
-        if len(self._parts) >= self.CHUNK:
-            self._fh.write("".join(self._parts))
-            self._parts.clear()
-
-    def _stream(self, value, level: int) -> None:
-        concrete = isinstance(value, (dict, list, tuple))
-        if isinstance(value, _SCALARS) or (level > 0 and concrete):
-            self._put(self._text(value, level))
-            return
-        outer = "\n" + "  " * level
-        inner = outer + "  "
-        pairs = _pairs(value)
-        if pairs is not None:
-            brackets, sep = "{}", "{" + inner
-            for key, item in pairs:
-                self._put(sep + encode_basestring_ascii(key) + ": ")
-                self._stream(item, level + 1)
-                sep = "," + inner
-        else:
-            brackets, sep = "[]", "[" + inner
-            for item in value:
-                self._put(sep)
-                self._stream(item, level + 1)
-                sep = "," + inner
-        self._put(outer + brackets[1] if sep[0] == "," else brackets)
-
-    def _text(self, value, level: int) -> str:
-        """`value` formatted whole, laid out for nesting depth `level`."""
-        kind = type(value)
-        if kind is str:
-            return encode_basestring_ascii(value)
-        if kind is int:
-            return int.__repr__(value)
-        if isinstance(value, _SCALARS):
-            return json.dumps(value)
-        outer = "\n" + "  " * level
-        inner = outer + "  "
-        if kind is tuple and value and all(type(x) is int for x in value):
-            text = self._rows.get((level, value))
-            if text is None:
-                text = "[" + inner + ("," + inner).join(map(str, value)) + outer + "]"
-                self._rows[level, value] = text
-            return text
-        pairs = _pairs(value)
-        if pairs is not None:
-            if not pairs:
-                return "{}"
-            body = [
-                encode_basestring_ascii(key) + ": " + self._text(item, level + 1)
-                for key, item in pairs
-            ]
-            return "{" + inner + ("," + inner).join(body) + outer + "}"
-        body = [self._text(item, level + 1) for item in value]
-        if not body:
-            return "[]"
-        return "[" + inner + ("," + inner).join(body) + outer + "]"
+def _opened(output: str | None):
+    """The --output file opened for writing, or stdout."""
+    if not output:
+        return nullcontext(sys.stdout)
+    try:
+        return open(output, "w")
+    except OSError as exc:
+        raise ValueError(f"{output}: {exc.strerror}") from None
 
 
 def _emit(payload, output: str | None) -> None:
-    """Write text as is, or anything else through _JsonWriter."""
-    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
-        if isinstance(payload, str):
-            fh.write(payload)
-        else:
-            _JsonWriter(fh).document(payload)
+    """Write text as is, or a small document as sorted, indented JSON."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with _opened(output) as fh:
+        fh.write(payload)
+
+
+def _write_array(fh, texts, level: int) -> None:
+    """The JSON array of the items' texts at nesting depth `level`, written
+    about every CHUNK characters, so that a document of large records (a
+    braid word is tens of kB at N = 70) is never held whole."""
+    inner = "\n" + "  " * (level + 1)
+    sep = "," + inner
+    head, parts, size = "[" + inner, [], 0
+    for text in texts:
+        parts.append(text)
+        size += len(text)
+        if size >= CHUNK:
+            fh.write(head + sep.join(parts))
+            head, parts, size = sep, [], 0
+    if parts:
+        fh.write(head + sep.join(parts))
+        head = sep
+    fh.write("[]" if head[0] == "[" else inner[:-2] + "]")
+
+
+def _array(texts, level: int) -> str:
+    """The JSON array of the items' texts at nesting depth `level`, whole."""
+    inner = "\n" + "  " * (level + 1)
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + inner[:-2] + "]" if body else "[]"
+
+
+class _Memo(dict):
+    """fn(key) for each key looked up, computed once: a census repeats each
+    (k+1)-subset in hundreds of records, and a braid word each letter."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _int_rows(level: int):
+    """The memoised text of integer tuples as arrays at depth `level`."""
+    return _Memo(lambda row: _array(map(str, row), level)).__getitem__
 
 
 def _load_arrangement(path: str):
@@ -174,7 +133,8 @@ def _cmd_gen(args) -> int:
 def _cmd_census(args) -> int:
     arr = _load_arrangement(args.input)
     records = codim2_census(arr)
-    _emit((_census_fields(rec, arr.k) for rec in records), args.output)
+    with _opened(args.output) as fh:
+        _write_census(fh, records, arr.k)
     if any(r.kind == OTHER for r in records):
         bad = [r for r in records if r.kind == OTHER]
         print(f"UNCLASSIFIED codimension-2 strata found: {bad}", file=sys.stderr)
@@ -182,13 +142,24 @@ def _cmd_census(args) -> int:
     return OK
 
 
-def _census_fields(rec, k: int) -> _Fields:
-    """One census record; dependent ones also carry t and s = (k+1-t)/2."""
-    fields = (("kind", rec.kind), ("members", rec.members), ("multiplicity", rec.multiplicity))
-    if rec.kind == DEPENDENT:
-        t = len(set(rec.members[0]).intersection(*rec.members[1:]))
-        fields += (("s", (k + 1 - t) // 2), ("t", t))
-    return _Fields(fields)
+def _write_census(fh, records, k: int) -> None:
+    """The census, one object per record; dependent ones also carry t and
+    s = (k+1-t)/2."""
+    rows = _int_rows(3)
+
+    def text(rec):
+        extra = ""
+        if rec.kind == DEPENDENT:
+            t = len(set(rec.members[0]).intersection(*rec.members[1:]))
+            extra = f',\n    "s": {(k + 1 - t) // 2},\n    "t": {t}'
+        members = ",\n      ".join(map(rows, rec.members))  # _array, never empty
+        return (
+            f'{{\n    "kind": "{rec.kind}",\n    "members": [\n      {members}\n    ],'
+            f'\n    "multiplicity": {rec.multiplicity}{extra}\n  }}'
+        )
+
+    _write_array(fh, map(text, records), 0)
+    fh.write("\n")
 
 
 def _cmd_dependent_construct(args) -> int:
@@ -272,25 +243,34 @@ def _section(args):
 
 def _cmd_monodromy(args) -> int:
     lines, points = _section(args)
-    records = braid_monodromy(lines, points)
-    # words go out as lists: the writer keeps the text of every int tuple
     braids = (
-        _Fields((("block", list(pt.block)), ("s", _frac(pt.s)), ("word", list(braid.letters))))
-        for pt, braid in records
+        (pt.block, pt.s, braid.letters) for pt, braid in braid_monodromy(lines, points)
     )
-    _emit({"N": len(lines), "braids": braids}, args.output)
+    with _opened(args.output) as fh:
+        _write_monodromy(fh, len(lines), braids)
     return OK
+
+
+def _write_monodromy(fh, n: int, braids) -> None:
+    """{"N": n, "braids": [...]}, one object per (block, s, word)."""
+    letters = _Memo(str).__getitem__
+
+    def text(braid):
+        block, s, word = braid
+        return (
+            f'{{\n      "block": {_array(map(str, block), 3)},\n      "s": "{_frac(s)}",'
+            f'\n      "word": {_array(map(letters, word), 3)}\n    }}'
+        )
+
+    fh.write(f'{{\n  "N": {n},\n  "braids": ')
+    _write_array(fh, map(text, braids), 1)
+    fh.write("\n}\n")
 
 
 def _cmd_presentation(args) -> int:
     pres = presentation(*_section(args), reduce_relators=args.reduce)
     _emit(presentation_to_text(pres), args.output)
     return OK
-
-
-def _objects(keys, rows):
-    """Each row as a JSON object with the given (sorted) keys, lazily."""
-    return (_Fields(zip(keys, row)) for row in rows)
 
 
 def _cmd_relations(args) -> int:
@@ -300,20 +280,32 @@ def _cmd_relations(args) -> int:
     except AssertionError as exc:
         print(f"census cross-check failed: {exc}", file=sys.stderr)
         return DISCREPANCY
-    _emit(
-        {
-            "full_sets": _objects(("J", "K"), families.full_sets),
-            "dependents": _objects(("J", "triple"), families.dependents),
-            "commuting": _objects(("J", "K"), families.commuting),
-            "counts": {
-                "full_sets": len(families.full_sets),
-                "dependents": len(families.dependents),
-                "commuting": len(families.commuting),
-            },
-        },
-        args.output,
-    )
+    with _opened(args.output) as fh:
+        _write_relations(fh, families)
     return OK
+
+
+def _write_relations(fh, families) -> None:
+    """The three families as arrays of {"J": ..., "K" or "triple": ...}, and
+    their sizes."""
+    rows, subsets = _int_rows(3), _int_rows(4)
+    triples = _Memo(lambda members: _array(map(subsets, members), 3)).__getitem__
+
+    def pairs(family, key, value):
+        for j, x in family:
+            yield f'{{\n      "J": {rows(j)},\n      "{key}": {value(x)}\n    }}'
+
+    fh.write('{\n  "commuting": ')
+    _write_array(fh, pairs(families.commuting, "K", rows), 1)
+    fh.write(
+        f',\n  "counts": {{\n    "commuting": {len(families.commuting)},'
+        f'\n    "dependents": {len(families.dependents)},'
+        f'\n    "full_sets": {len(families.full_sets)}\n  }},\n  "dependents": '
+    )
+    _write_array(fh, pairs(families.dependents, "triple", triples), 1)
+    fh.write(',\n  "full_sets": ')
+    _write_array(fh, pairs(families.full_sets, "K", rows), 1)
+    fh.write("\n}\n")
 
 
 def _cmd_accept(args) -> int:
@@ -411,7 +403,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PRECONDITION
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION

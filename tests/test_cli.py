@@ -1,13 +1,23 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discarr.arrangement import random_generic
-from discarr.cli import _census_fields, _Fields, _JsonWriter, main
-from discarr.discriminantal import DEPENDENT, codim2_census, construct_dependent
+from discarr.cli import CHUNK, _write_census, _write_monodromy, _write_relations, main
+from discarr.discriminantal import (
+    DEPENDENT,
+    GOOD,
+    OTHER,
+    SIMPLE,
+    StratumRecord,
+    codim2_census,
+    construct_dependent,
+)
+from discarr.monodromy import RelationFamilies
 
 from _oracles import census_to_json
 
@@ -437,12 +447,12 @@ def test_empty_or_zero_size_arguments_exit_one(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-# The streaming writer against json.dumps(sort_keys=True, indent=2).
+# The record formatters against json.dumps(sort_keys=True, indent=2).
 
 
-def written(payload) -> str:
+def written(write, *args) -> str:
     buf = io.StringIO()
-    _JsonWriter(buf).document(payload)
+    write(buf, *args)
     return buf.getvalue()
 
 
@@ -450,45 +460,78 @@ def dumped(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def lazy(value):
-    """The same document with every object as _Fields and every array an iterator."""
-    if isinstance(value, dict):
-        return _Fields(sorted((key, lazy(item)) for key, item in value.items()))
-    if isinstance(value, (list, tuple)):
-        return iter([lazy(item) for item in value])
-    return value
-
-
-JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers(-(10**12), 10**12)
-    | st.floats()
-    | st.text(max_size=6)
-    | st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+ORACLE = settings(deadline=None, derandomize=True, database=None, max_examples=200)
+ROWS = st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True).map(
+    lambda row: tuple(sorted(row))
 )
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=20,
+KINDS = st.sampled_from([GOOD, DEPENDENT, SIMPLE, OTHER])
+RECORDS = st.lists(st.tuples(st.lists(ROWS, min_size=2, max_size=5), KINDS), max_size=6).map(
+    lambda recs: [StratumRecord(tuple(m), len(m), kind) for m, kind in recs]
 )
 
 
-@settings(deadline=None, derandomize=True, database=None, max_examples=200)
-@given(JSON_VALUES)
-@example({"a": [], "b": {}, "c": [[]], "d": [{}], "": None})
-@example([(1, 2), [(1, 2)], {"k": (1, 2)}, (-3,), [True, False, 0]])
-@example({"\u00e9t\u00e9": "caf\u00e9 \u2192 \U0001d11e", "q": "\"\\\n\t\x00"})
-@example([{"kind": "DEPENDENT", "members": [[1, 2, 3, 4], [1, 2, 5, 6]], "s": 2, "t": 0}])
-def test_writer_matches_json_dumps(payload):
-    expected = dumped(payload)
-    assert written(payload) == expected
-    assert written(lazy(payload)) == expected
+@ORACLE
+@given(RECORDS, st.integers(1, 6))
+@example([], 2)
+@example([StratumRecord(((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)), 3, DEPENDENT)], 3)
+@example([StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), 4, OTHER)], 2)
+def test_census_writer_matches_json_dumps(records, k):
+    assert written(_write_census, records, k) == dumped(census_to_json(records, k))
 
 
-def test_census_records_match_the_dict_oracle():
+PAIRS = st.lists(st.tuples(ROWS, ROWS), max_size=5)
+
+
+@ORACLE
+@given(PAIRS, st.lists(st.tuples(ROWS, st.tuples(ROWS, ROWS, ROWS)), max_size=4), PAIRS)
+@example([], [], [])
+@example([((1, 2), (1, 2, 3))], [], [((1, 2), (3, 4)), ((3, 4), (1, 2))])
+@example([], [((1, 2), ((1, 2), (1, 3), (2, 3)))], [])
+def test_relations_writer_matches_json_dumps(full_sets, dependents, commuting):
+    families = RelationFamilies(tuple(full_sets), tuple(dependents), tuple(commuting))
+    pairs = lambda family: [{"J": list(j), "K": list(x)} for j, x in family]
+    doc = {
+        "full_sets": pairs(full_sets),
+        "dependents": [{"J": list(j), "triple": [list(m) for m in t]} for j, t in dependents],
+        "commuting": pairs(commuting),
+        "counts": {
+            "full_sets": len(full_sets),
+            "dependents": len(dependents),
+            "commuting": len(commuting),
+        },
+    }
+    assert written(_write_relations, families) == dumped(doc)
+
+
+LETTERS = st.integers(-9, 9).filter(bool)
+BRAIDS = st.lists(
+    st.tuples(
+        ROWS,
+        st.fractions(max_denominator=50),
+        st.lists(LETTERS, max_size=12).map(tuple),
+    ),
+    max_size=5,
+)
+
+
+@ORACLE
+@given(st.integers(1, 60), BRAIDS)
+@example(1, [])
+@example(4, [((1, 2), Fraction(-3, 4), (1, -2, -3, 2, 1)), ((2, 3), Fraction(5), ())])
+def test_monodromy_writer_matches_json_dumps(n, braids):
+    doc = {
+        "N": n,
+        "braids": [
+            {"block": list(b), "s": f"{s.numerator}/{s.denominator}", "word": list(w)}
+            for b, s, w in braids
+        ],
+    }
+    assert written(_write_monodromy, n, braids) == dumped(doc)
+
+
+def test_census_records_match_the_dict_oracle(monkeypatch):
+    import discarr.cli as cli
+
     dependent = []
     for arr in (
         construct_dependent(2, 0, seed=11),
@@ -496,9 +539,11 @@ def test_census_records_match_the_dict_oracle():
         random_generic(6, 3, seed=4, bound=10),
     ):
         records = codim2_census(arr)
-        text = written(_census_fields(rec, arr.k) for rec in records)
-        assert text == dumped(census_to_json(records, arr.k))
-        dependent += [(r["s"], r["t"]) for r in json.loads(text) if r["kind"] == DEPENDENT]
+        expected = dumped(census_to_json(records, arr.k))
+        for chunk in (1, 500, CHUNK):  # a write after every record, every few, or once
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            assert written(_write_census, records, arr.k) == expected
+        dependent += [(r["s"], r["t"]) for r in json.loads(expected) if r["kind"] == DEPENDENT]
     assert dependent == [(2, 0), (2, 1)]
 
 
@@ -507,8 +552,91 @@ def test_census_output_file_matches_stdout(tmp_path, capsys):
     run(["gen", "--n", "8", "--k", "3", "--seed", "0", "--output", arr_path], capsys)
     code, out = run(["census", "--input", arr_path], capsys)
     assert code == 0
-    assert len(json.loads(out)) > _JsonWriter.CHUNK  # one piece per record: several writes
+    assert len(out) > 2 * CHUNK  # several writes
     out_path = tmp_path / "census.json"
     code, printed = run(["census", "--input", arr_path, "--output", str(out_path)], capsys)
     assert code == 0 and printed == ""
     assert out_path.read_bytes() == out.encode()
+
+
+class CountingHandle:
+    """A stdout that keeps only the size of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", ["census", "relations", "monodromy"])
+def test_large_outputs_reach_stdout_in_several_writes(command, tmp_path, capsys, monkeypatch):
+    # the document is written as it is formatted, never held whole
+    import sys
+
+    arr_path = str(tmp_path / "arr.json")
+    run(["gen", "--n", "8", "--k", "3", "--seed", "0", "--output", arr_path], capsys)
+    handle = CountingHandle()
+    monkeypatch.setattr(sys, "stdout", handle)
+    assert main([command, "--input", arr_path]) == 0
+    assert len(handle.writes) > 1
+
+
+@pytest.mark.parametrize("command", ["gen", "census"])
+def test_unwritable_output_exits_one(command, tmp_path, capsys):
+    arr_path = str(tmp_path / "arr.json")
+    run(["gen", "--n", "4", "--k", "2", "--seed", "5", "--output", arr_path], capsys)
+    argv = {"gen": ["gen", "--n", "4", "--k", "2"], "census": ["census", "--input", arr_path]}
+    for output, reason in (
+        (tmp_path / "missing" / "x.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ):
+        code = main([*argv[command], "--output", str(output)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {output}: {reason}\n"
+        assert captured.out == ""
+
+
+def test_closed_stdout_pipe_exits_one(tmp_path):
+    # stdout is block-buffered here, as in a user's pipeline, so whatever is
+    # left in the buffer is flushed once more at exit
+    import os
+    import subprocess
+    import sys
+
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    cli = [sys.executable, "-m", "discarr.cli"]
+    arr_path = str(tmp_path / "arr.json")
+    made = subprocess.run([*cli, "gen", "--n", "8", "--k", "3", "--output", arr_path])
+    assert made.returncode == 0
+
+    def assert_quiet_exit_one(code, err):
+        assert code == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    # the (8,3) census is several hundred kB, far more than a pipe holds, so
+    # the writer is still writing when the reader goes away
+    proc = subprocess.Popen(
+        [*cli, "census", "--input", arr_path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert_quiet_exit_one(proc.wait(timeout=120), err)
+
+    # a small document stays buffered until the final flush meets the closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [*cli, "gen", "--n", "4", "--k", "2"], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert_quiet_exit_one(proc.returncode, proc.stderr.decode())
