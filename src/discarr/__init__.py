@@ -1,14 +1,17 @@
 """Exact-arithmetic toolkit for discriminantal arrangements.
 
-Everything runs over arbitrary-precision rationals: construction of the
-concurrency hyperplanes of a generic trace, the codimension-2 stratum census
-and its multiplicity classification, detection and construction of dependent
-configurations, Gale transforms and their discriminantal interpretation, the
-combinatorial dimension theory of line arrangements, and braid monodromy
-with fundamental-group presentations of generic plane sections.
+Everything runs on arbitrary-precision integers, with `Fraction`s only where
+a rational is read or reported and in `construct_dependent`'s resample
+checks: construction of the concurrency hyperplanes of a generic trace, the
+codimension-2 stratum census and its multiplicity classification, detection
+and construction of dependent configurations, Gale transforms and their
+discriminantal interpretation, the combinatorial dimension theory of line
+arrangements, and braid monodromy with fundamental-group presentations of
+generic plane sections.
 
-All values are immutable and all operations pure; any of them may be
-evaluated concurrently without coordination.
+The records are frozen dataclasses, and every public function returns the
+same result for the same arguments; two caches, an arrangement's `minors`
+and `planar._memo`, hold state that never changes a result.
 """
 
 from .arrangement import (
@@ -35,7 +38,6 @@ from .discriminantal import (
     dependent_triples,
 )
 from .gale import (
-    PointConfig,
     concurrent_partition_exists,
     essential_normals_via_gale,
     gale_transform,

@@ -25,7 +25,7 @@ from .discriminantal import (
     dependent_triples,
 )
 from .gale import essential_normals_via_gale, gale_disagreements
-from .linalg import QMatrix, int_rank
+from .linalg import int_rank
 from .monodromy import _relation_families, braid_monodromy, presentation, random_section
 from .planar import codim_combinatorial, verify_independence
 from .rng import SplitMix64
@@ -88,9 +88,7 @@ def check_perturbation() -> str:
     bound = 14
     for _ in range(200):
         row = [rng.randint(-bound, bound) for _ in range(arr.k)]
-        rows = [list(r) for r in arr.normals.entries]
-        rows[0] = row
-        cand = GenericArrangement(arr.n, arr.k, QMatrix.from_rows(rows))
+        cand = GenericArrangement(arr.n, arr.k, (row,) + arr.normals[1:])
         if not is_trace_generic(cand):
             continue
         if dependent_triples(cand):

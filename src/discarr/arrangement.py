@@ -1,7 +1,9 @@
 """Generic hyperplane arrangements and their traces at infinity.
 
-An arrangement of n hyperplanes in k-space is stored as the n x k matrix of
-normal coefficients (row j holds the linear form of hyperplane j).  The
+An arrangement of n hyperplanes in k-space is stored as the n x k integer
+matrix of normal coefficients (row j holds the linear form of hyperplane j);
+a document's rational normals are cleared of denominators by one common
+factor, which changes no hyperplane, no ratio of minors and no form.  The
 discriminantal machinery only ever reads the normals: the trace at infinity
 alone determines the space of parallel translates, so translation offsets
 in a JSON document are validated and dropped.
@@ -12,12 +14,12 @@ interchange format.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import QMatrix, _bareiss_det, common_int_rows, to_fraction
+from .linalg import _bareiss_det, common_int_rows, to_fraction
 from .rng import SplitMix64
 
 RESAMPLE_BUDGET = 400
@@ -27,25 +29,21 @@ RESAMPLE_BUDGET = 400
 class GenericArrangement:
     n: int
     k: int
-    normals: QMatrix  # n x k
+    normals: tuple[tuple[int, ...], ...]  # n x k integer rows
 
     def __post_init__(self):
-        if self.normals.rows != self.n or self.normals.cols != self.k:
+        normals = tuple(map(tuple, self.normals))
+        if len(normals) != self.n or any(len(row) != self.k for row in normals):
             raise ValueError("normals must be an n x k matrix")
-
-    @cached_property
-    def int_normals(self) -> tuple[tuple[int, ...], ...]:
-        """The normals times one common denominator (see `common_int_rows`)."""
-        return common_int_rows(self.normals.entries)
+        # `_bareiss_det` divides exactly only on integers
+        if any(type(x) is not int for row in normals for x in row):
+            raise TypeError("normals must be integers (see common_int_rows)")
+        object.__setattr__(self, "normals", normals)
 
     @cached_property
     def minors(self) -> dict[tuple[int, ...], int]:
-        """Every k x k minor of `int_normals`, keyed by its sorted 1-based rows.
-
-        Each is the true minor of the normals times the same positive factor,
-        so zero tests and ratios of minors read straight off the table.
-        """
-        rows = self.int_normals
+        """Every k x k minor of the normals, keyed by its sorted 1-based rows."""
+        rows = self.normals
         return {
             subset: _bareiss_det([list(rows[i - 1]) for i in subset])
             for subset in combinations(range(1, self.n + 1), self.k)
@@ -81,9 +79,7 @@ def random_generic(n: int, k: int, seed: int, bound: int) -> GenericArrangement:
         raise ValueError(f"need bound >= n, got bound={bound}, n={n}")
     rng = SplitMix64(seed)
     for attempt in range(RESAMPLE_BUDGET):
-        normals = QMatrix.from_rows(
-            [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(n)]
-        )
+        normals = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(n)]
         arr = GenericArrangement(n, k, normals)
         if is_trace_generic(arr):
             return arr
@@ -93,23 +89,15 @@ def random_generic(n: int, k: int, seed: int, bound: int) -> GenericArrangement:
     )
 
 
-def _fraction_to_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def arrangement_to_json(arr: GenericArrangement) -> dict:
-    return {
-        "n": arr.n,
-        "k": arr.k,
-        "normals": [[_fraction_to_json(x) for x in row] for row in arr.normals.entries],
-    }
+    return {"n": arr.n, "k": arr.k, "normals": [list(row) for row in arr.normals]}
 
 
 def json_int(doc: dict, key: str) -> int:
     """The integer `doc[key]`; a float, a string or a bool is a TypeError."""
     value = doc[key]
     if type(value) is not int:
-        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+        raise TypeError(f"{key!r} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -121,14 +109,22 @@ def arrangement_from_json(doc: dict) -> GenericArrangement:
         for key in ("n", "k", "normals"):
             if key not in doc:
                 raise ValueError(f"missing field {key!r}")
+        extra = set(doc) - {"n", "k", "normals", "offsets"}
+        if extra:
+            raise ValueError(f"unexpected field {reprlib.repr(min(extra))}")
         n = json_int(doc, "n")
         k = json_int(doc, "k")
-        normals = QMatrix.from_rows(doc["normals"], cols=k)
-        if normals.rows != n:
+        rows = doc["normals"]
+        if not (isinstance(rows, list) and len(rows) == n) or any(
+            not (isinstance(row, list) and len(row) == k) for row in rows
+        ):
             raise ValueError("normals must be an n x k matrix")
+        normals = common_int_rows([[to_fraction(x) for x in row] for row in rows])
         offsets = doc.get("offsets")
-        if offsets is not None and len([to_fraction(x) for x in offsets]) != n:
-            raise ValueError("offsets must have length n")
+        if offsets is not None and (
+            not isinstance(offsets, list) or len([to_fraction(x) for x in offsets]) != n
+        ):
+            raise ValueError("offsets must be a list of n rationals")
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed arrangement document: {exc}") from exc
     check_shape(n, k)

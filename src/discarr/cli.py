@@ -110,17 +110,18 @@ def _int_rows(level: int):
 
 
 def _load_arrangement(path: str):
+    """The --input arrangement; any failure is a ValueError naming the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"{path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    try:
         return arrangement_from_json(doc)
-    except ValueError as exc:
-        raise SystemExit(f"{path}: {exc}")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # an over-long integer literal, bad UTF-8, deep nesting, bad content
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_gen(args) -> int:

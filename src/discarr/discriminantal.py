@@ -260,7 +260,7 @@ def _dependency_test(arr: GenericArrangement, common, groups, spans=None) -> boo
     for g in groups:
         key = (tuple(g), tuple(common))
         if key not in spans:
-            normals = [arr.int_normals[i - 1] for i in key[0] + key[1]]
+            normals = [arr.normals[i - 1] for i in key[0] + key[1]]
             basis = int_nullspace(normals, arr.k)
             if len(basis) != s - 1:
                 raise AssertionError("generic trace must cut subspaces of dimension s-1")
@@ -409,7 +409,7 @@ def construct_dependent(group_size: int, common_count: int, seed: int) -> Generi
             rows.append(r + [rng.randint(-bound, bound) for _ in range(t)])
         for i in range(t):
             rows.append([0] * m + [1 if j == i else 0 for j in range(t)])
-        arr = GenericArrangement(n, k, QMatrix.from_rows(rows, cols=k))
+        arr = GenericArrangement(n, k, rows)
 
         if not is_trace_generic(arr):
             continue

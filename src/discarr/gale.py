@@ -1,11 +1,12 @@
 """Gale transforms of point configurations and their discriminantal meaning.
 
-A configuration of n points spanning dimension d is stored as the columns of
-a d x n matrix.  Its Gale transform is the configuration of images of the
-standard basis vectors in the cokernel of the evaluation map; concretely,
-the columns of the canonical nullspace basis of the input matrix.  Fixing
-the canonical basis makes the transform deterministic, and every check
-downstream is invariant under the scale/basis ambiguity anyway.
+A configuration of n points spanning dimension d is given as the d x n
+integer rows whose columns are the points.  Its Gale transform is the
+configuration of images of the standard basis vectors in the cokernel of the
+evaluation map; concretely, the columns of the canonical nullspace basis of
+the input, scaled to integers by one common factor.  Fixing the canonical
+basis makes the transform deterministic, and every check downstream is
+invariant under the scale/basis ambiguity anyway.
 
 essential_normals_via_gale realizes the essential discriminantal arrangement
 inside the cokernel: the hyperplane dual to a (k+1)-subset is spanned by the
@@ -23,13 +24,12 @@ seeded samples, for the gale-invariance command and the acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .arrangement import GenericArrangement
 from .discriminantal import build_form, group_partitions
-from .linalg import QMatrix, common_int_rows, int_nullspace, int_rank
+from .linalg import _bareiss_det, int_nullspace, int_rank
 from .rng import SplitMix64
 
 SEXTUPLE_BUDGET = 100
@@ -39,35 +39,34 @@ class GaleMismatch(AssertionError):
     """The Gale-side normal failed to match the concurrency form (a fault)."""
 
 
-@dataclass(frozen=True)
-class PointConfig:
-    vectors: QMatrix  # dim x n, columns are the points
+def _scaled_nullspace(rows, cols: int) -> tuple[tuple[int, ...], ...]:
+    """The canonical nullspace basis times the least positive integer that
+    clears its denominators, one row per free column.
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.rows
-
-    @property
-    def n(self) -> int:
-        return self.vectors.cols
-
-    def point(self, i: int) -> tuple[Fraction, ...]:
-        """Column i (1-based)."""
-        return self.vectors.column(i - 1)
-
-
-def gale_transform(config: PointConfig) -> PointConfig:
-    """The dual configuration of n points in dimension n - d.
-
-    Output satisfies Q.vectors @ P.vectors^t = 0 and has full rank n - d;
-    the canonical nullspace basis pins the result down uniquely.
+    Canonical row f is 1 at its free column f and vanishes at the later
+    columns, since each reduced echelon row vanishes before its pivot; so
+    it is v / v_f for the primitive vector v that `int_nullspace` gives,
+    with v_f the last nonzero entry of v.
     """
-    d, n = config.dim, config.n
+    basis = int_nullspace(rows, cols)
+    last = [next(x for x in reversed(v) if x) for v in basis]
+    mult = lcm(*last)
+    return tuple(tuple(x * (mult // f) for x in v) for v, f in zip(basis, last))
+
+
+def gale_transform(points):
+    """The dual configuration of n points in dimension n - d, as (n - d) x n rows.
+
+    Output Q satisfies Q P^t = 0 and has full rank n - d; the canonical
+    nullspace basis pins the result down uniquely.
+    """
+    d, n = len(points), len(points[0]) if points else 0
     if n <= d:
         raise ValueError(f"need more points than dimensions, got n={n}, d={d}")
-    if config.vectors.rank() != d:
+    dual = _scaled_nullspace(points, n)
+    if len(dual) != n - d:
         raise ValueError("configuration must span its ambient space")
-    return PointConfig(config.vectors.nullspace_basis())
+    return dual
 
 
 def essential_normals_via_gale(arr: GenericArrangement):
@@ -82,8 +81,7 @@ def essential_normals_via_gale(arr: GenericArrangement):
     n, k = arr.n, arr.k
     if n < k + 2:
         raise ValueError(f"essential part needs n >= k+2, got n={n}, k={k}")
-    gale = gale_transform(PointConfig(arr.normals.transpose()))
-    g = common_int_rows(gale.vectors.entries)  # (n-k) x n, columns are Gale points
+    g = gale_transform(list(zip(*arr.normals)))  # (n-k) x n, columns are Gale points
     out = []
     for subset in combinations(range(1, n + 1), k + 1):
         complement = [j for j in range(1, n + 1) if j not in set(subset)]
@@ -103,7 +101,7 @@ def essential_normals_via_gale(arr: GenericArrangement):
     return out
 
 
-def concurrent_partition_exists(config: PointConfig):
+def concurrent_partition_exists(points):
     """Search the 15 pairings of six plane points for concurrent lines.
 
     The s = 2 case of pencil_partition_exists: returns (True, partition) for
@@ -111,16 +109,16 @@ def concurrent_partition_exists(config: PointConfig):
     in a point, else (False, None).  Repeated points are rejected, so every
     pair spans a line.
     """
-    if config.dim != 3 or config.n != 6:
+    if len(points) != 3 or any(len(row) != 6 for row in points):
         raise ValueError("expected 6 points in the projective plane (3 x 6)")
-    repeated = _coincident_pair([config.point(i) for i in range(1, 7)])
+    repeated = _coincident_pair(list(zip(*points)))
     if repeated:
         a, b = repeated
         raise ValueError(f"points {a + 1} and {b + 1} coincide projectively")
-    return pencil_partition_exists(config)
+    return pencil_partition_exists(points)
 
 
-def pencil_partition_exists(config: PointConfig):
+def pencil_partition_exists(points):
     """Generalized search: 3s points in dimension s+1, hyperplanes in a pencil.
 
     Partitions the points into three groups of s, lexicographically; each
@@ -128,16 +126,17 @@ def pencil_partition_exists(config: PointConfig):
     partition whose three normals have rank <= 2 is returned as
     (True, partition), else (False, None).
     """
-    if config.n % 3 != 0:
+    dim, n = len(points), len(points[0])
+    if n % 3 != 0:
         raise ValueError("point count must be a multiple of 3")
-    s = config.n // 3
-    if config.dim != s + 1:
-        raise ValueError(f"expected dimension s+1={s + 1} for n=3s={config.n}")
-    points = common_int_rows([config.point(i) for i in range(1, config.n + 1)])
-    for partition in group_partitions(tuple(range(1, config.n + 1)), s):
+    s = n // 3
+    if dim != s + 1:
+        raise ValueError(f"expected dimension s+1={s + 1} for n=3s={n}")
+    columns = list(zip(*points))
+    for partition in group_partitions(tuple(range(1, n + 1)), s):
         normals = []
         for group in partition:
-            basis = int_nullspace([points[i - 1] for i in group], config.dim)
+            basis = int_nullspace([columns[i - 1] for i in group], dim)
             if len(basis) != 1:
                 break  # group does not span a hyperplane
             normals.append(basis[0])
@@ -150,7 +149,7 @@ def pencil_partition_exists(config: PointConfig):
 def _coincident_pair(pts):
     """The first pair (0-based) of projectively equal points, or None."""
     for a, b in combinations(range(len(pts)), 2):
-        if QMatrix.from_rows([pts[a], pts[b]]).rank() < 2:
+        if int_rank([pts[a], pts[b]]) < 2:
             return a, b
     return None
 
@@ -171,16 +170,16 @@ def gale_disagreements(seed: int, trials: int) -> list[dict]:
         ("negative", random_generic_sextuple, False),
     ):
         for i in range(trials):
-            config = sample(seed=seed + i)
-            a, _ = concurrent_partition_exists(config)
-            b, _ = concurrent_partition_exists(gale_transform(config))
+            points = sample(seed=seed + i)
+            a, _ = concurrent_partition_exists(points)
+            b, _ = concurrent_partition_exists(gale_transform(points))
             if a != expected or b != expected:
                 out.append({"kind": kind, "index": i, "direct": a, "gale": b})
     return out
 
 
-def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
-    """Six plane points with pairs 12, 34, 56 spanning concurrent lines.
+def random_concurrent_sextuple(seed: int, bound: int = 9):
+    """Six plane points with pairs 12, 34, 56 spanning concurrent lines, as 3 x 6 rows.
 
     Concurrency has measure zero, so positives are built, not sampled: pick
     a point, three lines through it, two points on each, then apply a random
@@ -188,61 +187,46 @@ def random_concurrent_sextuple(seed: int, bound: int = 9) -> PointConfig:
     """
     rng = SplitMix64(seed)
     for _ in range(SEXTUPLE_BUDGET):
-        apex = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(3))
-        if all(x == 0 for x in apex):
+        apex = [rng.randint(-bound, bound) for _ in range(3)]
+        if not any(apex):
             continue
-        comp = QMatrix.from_rows([apex]).nullspace_basis()  # 2 x 3 covectors
+        comp = _scaled_nullspace([apex], 3)  # 2 x 3 covectors
         pts = []
         for _ in range(3):
             c1, c2 = rng.nonzero_int(bound), rng.nonzero_int(bound)
-            line = tuple(
-                c1 * comp.entries[0][j] + c2 * comp.entries[1][j] for j in range(3)
-            )
-            on_line = QMatrix.from_rows([line]).nullspace_basis()  # 2 x 3 points
+            line = [c1 * a + c2 * b for a, b in zip(*comp)]
+            on_line = _scaled_nullspace([line], 3)  # 2 x 3 points
             for _ in range(2):
                 d1, d2 = rng.nonzero_int(bound), rng.nonzero_int(bound)
-                p = tuple(
-                    d1 * on_line.entries[0][j] + d2 * on_line.entries[1][j]
-                    for j in range(3)
-                )
-                pts.append(p)
-        if _coincident_pair(pts) or QMatrix.from_rows(pts).rank() < 3:
+                pts.append([d1 * a + d2 * b for a, b in zip(*on_line)])
+        if _coincident_pair(pts) or int_rank(pts) < 3:
             continue  # repeated points, or all six on one line
-        move = QMatrix.from_rows(
-            [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)]
-        )
-        if move.det() == 0:
+        move = [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)]
+        if _bareiss_det([list(row) for row in move]) == 0:
             continue
-        config = PointConfig(move @ QMatrix.from_rows(pts).transpose())
-        found, _ = concurrent_partition_exists(config)
+        points = [[sum(a * b for a, b in zip(row, p)) for p in pts] for row in move]
+        found, _ = concurrent_partition_exists(points)
         if not found:
             continue  # extra accidental degeneracy spoiled distinctness; retry
-        dual = gale_transform(config)
-        if _coincident_pair([dual.point(i) for i in range(1, 7)]):
+        if _coincident_pair(list(zip(*gale_transform(points)))):
             continue
-        return config
+        return points
     raise RuntimeError(f"no concurrent sextuple after {SEXTUPLE_BUDGET} draws (seed={seed})")
 
 
-def random_generic_sextuple(seed: int, bound: int = 9) -> PointConfig:
-    """Six plane points with all 15 partition determinants nonzero."""
+def random_generic_sextuple(seed: int, bound: int = 9):
+    """Six plane points with all 15 partition determinants nonzero, as 3 x 6 rows."""
     rng = SplitMix64(seed)
     for _ in range(SEXTUPLE_BUDGET):
-        config = PointConfig(
-            QMatrix.from_rows(
-                [[rng.randint(-bound, bound) for _ in range(6)] for _ in range(3)]
-            )
-        )
-        if config.vectors.rank() != 3:
+        points = [[rng.randint(-bound, bound) for _ in range(6)] for _ in range(3)]
+        if int_rank(points) != 3:
             continue
-        pts = [config.point(i) for i in range(1, 7)]
-        if _coincident_pair(pts):
+        if _coincident_pair(list(zip(*points))):
             continue
-        found, _ = concurrent_partition_exists(config)
+        found, _ = concurrent_partition_exists(points)
         if found:
             continue
-        dual = gale_transform(config)
-        if _coincident_pair([dual.point(i) for i in range(1, 7)]):
+        if _coincident_pair(list(zip(*gale_transform(points)))):
             continue
-        return config
+        return points
     raise RuntimeError(f"no generic sextuple after {SEXTUPLE_BUDGET} draws (seed={seed})")

@@ -1,27 +1,27 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra on integer rows.
 
-Every rank, determinant and nullspace computation in the package runs over
-the rationals with no rounding, since each geometric predicate downstream is
-a rank condition and a single rounding error flips a classification.
-Scalars are `fractions.Fraction` (always stored in lowest terms with
-positive denominator); matrices are immutable row-major grids of them.
+Every rank, determinant and nullspace computation in the package is exact,
+since each geometric predicate downstream is a rank condition and a single
+rounding error flips a classification.  Matrices are sequences of integer
+rows; `common_int_rows` clears a rational matrix's denominators by one
+multiplier, so its minors keep their ratios.
 
-The hot paths never leave the integers.  Each linear-algebra question has
-one fraction-free kernel on integer rows: `reduce_row` (one row against an
-echelon; `int_rank` folds it, the planar rank walk calls it directly, and
-its elimination step `eliminate` alone at the walk's leaves),
-`_int_rref` (Gauss-Jordan; `int_nullspace` and `QMatrix.rref` read it) and
-`_bareiss_det`.  Callers obtain the integer rows once by clearing
-denominators with `common_int_rows`, which scales a whole matrix by one
-multiplier, so its minors keep their ratios; the `QMatrix` methods are thin
-entry points that do exactly that.  Reduced row echelon form stays the
-canonical normal form for subspaces: two row-equivalent matrices produce
-identical `rref()` output, so `nullspace_basis` is canonical too, and
-`int_nullspace` is its primitive integer image.
+Each linear-algebra question has one fraction-free kernel: `reduce_row`
+(one row against an echelon; `int_rank` folds it, the planar rank walk
+calls it directly, and its elimination step `eliminate` alone at the walk's
+leaves), `_int_rref` (Gauss-Jordan; `int_nullspace` and `QMatrix.rref` read
+it) and `_bareiss_det`.  `QMatrix`, an immutable grid of `Fraction`s, is a
+thin entry point that clears denominators and calls those kernels.  Reduced
+row echelon form stays the canonical normal form for subspaces: two
+row-equivalent matrices produce identical `rref()` output, so
+`nullspace_basis` is canonical too, and `int_nullspace` is its primitive
+integer image.
 """
 
 from __future__ import annotations
 
+import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -30,13 +30,20 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, str, Fraction]
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def to_fraction(x: Scalar) -> Fraction:
-    """Coerce an int, a "p/q" string, or a Fraction to Fraction (not a bool)."""
+    """Coerce an int (not a bool), a Fraction, or a "p" or "p/q" string to Fraction.
+
+    Only a sign, digits and "/digits": `Fraction` alone would also expand
+    "1e10000000", for seconds or until memory runs out.
+    """
     if isinstance(x, Fraction):
         return x
-    if type(x) is int or isinstance(x, str):
+    if type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    raise TypeError(f"cannot interpret {reprlib.repr(x)} as an exact rational")
 
 
 def common_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
@@ -216,9 +223,6 @@ class QMatrix:
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "QMatrix":
         if not self.entries:

@@ -279,15 +279,11 @@ def _dim_reduced(family: tuple[tuple[int, ...], ...], n: int) -> int:
         sub_family = tuple(
             sorted(tuple(sorted(relabel[i] for i in s)) for s in reduced)
         )
-        sub_dim = _dim_combinatorial_cached(sub_family, sub_n)
+        sub_dim = _dim_reduced(merge_classes(sub_family), sub_n)
         dim = sub_dim + sliding + len(isolated) + outside
 
     _memo[key] = dim
     return dim
-
-
-def _dim_combinatorial_cached(sets, n: int) -> int:
-    return _dim_reduced(merge_classes(sets), n)
 
 
 def dim_combinatorial(sets, n: int) -> int:
@@ -296,7 +292,7 @@ def dim_combinatorial(sets, n: int) -> int:
     Pure combinatorics: merge chained sets, then apply the fiber-count
     formula.  Input sets have size >= 3 (smaller sets impose nothing).
     """
-    return _dim_combinatorial_cached(sets, n)
+    return _dim_reduced(merge_classes(sets), n)
 
 
 def codim_combinatorial(sets, n: int) -> int:

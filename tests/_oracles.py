@@ -40,7 +40,7 @@ from math import comb, gcd
 from discarr.arrangement import GenericArrangement, is_trace_generic
 from discarr.braid import BraidWord, artin_images, halftwist, invert, reduce_free
 from discarr.discriminantal import build_all
-from discarr.linalg import QMatrix, int_rank, primitive_int_vector
+from discarr.linalg import QMatrix, common_int_rows, int_rank, primitive_int_vector
 from discarr.monodromy import (
     NonGenericSection,
     Presentation,
@@ -117,17 +117,17 @@ def rref_by_fractions(rows, cols: int):
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def build_form_by_fractions(arr, subset):
+def build_form_by_fractions(normals, subset):
     """(subset, primitive coefficients) of one concurrency form, from Fractions.
 
     Entry j carries (-1)^position times the k x k minor of the normals on
-    the other members, each minor expanded in the normals' own `Fraction`
-    entries with no scaling.
+    the other members, each minor expanded in the given `Fraction` rows
+    with no scaling.
     """
     subset = tuple(sorted(subset))
-    coeffs = [0] * arr.n
+    coeffs = [0] * len(normals)
     for pos, j in enumerate(subset):
-        minor = det_by_permutations([arr.normals.entries[i - 1] for i in subset if i != j])
+        minor = det_by_permutations([normals[i - 1] for i in subset if i != j])
         coeffs[j - 1] = minor if pos % 2 == 0 else -minor
     return subset, primitive_int_vector(coeffs)
 
@@ -471,7 +471,9 @@ def restrict(arr, chosen, offsets=None):
     remaining hyperplanes are intersected with the flat and expressed in the
     canonical chart obtained by solving the chosen equations for the pivot
     variables of smallest index.  Returns the restricted arrangement and
-    the offsets of its hyperplanes.  Output trace-genericity is asserted.
+    the offsets of its hyperplanes, the equations with their offsets
+    cleared of denominators by one common factor.  Output trace-genericity
+    is asserted.
     """
     chosen = tuple(sorted(chosen))
     t = len(chosen)
@@ -484,18 +486,17 @@ def restrict(arr, chosen, offsets=None):
     if t == 0:
         return arr, tuple(offsets)
 
-    aug = QMatrix.from_rows([arr.normals.entries[j - 1] + (offsets[j - 1],) for j in chosen])
+    aug = QMatrix.from_rows([arr.normals[j - 1] + (offsets[j - 1],) for j in chosen])
     red, pivots = aug.rref()
     if len(pivots) != t or arr.k in pivots:
         raise ValueError("chosen hyperplanes do not cut a flat of codimension |T|")
     free = [c for c in range(arr.k) if c not in pivots]
 
     new_rows = []
-    new_offsets = []
     for j in range(1, arr.n + 1):
         if j in chosen:
             continue
-        row = arr.normals.entries[j - 1]
+        row = arr.normals[j - 1]
         # substitute pivot coordinates: y_p = rhs_i - sum_f red[i][f] * y_f
         new_row = []
         for f in free:
@@ -506,13 +507,13 @@ def restrict(arr, chosen, offsets=None):
         off = offsets[j - 1]
         for i, p in enumerate(pivots):
             off -= row[p] * red.entries[i][arr.k]
-        new_rows.append(new_row)
-        new_offsets.append(off)
+        new_rows.append(new_row + [off])
 
-    out = GenericArrangement(arr.n - t, arr.k - t, QMatrix.from_rows(new_rows, cols=arr.k - t))
+    cleared = common_int_rows(new_rows)  # each equation with its offset, one factor
+    out = GenericArrangement(arr.n - t, arr.k - t, [row[:-1] for row in cleared])
     if not is_trace_generic(out):
         raise AssertionError("restriction of a generic trace must stay generic")
-    return out, tuple(new_offsets)
+    return out, tuple(row[-1] for row in cleared)
 
 
 def permutation(word, n: int) -> tuple[int, ...]:

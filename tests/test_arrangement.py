@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,22 +12,22 @@ from discarr.arrangement import (
     is_trace_generic,
     random_generic,
 )
-from discarr.linalg import QMatrix
+from discarr.linalg import QMatrix, int_rank
 
 from _oracles import restrict
 
 
 def test_trace_generic_trivials():
-    ident = GenericArrangement(3, 3, QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    ident = GenericArrangement(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert is_trace_generic(ident)
-    good = GenericArrangement(3, 2, QMatrix.from_rows([[1, 0], [0, 1], [1, 1]]))
+    good = GenericArrangement(3, 2, [[1, 0], [0, 1], [1, 1]])
     assert is_trace_generic(good)
-    repeated = GenericArrangement(3, 2, QMatrix.from_rows([[1, 0], [0, 1], [1, 0]]))
+    repeated = GenericArrangement(3, 2, [[1, 0], [0, 1], [1, 0]])
     assert not is_trace_generic(repeated)
 
 
 def test_trace_generic_rejects_too_few_hyperplanes():
-    arr = GenericArrangement(2, 3, QMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+    arr = GenericArrangement(2, 3, [[1, 0, 0], [0, 1, 0]])
     with pytest.raises(ValueError):
         is_trace_generic(arr)
 
@@ -34,11 +35,24 @@ def test_trace_generic_rejects_too_few_hyperplanes():
 def test_random_generic_contract():
     arr = random_generic(4, 2, seed=1, bound=10)
     assert is_trace_generic(arr)
-    assert all(abs(x) <= 10 and x.denominator == 1 for row in arr.normals.entries for x in row)
+    assert all(type(x) is int and abs(x) <= 10 for row in arr.normals for x in row)
     again = random_generic(4, 2, seed=1, bound=10)
-    assert arr.normals.entries == again.normals.entries
+    assert arr.normals == again.normals
     other = random_generic(4, 2, seed=2, bound=10)
-    assert arr.normals.entries != other.normals.entries
+    assert arr.normals != other.normals
+
+
+def test_normals_must_be_integer_rows():
+    # `_bareiss_det` divides exactly only on integers, so Fractions and
+    # bools are refused; lists are stored as tuples
+    arr = GenericArrangement(2, 1, [[2], [3]])
+    assert arr.normals == ((2,), (3,))
+    for bad in ([[Fraction(1, 2)], [3]], [[True], [3]], [[2.0], [3]]):
+        with pytest.raises(TypeError):
+            GenericArrangement(2, 1, bad)
+    for bad in ([[2], [3], [5]], [[2, 1], [3]]):
+        with pytest.raises(ValueError, match="n x k"):
+            GenericArrangement(2, 1, bad)
 
 
 def test_random_generic_preconditions():
@@ -51,7 +65,7 @@ def test_random_generic_preconditions():
 def test_normals_transpose_nullspace_dimension():
     for n, k, seed in ((5, 2, 11), (6, 3, 12), (7, 4, 13)):
         arr = random_generic(n, k, seed=seed, bound=12)
-        assert arr.normals.transpose().nullspace_basis().rows == n - k
+        assert QMatrix.from_rows(arr.normals).transpose().nullspace_basis().rows == n - k
 
 
 def test_restrict_empty_is_identity():
@@ -82,8 +96,8 @@ def test_restrict_composition_agrees_up_to_coordinates():
     for size in range(1, once.k + 1):
         for rows in combinations(range(once.n), size):
             assert (
-                QMatrix.from_rows([once.normals.entries[i] for i in rows]).rank()
-                == QMatrix.from_rows([both.normals.entries[i] for i in rows]).rank()
+                int_rank([once.normals[i] for i in rows])
+                == int_rank([both.normals[i] for i in rows])
             )
 
 
@@ -98,9 +112,10 @@ def test_json_round_trip():
 
 
 def test_json_rationals_as_strings():
-    doc = {"n": 2, "k": 1, "normals": [["1/2"], [3]], "offsets": ["-2/3", 0]}
-    arr = arrangement_from_json(doc)
-    assert arr.normals.entries[0][0] == Fraction(1, 2)
+    # the normals are cleared by one common denominator, 12 here
+    rows = [["1/2", "-2/3"], [3, "+5"], ["1/4", 1]]
+    arr = arrangement_from_json({"n": 3, "k": 2, "normals": rows, "offsets": ["-2/3", 0, 1]})
+    assert arr.normals == ((6, -8), (36, 60), (3, 12))
 
 
 def test_json_malformed_rejected():
@@ -111,9 +126,24 @@ def test_json_malformed_rejected():
         {"n": 2, "k": 1, "normals": [[1], [2]], "offsets": ["1/0", 0]},
         {"n": 2, "k": 1, "normals": [[1], [2]], "offsets": [0]},
         {"n": 2, "k": 1, "normals": [[1], [2]], "offsets": [0, 1.5]},
+        {"n": 2, "k": 1, "normals": [[" 1/2"], [1]]},
+        {"n": 2, "k": 1, "normals": [[1], [2]], "offsets": ["1e3", 0]},
     ):
         with pytest.raises(ValueError, match="malformed arrangement document"):
             arrangement_from_json(doc)
+
+
+@pytest.mark.parametrize("entry", ["1e10000000", "0.5"])
+def test_json_rationals_take_only_the_p_q_form(entry):
+    # `Fraction` would expand the exponent for seconds, or until memory runs
+    # out; the documented form refuses it before any arithmetic
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        arrangement_from_json({"n": 2, "k": 1, "normals": [[entry], [1]]})
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == (
+        f"malformed arrangement document: cannot interpret {entry!r} as an exact rational"
+    )
 
 
 @pytest.mark.parametrize(
@@ -123,8 +153,9 @@ def test_json_malformed_rejected():
         ({"k": 1, "normals": [[1], [2]]}, "missing field 'n'"),
         ([], "document must be a JSON object"),
         ({"n": 2, "k": 1, "normals": [[1], [1], [1]]}, "normals must be an n x k matrix"),
+        ({"n": 2, "k": 1, "normals": [[1], [2]], "name": "x"}, "unexpected field 'name'"),
     ],
-    ids=["no-normals", "no-n", "top-level-list", "extra-row"],
+    ids=["no-normals", "no-n", "top-level-list", "extra-row", "extra-field"],
 )
 def test_json_malformed_message_names_the_fault(doc, message):
     with pytest.raises(ValueError) as exc:
@@ -133,19 +164,21 @@ def test_json_malformed_message_names_the_fault(doc, message):
 
 
 def test_restrict_chart_preserves_incidence_algebra():
-    # points on the flat, reconstructed through the chart, satisfy the
-    # original equations exactly when the restricted equations hold
+    # points on the flat, reconstructed through the chart, give the original
+    # equations the values of the restricted ones, up to the one positive
+    # factor that cleared the restricted equations' denominators
     from discarr.rng import SplitMix64
 
     arr = random_generic(6, 3, seed=15, bound=10)
     offsets = tuple(Fraction(x) for x in (4, -9, 2, 7, -1, 5))
     chosen = (2,)
     out, out_offsets = restrict(arr, chosen, offsets)
-    aug = QMatrix.from_rows([arr.normals.entries[1] + (offsets[1],)])
+    aug = QMatrix.from_rows([arr.normals[1] + (offsets[1],)])
     red, pivots = aug.rref()
     free = [c for c in range(arr.k) if c not in set(pivots)]
     rng = SplitMix64(99)
     remaining = [j for j in range(1, arr.n + 1) if j not in chosen]
+    values = []
     for _ in range(6):
         free_vals = [Fraction(rng.randint(-9, 9)) for _ in free]
         point = [Fraction(0)] * arr.k
@@ -156,12 +189,12 @@ def test_restrict_chart_preserves_incidence_algebra():
                 red.entries[i][f] * v for f, v in zip(free, free_vals)
             )
         # chosen hyperplane holds at this point
-        assert sum(a * y for a, y in zip(arr.normals.entries[1], point)) == offsets[1]
+        assert sum(a * y for a, y in zip(arr.normals[1], point)) == offsets[1]
         for pos, j in enumerate(remaining):
-            original = sum(
-                a * y for a, y in zip(arr.normals.entries[j - 1], point)
-            ) - offsets[j - 1]
+            original = sum(a * y for a, y in zip(arr.normals[j - 1], point)) - offsets[j - 1]
             restricted = sum(
-                a * v for a, v in zip(out.normals.entries[pos], free_vals)
+                a * v for a, v in zip(out.normals[pos], free_vals)
             ) - out_offsets[pos]
-            assert original == restricted
+            values.append((original, restricted))
+    scale = next(r / o for o, r in values if o)
+    assert scale > 0 and all(r == scale * o for o, r in values)

@@ -1,13 +1,22 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discarr.arrangement import random_generic
-from discarr.cli import CHUNK, _write_census, _write_monodromy, _write_relations, main
+from discarr.cli import (
+    CHUNK,
+    _load_arrangement,
+    _write_census,
+    _write_monodromy,
+    _write_relations,
+    main,
+)
 from discarr.discriminantal import (
     DEPENDENT,
     GOOD,
@@ -120,14 +129,22 @@ def test_relations_cli(tmp_path, capsys):
 
 
 def test_bad_input_exits_one(tmp_path, capsys):
-    missing = str(tmp_path / "nope.json")
-    with pytest.raises(SystemExit):
-        main(["census", "--input", missing])
+    # every --input failure is one line `error: <file>: <reason>`, exit 1
+    missing = tmp_path / "nope.json"
+    assert main(["census", "--input", str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    assert main(["census", "--input", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--input", str(bad)])
-    assert "1:2" in str(exc.value)
+    assert main(["census", "--input", str(bad)]) == 1
+    expected = f"error: {bad}:1:2: Expecting property name enclosed in double quotes\n"
+    assert capsys.readouterr().err == expected
+    # json.load raises a plain ValueError on an integer past the digit limit
+    bad.write_text('{"n": ' + "7" * 5000 + "}")
+    assert main(["census", "--input", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: Exceeds the limit ") and err.count("\n") == 1
     # a zero denominator, in the normals or the offsets, is a malformed
     # document: one line on stderr, exit 1, no traceback
     import subprocess
@@ -143,7 +160,7 @@ def test_bad_input_exits_one(tmp_path, capsys):
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
-        assert proc.stderr.startswith(f"{bad}: malformed arrangement document: ")
+        assert proc.stderr.startswith(f"error: {bad}: malformed arrangement document: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
@@ -168,18 +185,114 @@ def test_missing_field_and_non_object_documents_exit_one(command, tmp_path):
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
-        assert proc.stderr == f"{path}: malformed arrangement document: {message}\n"
+        assert proc.stderr == f"error: {path}: malformed arrangement document: {message}\n"
         assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+# A document every command accepts, and the faults drawn into it.  HUGE
+# stands for a 5 000-digit JSON integer, which `json.dumps` cannot write.
+VALID = {"n": 4, "k": 2, "normals": [[1, 2], [3, -1], ["1/2", 5], [-2, "7/3"]]}
+HUGE = "@huge@"
+BAD_NUMBERS = [
+    True, False, 2.0, 0.5, float("nan"), float("inf"), None, [3], [[1, 2]], {}, "1/0",
+    "-7/0", "1e10000000", "1E3", "0.5", "1.", "nan", "Infinity", " 1/2", "1/2 ", "1/-2",
+    "--1", "1_000", "½", "", "9" * 5000, HUGE,
+]
+
+
+@st.composite
+def malformed_documents(draw):
+    doc = json.loads(json.dumps(VALID))
+    fault = draw(st.sampled_from([
+        "missing", "extra", "top", "entry", "n", "k", "shape", "n<=k", "k<=0", "offsets",
+    ]))
+    if fault == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "extra":
+        doc[draw(st.text(max_size=8).filter(lambda key: key not in {*doc, "offsets"}))] = 0
+    elif fault == "top":
+        doc = draw(st.sampled_from([[], [doc], 4, "doc", None, 1.5]))
+    elif fault == "entry":
+        row, col = draw(st.integers(0, 3)), draw(st.integers(0, 1))
+        doc["normals"][row][col] = draw(st.sampled_from(BAD_NUMBERS))
+    elif fault in ("n", "k"):
+        doc[fault] = draw(st.sampled_from(BAD_NUMBERS))
+    elif fault == "shape":
+        rows = doc["normals"]
+        doc["normals"] = draw(st.sampled_from([
+            [], [[]] * 4, rows[:3], rows + [[1, 1]], rows[:3] + [[1]], rows[:3] + [[1, 2, 3]],
+            [rows], rows[0], {"0": rows}, 7,
+        ]))
+    elif fault == "n<=k":
+        n = draw(st.integers(-2, 2))
+        doc.update(n=n, normals=[[1, 0]] * max(n, 0))
+    elif fault == "k<=0":
+        k = draw(st.integers(-2, 0))
+        doc.update(k=k, normals=[[0] * max(k, 0)] * 4)
+    else:
+        doc["offsets"] = draw(st.sampled_from([
+            [0, 0, 0], [0] * 5, 0, "0000", [0, 0, 0, "1/0"], [0, 0, 0, "1e9"], [0, 0, 0, 0.5],
+        ]))
+    return json.dumps(doc).replace(json.dumps(HUGE), "9" * 5000)
+
+
+def test_the_fuzzed_document_is_valid(tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(VALID))
+    for command in INPUT_COMMANDS:
+        with redirect_stdout(io.StringIO()):
+            assert main([command, "--input", str(path)]) == 0, command
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(malformed_documents())
+@example(json.dumps(dict(VALID, n="9" * 5000)))
+def test_malformed_documents_exit_one_naming_the_file(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "arr.json"
+    path.write_text(text)
+    for command in INPUT_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--input", str(path)])
+        assert code == 1, (command, text[:200])
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: {path}") and err.getvalue().count("\n") == 1
+        # a 5 000-character value is abbreviated, not repeated
+        assert len(err.getvalue()) < len(str(path)) + 300
+        assert "Traceback" not in err.getvalue()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(
+    shape=st.sampled_from([(3, 1), (3, 2), (4, 2), (5, 3)]),
+    data=st.data(),
+)
+def test_rational_documents_load_to_cleared_rows(tmp_path_factory, shape, data):
+    # the rows times the least common denominator of all entries
+    n, k = shape
+    entry = st.one_of(
+        st.integers(-10**30, 10**30),
+        st.tuples(st.integers(-99, 99), st.integers(1, 60), st.sampled_from(["", "+"])).map(
+            lambda t: f"{t[2] if t[0] >= 0 else ''}{t[0]}/{t[1]}"
+        ),
+    )
+    rows = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    path = tmp_path_factory.mktemp("rational") / "arr.json"
+    path.write_text(json.dumps({"n": n, "k": k, "normals": rows}))
+    fractions = [[Fraction(x) for x in row] for row in rows]
+    mult = lcm(*(x.denominator for row in fractions for x in row))
+    arr = _load_arrangement(str(path))
+    assert arr.normals == tuple(tuple(int(x * mult) for x in row) for row in fractions)
+    assert all(type(x) is int for row in arr.normals for x in row)
+
+
 @pytest.mark.parametrize("command", INPUT_COMMANDS)
-def test_zero_k_document_exits_one(command, tmp_path):
+def test_zero_k_document_exits_one(command, tmp_path, capsys):
     # gen --k 0 is rejected, and so is a document with k = 0
     path = tmp_path / "arr.json"
     path.write_text(json.dumps({"n": 4, "k": 0, "normals": [[], [], [], []]}))
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--input", str(path)])
-    assert exc.value.code == f"{path}: need n > k >= 1, got n=4, k=0"
+    assert main([command, "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: need n > k >= 1, got n=4, k=0\n"
 
 
 def test_precondition_failure_exits_one(capsys):
@@ -320,12 +433,11 @@ def test_help_exits_zero(capsys):
     ],
     ids=["float-n", "bool-k", "string-n", "bool-entry", "all-three"],
 )
-def test_non_integer_json_exits_one(doc, tmp_path):
+def test_non_integer_json_exits_one(doc, tmp_path, capsys):
     path = tmp_path / "arr.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--input", str(path)])
-    assert "malformed arrangement document" in str(exc.value)
+    assert main(["census", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed arrangement document: ")
 
 
 def test_exit_codes_of_the_console_command(tmp_path):

@@ -53,7 +53,7 @@ def dep63():
 
 def test_build_form_two_points_on_a_line():
     # k=1: concurrency of translated points i, j means equal positions
-    arr = GenericArrangement(3, 1, QMatrix.from_rows([[2], [3], [5]]))
+    arr = GenericArrangement(3, 1, [[2], [3], [5]])
     form = build_form(arr, (1, 2))
     # coefficients proportional to (alpha_2, -alpha_1) at positions 1, 2
     assert form.coeffs == (3, -2, 0)
@@ -80,7 +80,7 @@ def test_build_form_vanishes_on_forced_concurrency():
         translates = [Fraction(rng.randint(-9, 9)) for _ in range(arr.n)]
         for j in subset:  # force the subset's hyperplanes through the point
             translates[j - 1] = sum(
-                arr.normals.entries[j - 1][i] * point[i] for i in range(arr.k)
+                arr.normals[j - 1][i] * point[i] for i in range(arr.k)
             )
         form = build_form(arr, subset)
         assert sum(c * t for c, t in zip(form.coeffs, translates)) == 0
@@ -92,10 +92,10 @@ def test_concurrency_determinant_vanishes_on_common_point():
     point = [Fraction(1), Fraction(-2), Fraction(3)]
     subset = (1, 2, 3, 4)
     col = [
-        [sum(arr.normals.entries[j - 1][i] * point[i] for i in range(arr.k))]
+        [sum(arr.normals[j - 1][i] * point[i] for i in range(arr.k))]
         for j in subset
     ]
-    aug = QMatrix.from_rows([arr.normals.entries[j - 1] + tuple(c) for j, c in zip(subset, col)])
+    aug = QMatrix.from_rows([arr.normals[j - 1] + tuple(c) for j, c in zip(subset, col)])
     assert aug.det() == 0
 
 
@@ -138,11 +138,11 @@ def test_codim_dep63_and_perturbed():
     assert codim_intersection(arr, DEP63_TRIPLE) == 2
     rng = SplitMix64(301)
     while True:
-        rows = [list(r) for r in arr.normals.entries]
+        rows = [list(r) for r in arr.normals]
         rows[2] = [rng.randint(-12, 12) for _ in range(3)]
         from discarr.arrangement import is_trace_generic
 
-        cand = GenericArrangement(6, 3, QMatrix.from_rows(rows))
+        cand = GenericArrangement(6, 3, rows)
         if is_trace_generic(cand) and not dependent_triples(cand):
             break
     assert codim_intersection(cand, DEP63_TRIPLE) == 3
@@ -462,7 +462,7 @@ def hexagon():
     infinity, so the trace is generic with four dependent triples.
     """
     rows = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
-    return GenericArrangement(6, 3, QMatrix.from_rows(rows))
+    return GenericArrangement(6, 3, rows)
 
 
 def test_hexagon_has_four_dependent_triples():
@@ -507,16 +507,17 @@ def test_brackets_are_signed_determinants(t, seed):
     assert set(brackets) == {tuple(p) for c in combinations(rest, 3) for p in permutations(c)}
     for triple, value in brackets.items():
         rows = list(triple + common)
-        assert value == _bareiss_det([list(arr.int_normals[i - 1]) for i in rows])
+        assert value == _bareiss_det([list(arr.normals[i - 1]) for i in rows])
         order = list(range(k))
         shuffle(rng, order)
-        shuffled = [list(arr.int_normals[rows[p] - 1]) for p in order]
+        shuffled = [list(arr.normals[rows[p] - 1]) for p in order]
         assert perm_sign(order) * value == _bareiss_det(shuffled)
 
 
 @st.composite
 def rational_arrangements(draw):
-    """(n, k) arrangements whose normals are "p/q" strings, as in the JSON.
+    """(normals, arrangement) pairs: the `Fraction` rows of "p/q" strings,
+    and the arrangement that reading them as JSON gives.
 
     Each row gets its own denominators, so clearing them row by row would
     scale the minors by different factors.
@@ -524,21 +525,23 @@ def rational_arrangements(draw):
     n, k = draw(st.sampled_from([(n, k) for n in range(3, 7) for k in range(1, n - 1)]))
     entry = st.tuples(st.integers(-9, 9), st.integers(1, 7)).map(lambda pq: f"{pq[0]}/{pq[1]}")
     rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
-    return arrangement_from_json({"n": n, "k": k, "normals": rows})
+    normals = [[Fraction(x) for x in row] for row in rows]
+    return normals, arrangement_from_json({"n": n, "k": k, "normals": rows})
 
 
 @settings(ORACLE_SETTINGS, max_examples=150)
 @given(rational_arrangements())
-def test_forms_match_the_fraction_minor_oracle(arr):
+def test_forms_match_the_fraction_minor_oracle(case):
+    normals, arr = case
     generic = all(
-        det_by_permutations([arr.normals.entries[i] for i in rows]) != 0
+        det_by_permutations([normals[i] for i in rows]) != 0
         for rows in combinations(range(arr.n), arr.k)
     )
     assert is_trace_generic(arr) == generic
     if not generic:
         return
     expected = [
-        build_form_by_fractions(arr, subset)
+        build_form_by_fractions(normals, subset)
         for subset in combinations(range(1, arr.n + 1), arr.k + 1)
     ]
     assert [(f.subset, f.coeffs) for f in build_all(arr)] == expected

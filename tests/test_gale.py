@@ -5,14 +5,13 @@ from contextlib import redirect_stdout
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discarr.arrangement import random_generic
 from discarr.cli import main
 from discarr.discriminantal import construct_dependent, dependent_triples
 from discarr.gale import (
-    PointConfig,
     concurrent_partition_exists,
     essential_normals_via_gale,
     gale_transform,
@@ -20,7 +19,7 @@ from discarr.gale import (
     random_concurrent_sextuple,
     random_generic_sextuple,
 )
-from discarr.linalg import QMatrix
+from discarr.linalg import QMatrix, common_int_rows, int_rank
 from discarr.rng import SplitMix64
 
 from _oracles import concurrent_pairs_by_cross, shuffle
@@ -28,50 +27,78 @@ from _oracles import concurrent_pairs_by_cross, shuffle
 
 def random_config(rng, dim, n, bound=7):
     while True:
-        mat = QMatrix.from_rows(
-            [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(dim)]
-        )
-        if mat.rank() == dim:
-            return PointConfig(mat)
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(dim)]
+        if int_rank(rows) == dim:
+            return rows
 
 
-def is_zero(m):
-    return all(x == 0 for row in m.entries for x in row)
+def annihilates(dual, points):
+    """Q P^t = 0: every dual row is orthogonal to every point row."""
+    return all(sum(a * b for a, b in zip(q, p)) == 0 for q in dual for p in points)
+
+
+def columns(rows):
+    return list(zip(*rows))
 
 
 def test_gale_block_identity():
-    config = PointConfig(
-        QMatrix.from_rows([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]])
-    )
-    dual = gale_transform(config)
-    assert dual.dim == 3 and dual.n == 6
-    assert is_zero(dual.vectors @ config.vectors.transpose())
-    assert dual.vectors.rank() == 3
+    points = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]
+    dual = gale_transform(points)
+    assert len(dual) == 3 and all(len(row) == 6 for row in dual)
+    assert annihilates(dual, points)
+    assert int_rank(dual) == 3
 
 
 def test_gale_twice_is_linearly_equivalent():
     rng = SplitMix64(21)
     for _ in range(5):
-        config = random_config(rng, 3, 6)
-        twice = gale_transform(gale_transform(config))
-        assert twice.vectors.rref()[0].entries == config.vectors.rref()[0].entries
+        points = random_config(rng, 3, 6)
+        twice = gale_transform(gale_transform(points))
+        assert QMatrix.from_rows(twice).rref() == QMatrix.from_rows(points).rref()
 
 
 def test_gale_contract_random():
     rng = SplitMix64(22)
-    config = random_config(rng, 3, 6)
-    dual = gale_transform(config)
-    assert (dual.dim, dual.n) == (3, 6)
-    assert is_zero(dual.vectors @ config.vectors.transpose())
+    points = random_config(rng, 3, 6)
+    dual = gale_transform(points)
+    assert len(dual) == 3 and all(len(row) == 6 for row in dual)
+    assert annihilates(dual, points)
 
 
 def test_gale_rejects_degenerate():
-    flat = PointConfig(QMatrix.from_rows([[1, 2, 3], [2, 4, 6]]))
     with pytest.raises(ValueError):
-        gale_transform(flat)
-    square = PointConfig(QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        gale_transform([[1, 2, 3], [2, 4, 6]])  # two points spanning a line
     with pytest.raises(ValueError):
-        gale_transform(square)
+        gale_transform([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # no more points than dimensions
+
+
+@st.composite
+def point_rows(draw):
+    """d x n integer rows, n > d, full rank or not."""
+    d, n = draw(st.sampled_from([(1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8), (5, 9)]))
+    row = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=d, max_size=d))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=120)
+@given(point_rows())
+# negative pivots, and primitive basis vectors whose last entry is negative,
+# where the common factor divides with a sign
+@example([[-2, 3, 1, -5], [4, -1, -3, 2]])
+@example([[-3, -1, 2, 7, -4], [5, 2, -6, -1, 3], [-1, 4, 4, -2, -2]])
+@example([[-1, 0, 2]])
+def test_gale_transform_matches_fraction_nullspace(points):
+    # the integer kernel against the `Fraction` one: the canonical basis of
+    # `QMatrix.nullspace_basis`, cleared of denominators by one factor
+    d, n = len(points), len(points[0])
+    if int_rank(points) != d:
+        with pytest.raises(ValueError):
+            gale_transform(points)
+        return
+    dual = gale_transform(points)
+    assert dual == common_int_rows(QMatrix.from_rows(points).nullspace_basis().entries)
+    assert annihilates(dual, points)
+    assert int_rank(dual) == len(dual) == n - d
 
 
 def test_essential_normals_6_3_and_rejections():
@@ -89,7 +116,7 @@ def test_essential_part_of_smallest_case_is_distinct_lines():
     normals = essential_normals_via_gale(arr)
     assert len(normals) == 5
     for (_, u), (_, v) in combinations(normals, 2):
-        assert QMatrix.from_rows([u, v]).rank() == 2
+        assert int_rank([u, v]) == 2
 
 
 def test_concurrent_partition_positive_and_negative():
@@ -102,10 +129,9 @@ def test_concurrent_partition_positive_and_negative():
 
 
 def test_concurrent_partition_rejects_repeated_points():
-    mat = QMatrix.from_rows([[1, 2, 1, 0, 0, 2], [0, 1, 0, 1, 2, 2], [0, 0, 0, 1, 1, 0]])
-    config = PointConfig(mat)  # columns 1 and 3 coincide
-    with pytest.raises(ValueError):
-        concurrent_partition_exists(config)
+    points = [[1, 2, 1, 0, 0, 2], [0, 1, 0, 1, 2, 2], [0, 0, 0, 1, 1, 0]]
+    with pytest.raises(ValueError):  # columns 1 and 3 coincide
+        concurrent_partition_exists(points)
 
 
 def test_gale_invariance_sampled():
@@ -137,13 +163,13 @@ def quadrilateral_vertices(seed):
     rng = SplitMix64(seed)
     while True:
         lines = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)]
-        if any(QMatrix.from_rows(list(three)).rank() < 3 for three in combinations(lines, 3)):
+        if any(int_rank(three) < 3 for three in combinations(lines, 3)):
             continue  # three concurrent lines would merge vertices
         points = [
             QMatrix.from_rows([a, b]).nullspace_basis().entries[0] for a, b in combinations(lines, 2)
         ]
         shuffle(rng, points)
-        return PointConfig(QMatrix.from_rows(points).transpose())
+        return columns(common_int_rows(points))
 
 
 SAMPLERS = {
@@ -156,23 +182,22 @@ SAMPLERS = {
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
 @given(sampler=st.sampled_from(sorted(SAMPLERS)), seed=st.integers(0, 2**32 - 1))
 def test_concurrent_partition_matches_cross_product_oracle(sampler, seed):
-    config = SAMPLERS[sampler](seed=seed)
-    for side in (config, gale_transform(config)):
-        points = [side.point(i) for i in range(1, 7)]
-        assert concurrent_partition_exists(side) == concurrent_pairs_by_cross(points)
+    points = SAMPLERS[sampler](seed=seed)
+    for side in (points, gale_transform(points)):
+        assert concurrent_partition_exists(side) == concurrent_pairs_by_cross(columns(side))
 
 
 def test_dual_points_reflect_dependency():
     # hyperplanes of a dependent trace, read as projective points, admit a
     # concurrent partition; a dependency-free trace's points do not
     dep63 = construct_dependent(2, 0, seed=11)
-    found, witness = concurrent_partition_exists(PointConfig(dep63.normals.transpose()))
+    found, witness = concurrent_partition_exists(columns(dep63.normals))
     assert found and witness == ((1, 2), (3, 4), (5, 6))
     for seed in (71, 72):
         arr = random_generic(6, 3, seed=seed, bound=12)
         if dependent_triples(arr):
             continue
-        found, _ = concurrent_partition_exists(PointConfig(arr.normals.transpose()))
+        found, _ = concurrent_partition_exists(columns(arr.normals))
         assert not found
 
 
@@ -181,24 +206,24 @@ def test_pencil_invariance_for_three_groups_of_three():
     # the Gale transform of its normals (9 points in dimension 4) admits a
     # partition into three triples spanning hyperplanes of a pencil
     dependent = construct_dependent(3, 0, seed=3)
-    dual = gale_transform(PointConfig(dependent.normals.transpose()))
-    assert (dual.dim, dual.n) == (4, 9)
+    dual = gale_transform(columns(dependent.normals))
+    assert len(dual) == 4 and all(len(row) == 9 for row in dual)
     found, witness = pencil_partition_exists(dual)
     assert found and witness == ((1, 2, 3), (4, 5, 6), (7, 8, 9))
 
     generic = random_generic(9, 5, seed=81, bound=14)
     assert not dependent_triples(generic)
-    gale_side = gale_transform(PointConfig(generic.normals.transpose()))
+    gale_side = gale_transform(columns(generic.normals))
     assert not pencil_partition_exists(gale_side)[0]
 
 
 def test_concurrent_sampler_redraws_collinear_points():
     # seed 1055 first draws six points on one line; the configuration would
     # not span the plane and its Gale transform would be undefined
-    config = random_concurrent_sextuple(seed=1055)
-    assert config.vectors.rank() == 3
-    assert concurrent_partition_exists(config)[0]
-    assert concurrent_partition_exists(gale_transform(config))[0]
+    points = random_concurrent_sextuple(seed=1055)
+    assert int_rank(points) == 3
+    assert concurrent_partition_exists(points)[0]
+    assert concurrent_partition_exists(gale_transform(points))[0]
 
 
 def test_nonzero_int_rejects_an_empty_range():
