@@ -9,8 +9,8 @@ classifies each flat by its multiplicity pattern, and detects or constructs
 the geometric dependency that produces multiplicity-3 flats.  The census
 tests the few forms that a pair's supports allow for membership in the
 pair's span, by one integer identity (`codim2_census`); dependent triples of
-groups of two are found by a bracket identity of the k x k minors, larger
-groups by a rank test (`dependent_triples`).  The flat kinds are:
+groups of every size are found by one meet identity of the k x k minors
+(`dependent_triples`).  The flat kinds are:
 
 * GOOD       multiplicity k+2, the flat where a full (k+2)-subset concurs;
              there are exactly C(n, k+2) of these for every generic trace.
@@ -25,12 +25,13 @@ groups by a rank test (`dependent_triples`).  The flat kinds are:
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .arrangement import GenericArrangement, is_trace_generic
-from .linalg import QMatrix, int_nullspace, int_rank, primitive_int_vector
+from .linalg import QMatrix, int_rank, primitive_int_vector
 from .rng import SplitMix64
 
 GOOD = "GOOD"
@@ -244,52 +245,37 @@ def group_partitions(items: tuple[int, ...], size: int):
             yield g1, g2, tuple(x for x in rem1 if x not in g2)
 
 
-def _dependency_test(arr: GenericArrangement, common, groups, spans=None) -> bool:
-    """Geometric dependency: do the groups' infinity subspaces span properly?
-
-    Restricting the trace to the common hyperplanes, each group of size s
-    cuts an (s-1)-dimensional direction subspace; the triple is dependent
-    when the union of their spanning vectors has rank at most 2s-2 inside
-    the (2s-1)-dimensional restricted trace space.  `spans`, if given, is a
-    memo of the integer spanning vectors keyed by (group, common).
-    """
-    if spans is None:
-        spans = {}
-    s = len(groups[0])
-    rows = []
-    for g in groups:
-        key = (tuple(g), tuple(common))
-        if key not in spans:
-            normals = [arr.normals[i - 1] for i in key[0] + key[1]]
-            basis = int_nullspace(normals, arr.k)
-            if len(basis) != s - 1:
-                raise AssertionError("generic trace must cut subspaces of dimension s-1")
-            spans[key] = basis
-        rows.extend(spans[key])
-    return int_rank(rows) <= 2 * s - 2
+def _triple_members(common, g1, g2, g3) -> tuple[tuple[int, ...], ...]:
+    """The forms of a candidate triple: common | gi | gj for each pair of groups."""
+    pairs = ((g1, g2), (g2, g3), (g1, g3))
+    return tuple(sorted(tuple(sorted(common + x + y)) for x, y in pairs))
 
 
-def _brackets(arr: GenericArrangement, common) -> dict[tuple[int, int, int], int]:
-    """The bracket [x y z] of every ordered triple of indices outside `common`.
+def _cofactor_rows(arr: GenericArrangement, common, group, pool) -> list[list[int]]:
+    """Pairings of every normal with a basis of the group's direction space.
 
-    [x y z] is the determinant of the integer normals in the row order
-    (x, y, z, *common), read off `arr.minors` with the sign of sorting that
-    order.  Up to one nonzero factor that depends only on `common`, it is
-    the 3 x 3 determinant of the normals x, y, z restricted to the common
-    hyperplanes' intersection (used when k - |common| = 3).
+    The direction space is the (s-1)-dimensional space that the normals of
+    group | common annihilate.  Let Q be the first s-1 indices of `pool`
+    (the indices outside `common`) that are not in the group.  For each r
+    in Q the cofactor vector v_r of the k-1 rows T = common | group |
+    (Q - {r}) lies in that space, and <n_x, v_r> = det(n_x, n_T) is a k x k
+    minor, signed by sorting x into the rows of T (zero for x in T).  Since
+    <n_q, v_r> is nonzero exactly when q = r, the v_r are a basis.  Row r
+    holds <n_x, v_r> at index x.
     """
     minors = arr.minors
-    pool = [j for j in range(1, arr.n + 1) if j not in common]
-    out = {}
-    for x, y, z in combinations(pool, 3):
-        # sorting (x, y, z, *common) moves each of x < y < z past the common
-        # indices below it
-        value = minors[tuple(sorted((x, y, z) + common))]
-        if sum(c < u for u in (x, y, z) for c in common) % 2:
-            value = -value
-        out[x, y, z] = out[y, z, x] = out[z, x, y] = value
-        out[y, x, z] = out[x, z, y] = out[z, y, x] = -value
-    return out
+    others = [j for j in pool if j not in group][: len(group) - 1]
+    rows = []
+    for r in others:
+        rest = tuple(sorted(common + group + tuple(q for q in others if q != r)))
+        row = [0] * (arr.n + 1)
+        for x in pool:
+            if x not in rest:
+                i = bisect(rest, x)
+                value = minors[rest[:i] + (x,) + rest[i:]]
+                row[x] = -value if i % 2 else value
+        rows.append(row)
+    return rows
 
 
 def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
@@ -300,39 +286,40 @@ def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
     two, the three-way overlap has some size t with k+1-t even, and the
     pairwise overlaps outside it all have equal size s >= 2.
 
-    For s = 2 the trace restricted to the t common hyperplanes is a
-    3-dimensional space, and each group {a, b} cuts a direction line in it.
-    Three such lines are coplanar exactly when the lines through the
-    normals' points ab, cd, ef concur in the dual projective plane, which
-    is the classical bracket identity [a b e][c d f] = [a b f][c d e]; the
-    brackets of each common set are built once by `_brackets`.  Larger
-    groups take the span test `_dependency_test`, where a group's
-    direction space is computed once per call and shared by every candidate
-    containing it.
+    Each candidate, groups g1, g2, g3 of s indices besides the t common
+    ones, takes one meet identity.  The form F of common | g1 | g2 gives
+    the linear relation sum F_x n_x = 0 of those k+1 normals (Laplace
+    expansion), so l = sum of F_x n_x over x in g1 spans the meet of
+    span(common | g1) and span(common | g2) modulo the common normals; the
+    triple is dependent exactly when l annihilates the direction space of
+    g3, that is when each of the `_cofactor_rows` of g3 (built once per
+    common set and g3) pairs to zero with F on g1: s-1 sums of s products.
+    For s = 2 this is the classical test that the meet of the lines ab and
+    cd lies on the line ef.
     """
     if not is_trace_generic(arr):
         raise ValueError("trace must be generic")
+    # coefficient of hyperplane x at index x, as in the cofactor rows
+    forms = {f.subset: (0,) + f.coeffs for f in build_all(arr)}
     found = []
-    spans: dict = {}
     for s in range(2, (arr.k + 1) // 2 + 1):
         t = arr.k + 1 - 2 * s
         if t + 3 * s > arr.n:
             continue
         for common in combinations(range(1, arr.n + 1), t):
             pool = tuple(j for j in range(1, arr.n + 1) if j not in set(common))
-            brackets = _brackets(arr, common) if s == 2 else None
+            cofactors: dict[tuple[int, ...], list[list[int]]] = {}
             for union in combinations(pool, 3 * s):
                 for g1, g2, g3 in group_partitions(union, s):
-                    if brackets is not None:
-                        (a, b), (c, d), (e, f) = g1, g2, g3
-                        left = brackets[a, b, e] * brackets[c, d, f]
-                        if left != brackets[a, b, f] * brackets[c, d, e]:
-                            continue
-                    elif not _dependency_test(arr, common, (g1, g2, g3), spans):
-                        continue
-                    pairs = ((g1, g2), (g2, g3), (g1, g3))
-                    members = tuple(sorted(tuple(sorted(common + x + y)) for x, y in pairs))
-                    found.append(DependentTriple(members, t, s))
+                    rows = cofactors.get(g3)
+                    if rows is None:
+                        rows = cofactors[g3] = _cofactor_rows(arr, common, g3, pool)
+                    form = forms[tuple(sorted(common + g1 + g2))]
+                    for row in rows:
+                        if sum([form[x] * row[x] for x in g1]):
+                            break
+                    else:
+                        found.append(DependentTriple(_triple_members(common, g1, g2, g3), t, s))
     found.sort(key=lambda d: d.members)
     return found
 
@@ -356,21 +343,8 @@ def construct_dependent(group_size: int, common_count: int, seed: int) -> Generi
     m = 2 * s - 1
     rng = SplitMix64(seed)
     bound = n + 8
-    expected = tuple(
-        sorted(
-            (
-                tuple(sorted(tuple(range(1, 2 * s + 1)) + tuple(range(3 * s + 1, n + 1)))),
-                tuple(sorted(tuple(range(s + 1, 3 * s + 1)) + tuple(range(3 * s + 1, n + 1)))),
-                tuple(
-                    sorted(
-                        tuple(range(1, s + 1))
-                        + tuple(range(2 * s + 1, 3 * s + 1))
-                        + tuple(range(3 * s + 1, n + 1))
-                    )
-                ),
-            )
-        )
-    )
+    groups = [tuple(range(i * s + 1, (i + 1) * s + 1)) for i in range(3)]
+    expected = _triple_members(tuple(range(3 * s + 1, n + 1)), *groups)
 
     for _ in range(CONSTRUCT_BUDGET):
         # three (s-1)-dim subspaces inside the hyperplane {last coord = 0}

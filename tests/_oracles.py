@@ -1,30 +1,31 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 Deliberately naive: determinant by permutation expansion, rank by largest
-nonvanishing minor, reduced row echelon form by `Fraction` Gauss-Jordan,
-the concurrency forms from `Fraction` minors of the unscaled normals, the
+nonvanishing minor, reduced row echelon form by `Fraction` Gauss-Jordan, the
+concurrency forms from `Fraction` minors of the unscaled normals, the
 codimension-2 census by testing every form against every pair and by
-grouping the pairs under the primitive Plücker vector of their span, the census
-JSON through intermediate dicts, the six-point concurrency search by cross
-products, the group triples by filtering all triples of groups, the planar
-rank oracle by one `int_rank` per collection, the class merge by
-restarting after every merge, the plane section in `Fraction`s with its
-parallel test and its intersections in two separate passes, the sweep by
+grouping the pairs under the primitive Plücker vector of their span, the
+census JSON through intermediate dicts, the six-point concurrency search by
+cross products, the group triples by filtering all triples of groups, the
+dependency of three groups by the rank of their direction spaces' nullspace
+bases, the planar rank oracle by one `int_rank` per collection, the class
+merge by restarting after every merge, the plane section in `Fraction`s with
+its parallel test and its intersections in two separate passes, the sweep by
 sorting every line by its `Fraction` t-value at every midpoint, the
 monodromy braids by re-inverting every earlier half twist for every point,
 and the van Kampen relators by expanding every conjugated braid and acting
 with it letter by letter.  Apart from `dims_by_rank`, which calls `int_rank`
-(itself checked against `rank_by_minors`), `build_form_by_fractions`,
-which normalises with `primitive_int_vector`, `section_by_two_passes`,
-which substitutes into the forms of `build_all`,
-`braid_monodromy_by_reinversion`, which builds half twists with
-`braid.halftwist`, and `presentation_by_expansion`, which runs the Artin
-action of `braid.py` (its substitution step, `apply_images`, is checked
-on explicit words in test_braid.py), nothing here shares code with the elimination routines,
-the minors table, the census's candidate test, the brackets, the JSON writer, the partition
-enumerator, the depth-first planar walk, the one-pass merge, the
-single-pass section, the integer sweep, the shared-prefix braids or the
-image tables under test.
+(itself checked against `rank_by_minors`), `dependency_by_rank`, which calls
+`int_nullspace` and `int_rank`, `build_form_by_fractions`, which normalises
+with `primitive_int_vector`, `section_by_two_passes`, which substitutes into
+the forms of `build_all`, `braid_monodromy_by_reinversion`, which builds
+half twists with `braid.halftwist`, and `presentation_by_expansion`, which
+runs the Artin action of `braid.py` (its substitution step, `apply_images`,
+is checked on explicit words in test_braid.py), nothing here shares code
+with the elimination routines, the minors table, the census's candidate
+test, the meet identity, the JSON writer, the partition enumerator, the
+depth-first planar walk, the one-pass merge, the single-pass section, the
+integer sweep, the shared-prefix braids or the image tables under test.
 
 The last three are not oracles but helpers that only tests read:
 `restrict` (an arrangement and its offsets restricted to a flat, through
@@ -40,7 +41,13 @@ from math import comb, gcd
 from discarr.arrangement import GenericArrangement, is_trace_generic
 from discarr.braid import BraidWord, artin_images, halftwist, invert, reduce_free
 from discarr.discriminantal import build_all
-from discarr.linalg import QMatrix, common_int_rows, int_rank, primitive_int_vector
+from discarr.linalg import (
+    QMatrix,
+    common_int_rows,
+    int_nullspace,
+    int_rank,
+    primitive_int_vector,
+)
 from discarr.monodromy import (
     NonGenericSection,
     Presentation,
@@ -271,6 +278,25 @@ def disjoint_group_triples(pool, size: int):
         for groups in combinations(combinations(pool, size), 3)
         if len(set().union(*groups)) == 3 * size
     ]
+
+
+def dependency_by_rank(arr, common, groups) -> bool:
+    """Whether three groups' direction spaces at infinity fail to span.
+
+    Each group of size s, with the common hyperplanes, cuts the
+    (s-1)-dimensional nullspace of their normals inside the
+    (2s-1)-dimensional trace space restricted to the common hyperplanes;
+    the triple is dependent when the three bases together have rank at
+    most 2s-2.
+    """
+    s = len(groups[0])
+    rows = []
+    for g in groups:
+        basis = int_nullspace([arr.normals[i - 1] for i in tuple(g) + tuple(common)], arr.k)
+        if len(basis) != s - 1:
+            raise AssertionError("generic trace must cut subspaces of dimension s-1")
+        rows.extend(basis)
+    return int_rank(rows) <= 2 * s - 2
 
 
 def dims_by_rank(slopes, n: int, cap: int):

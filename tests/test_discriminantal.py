@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -19,8 +19,7 @@ from discarr.discriminantal import (
     GOOD,
     OTHER,
     SIMPLE,
-    _brackets,
-    _dependency_test,
+    _cofactor_rows,
     build_all,
     build_form,
     codim2_census,
@@ -29,16 +28,16 @@ from discarr.discriminantal import (
     dependent_triples,
     group_partitions,
 )
-from discarr.linalg import QMatrix, _bareiss_det, int_rank
+from discarr.linalg import QMatrix, _bareiss_det, int_nullspace, int_rank
 from discarr.rng import SplitMix64
 
 from _oracles import (
     build_form_by_fractions,
     census_by_minors,
     census_by_plucker_keys,
+    dependency_by_rank,
     det_by_permutations,
     disjoint_group_triples,
-    perm_sign,
     rank_by_minors,
     restrict,
     shuffle,
@@ -291,7 +290,7 @@ def test_dependency_equivalence_scan_with_common_hyperplane():
                     )
                 )
             )
-            geometric = _dependency_test(arr, common, groups)
+            geometric = dependency_by_rank(arr, common, groups)
             assert geometric == (codim_intersection(arr, members) == 2), members
             dependent_found += geometric
     assert dependent_found == 1
@@ -350,7 +349,7 @@ def oracle_census(arr):
 
 
 def triples_call_by_call(arr, sizes=None):
-    """Members of every candidate passing `_dependency_test` with no shared memo.
+    """Members of every candidate passing `dependency_by_rank`, one call each.
 
     `sizes` limits the group sizes s searched; all of them by default.
     """
@@ -360,7 +359,7 @@ def triples_call_by_call(arr, sizes=None):
         for common in combinations(range(1, arr.n + 1), t):
             pool = tuple(j for j in range(1, arr.n + 1) if j not in common)
             for groups in disjoint_group_triples(pool, s):
-                if _dependency_test(arr, common, groups):
+                if dependency_by_rank(arr, common, groups):
                     g1, g2, g3 = groups
                     pairs = ((g1, g2), (g2, g3), (g1, g3))
                     found.append(tuple(sorted(tuple(sorted(common + x + y)) for x, y in pairs)))
@@ -398,8 +397,9 @@ def test_dependent_triples_memo_matches_call_by_call(shape, seed):
     assert [d.members for d in dependent_triples(arr)] == triples_call_by_call(arr)
 
 
-# The candidate census against both brute-force censuses, and the s = 2
-# bracket test against the span test, candidate by candidate.
+# The candidate census against both brute-force censuses, and the meet
+# identity against the rank test for s = 2, 3 and 4, candidate by candidate
+# (for s = 2 the identity is the bracket identity of six plane points).
 CENSUS_SHAPES = {
     k: [(n, k) for n in range(k + 2, k + 5) if comb(n, k + 1) <= 56] for k in range(1, 7)
 }
@@ -493,25 +493,93 @@ def test_bracket_identity_matches_span_test(arr):
     assert found == triples_call_by_call(arr, sizes=(2,))
 
 
-@settings(ORACLE_SETTINGS, max_examples=10)
-@given(t=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
-def test_brackets_are_signed_determinants(t, seed):
-    k = t + 3
-    arr = random_generic(k + 3, k, seed=seed, bound=10)
-    rng = SplitMix64(seed)
-    pool = list(range(1, arr.n + 1))
-    shuffle(rng, pool)
+@st.composite
+def three_group_arrangements(draw):
+    """Arrangements with k = 5, generic or carrying one s = 3 triple.
+
+    (With a common hyperplane the rank test takes about 1.5 s per
+    arrangement; the cofactor rows are checked with one separately.)
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return construct_dependent(3, 0, seed=seed)
+    n = draw(st.integers(9, 10))
+    return random_generic(n, 5, seed=seed, bound=n)
+
+
+@settings(ORACLE_SETTINGS, max_examples=6)
+@given(three_group_arrangements())
+def test_meet_identity_matches_span_test_for_three_groups(arr):
+    found = [d.members for d in dependent_triples(arr) if d.overlap_size == 3]
+    assert found == triples_call_by_call(arr, sizes=(3,))
+
+
+# construct_dependent(4, 0, seed=0), pinned because constructing it takes
+# seconds: twelve hyperplanes in 7-space whose groups 1-4, 5-8 and 9-12
+# carry its one dependent triple
+DEP127_NORMALS = (
+    (93267, 34347, 43176, 39672, 44080, -6612, -11020),
+    (20313, 21121, -37016, -22040, 41876, 33060, 4408),
+    (9189, -2151, 26880, 6612, -28652, -33060, -6612),
+    (47799, 28755, -4816, -33060, -8816, -28652, 33060),
+    (5406, 15932, -41791, 9086, -14868, -4956, -9086),
+    (38398, 13748, -190727, -14042, -8260, -14868, 10738),
+    (3386, 2492, -25031, -3304, -2478, -826, -14868),
+    (1542, 1308, -6703, 826, -944, -944, -2124),
+    (39257, -4644, 15811, -63965, -5815, 40705, 34890),
+    (89777, 78286, -21344, -46520, -98855, -104670, -17445),
+    (18284, 4808, -19070, 2326, 6978, -13956, 10467),
+    (202203, 27084, -197226, 0, 104670, -98855, 75595),
+)
+
+
+def test_four_groups_match_the_span_test():
+    arr = GenericArrangement(12, 7, DEP127_NORMALS)
+    assert is_trace_generic(arr)
+    [triple] = dependent_triples(arr)
+    assert triple.members == (
+        (1, 2, 3, 4, 5, 6, 7, 8),
+        (1, 2, 3, 4, 9, 10, 11, 12),
+        (5, 6, 7, 8, 9, 10, 11, 12),
+    )
+    assert (triple.common_count, triple.overlap_size) == (0, 4)
+    assert codim_intersection(arr, triple.members) == 2
+    # the constructed partition and a seeded sample of the other 5 774
+    partitions = list(group_partitions(tuple(range(1, 13)), 4))
+    shuffle(SplitMix64(0), partitions)
+    sample = [((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12))] + partitions[:60]
+    for groups in sample:
+        dependent = groups == ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12))
+        assert dependency_by_rank(arr, (), groups) == dependent, groups
+
+
+@settings(ORACLE_SETTINGS, max_examples=12)
+@given(s=st.integers(2, 4), data=st.data())
+def test_cofactor_rows_are_signed_determinants(s, data):
+    t = data.draw(st.integers(0, 4 - s))
+    k = 2 * s - 1 + t
+    n = 3 * s + t
+    arr = random_generic(n, k, seed=data.draw(st.integers(0, 2**32 - 1)), bound=n)
+    pool = list(range(1, n + 1))
+    shuffle(SplitMix64(data.draw(st.integers(0, 2**32 - 1))), pool)
     common = tuple(sorted(pool[:t]))
-    brackets = _brackets(arr, common)
-    rest = [j for j in range(1, arr.n + 1) if j not in common]
-    assert set(brackets) == {tuple(p) for c in combinations(rest, 3) for p in permutations(c)}
-    for triple, value in brackets.items():
-        rows = list(triple + common)
-        assert value == _bareiss_det([list(arr.normals[i - 1]) for i in rows])
-        order = list(range(k))
-        shuffle(rng, order)
-        shuffled = [list(arr.normals[rows[p] - 1]) for p in order]
-        assert perm_sign(order) * value == _bareiss_det(shuffled)
+    group = tuple(sorted(pool[t : t + s]))
+    rest = tuple(j for j in range(1, n + 1) if j not in common)
+    rows = _cofactor_rows(arr, common, group, rest)
+    assert len(rows) == s - 1
+    assert int_rank(rows) == s - 1  # a basis of the group's direction space
+    for row in rows:
+        # row r vanishes exactly on its k - 1 rows T, which hold common | group
+        zeros = tuple(x for x in range(1, n + 1) if row[x] == 0)
+        assert len(zeros) == k - 1 and set(common + group) <= set(zeros)
+        [v] = int_nullspace([arr.normals[y - 1] for y in zeros], k)
+        pairing = [sum(a * b for a, b in zip(arr.normals[x - 1], v)) for x in range(1, n + 1)]
+        x0 = next(x for x in range(1, n + 1) if row[x])
+        for x in range(1, n + 1):
+            if x not in zeros:
+                assert row[x] == _bareiss_det([list(arr.normals[y - 1]) for y in (x,) + zeros])
+            # proportional to the pairings with the nullspace vector of T
+            assert row[x] * pairing[x0 - 1] == row[x0] * pairing[x - 1]
 
 
 @st.composite
