@@ -7,10 +7,9 @@ rows; `common_int_rows` clears a rational matrix's denominators by one
 multiplier, so its minors keep their ratios.
 
 Each linear-algebra question has one fraction-free kernel: `reduce_row`
-(one row against an echelon; `int_rank` folds it, the planar rank walk
-calls it directly, and its elimination step `eliminate` alone at the walk's
-leaves), `_int_rref` (Gauss-Jordan; `int_nullspace` and `QMatrix.rref` read
-it) and `_bareiss_det`.  `QMatrix`, an immutable grid of `Fraction`s, is a
+(one row against an echelon; `int_rank` folds it), `_int_rref`
+(Gauss-Jordan; `int_nullspace` and `QMatrix.rref` read it) and
+`_bareiss_det`.  `QMatrix`, an immutable grid of `Fraction`s, is a
 thin entry point that clears denominators and calls those kernels.  Reduced
 row echelon form stays the canonical normal form for subspaces: two
 row-equivalent matrices produce identical `rref()` output, so
@@ -56,12 +55,14 @@ def common_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...]
     return tuple(tuple(f.numerator * (mult // f.denominator) for f in row) for row in rows)
 
 
-def eliminate(vec: Sequence[int], echelon: list[tuple[int, Sequence[int]]]) -> Sequence[int]:
-    """`vec` with every echelon pivot eliminated, fraction-free.
+def reduce_row(vec: Sequence[int], echelon: list[tuple[int, Sequence[int]]]):
+    """`vec` reduced against the echelon rows: (pivot, primitive row) or None.
 
     Each echelon row is zero at the pivots of the rows before it, so
-    eliminating the pivots in order leaves the earlier ones zero, and the
-    result is zero exactly when `vec` lies in the rows' span.  Mutates nothing.
+    eliminating the pivots in order, fraction-free, leaves the earlier ones
+    zero, and the result is zero exactly when `vec` lies in the rows' span.
+    None then; otherwise the row divided by its content, so the echelon's
+    operands stay small.  Mutates nothing.
     """
     row = vec
     for p, e in echelon:
@@ -69,16 +70,6 @@ def eliminate(vec: Sequence[int], echelon: list[tuple[int, Sequence[int]]]) -> S
         if head:
             piv = e[p]
             row = [x * piv - y * head for x, y in zip(row, e)]
-    return row
-
-
-def reduce_row(vec: Sequence[int], echelon: list[tuple[int, Sequence[int]]]):
-    """`vec` reduced against the echelon rows: (pivot, primitive row) or None.
-
-    The row `eliminate` leaves, None when it is zero; otherwise divided by
-    its content so the echelon's operands stay small.  Mutates nothing.
-    """
-    row = eliminate(vec, echelon)
     g = gcd(*row)
     if not g:
         return None

@@ -31,11 +31,14 @@ verify_independence walks the collections of concurrency triples depth
 first, twice, and both walks fill the same layout: one block per size,
 smaller sizes first, each block in the lex order of `combinations` (which
 is preorder restricted to one size).  The rank oracle's walk, once per
-trace, keeps the fraction-free echelon rows of the prefix and reduces only
-the new triple's slope form against them with `linalg.reduce_row`, the step
-`int_rank` folds; at the deepest level nothing is pushed, so the form is
-only eliminated (`linalg.eliminate`) and tested for zero.  The formula's
-walk carries the prefix's merge classes and folds in the new triple, since
+trace, works on the dual side: every slope form vanishes on (1, ..., 1) and
+on the slopes u, so the walk carries an integer basis D of the prefix's
+annihilator modulo span(1, u), from e_3, ..., e_n at the root, and
+n - rank = 2 + |D|.  A form lies in the prefix's span iff its 3-term
+pairings with D vanish: a leaf stops at its first nonzero pairing, a push
+is one fraction-free step per row, and below an empty D every collection
+has dimension 2 and is filled without being walked.  The formula's walk
+carries the prefix's merge classes and folds in the new triple, since
 merging is an order-independent closure; each distinct class family then
 goes through `_dim_reduced` once.  The two layouts are compared position by
 position, and a collection is spelled out only where they differ.
@@ -45,9 +48,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, gcd
 
-from .linalg import eliminate, reduce_row
 from .rng import SplitMix64
 
 SLOPE_BUDGET = 1000
@@ -116,15 +118,6 @@ def _relabel(sets: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...]
                     raise ValueError("set indices out of range [1..n]")
                 mapping[idx] = len(mapping) + 1
     return tuple(tuple(sorted(mapping[i] for i in s)) for s in sets)
-
-
-def _slope_form(u: list[int], triple: tuple[int, int, int], n: int) -> list[int]:
-    a, b, c = triple
-    vec = [0] * n
-    vec[a - 1] = u[c - 1] - u[b - 1]
-    vec[b - 1] = u[a - 1] - u[c - 1]
-    vec[c - 1] = u[b - 1] - u[a - 1]
-    return vec
 
 
 # -- generic rank over Q(u_1..u_n) ------------------------------------------
@@ -335,51 +328,81 @@ def _collection(items, starts: list[int], pos: int) -> tuple:
     return tuple(chosen)
 
 
-def _walk(vectors, start: int, depth: int, echelon, dims: list[int], slots: list[int]) -> None:
+def _walk(pairs, start: int, depth: int, basis, dims: list[int], slots: list[int]) -> None:
     """Record n - rank of the current prefix extended by each form from `start` on.
 
-    The prefix is a collection of `depth` forms and `echelon` holds its
-    reduced rows; `slots[d]` is the next free position in `dims` for a
-    collection of d + 1 forms.  Each extension recurses while the size cap,
-    len(slots), allows.  A leaf's row would never be pushed, so there the
-    form is only eliminated and tested for zero.
+    `pairs[i]` is triple i's form as its three entries (a, x, b, y, c, z),
+    and `basis` is the prefix's D (module docstring), so the prefix has
+    n - rank = 2 + len(basis); `slots[d]` is the next free position in
+    `dims` for a collection of d + 1 forms.  A push keeps the rows before
+    the first row w0 with a nonzero pairing d0 and turns each later row w
+    with pairing d != 0 into d0 * w - d * w0, divided by its content.
+    Extensions recurse while the size cap, len(slots), allows, except below
+    an empty basis, where each deeper size block is one slice of `dims`.
     """
-    n = len(vectors[0])
     slot = slots[depth]
+    dim = 2 + len(basis)
     if depth + 1 == len(slots):
-        dim = n - len(echelon)
-        for i in range(start, len(vectors)):
-            dims[slot] = dim - 1 if any(eliminate(vectors[i], echelon)) else dim
+        for a, x, b, y, c, z in pairs[start:]:
+            dims[slot] = dim
+            for w in basis:
+                if w[a] * x + w[b] * y + w[c] * z:
+                    dims[slot] = dim - 1
+                    break
             slot += 1
         slots[depth] = slot
         return
-    for i in range(start, len(vectors)):
-        reduced = reduce_row(vectors[i], echelon)
-        if reduced is not None:
-            echelon.append(reduced)
-        dims[slot] = n - len(echelon)
+    for i in range(start, len(pairs)):
+        a, x, b, y, c, z = pairs[i]
+        child = basis
+        for k, w0 in enumerate(basis):
+            d0 = w0[a] * x + w0[b] * y + w0[c] * z
+            if d0:
+                child = basis[:k]
+                for w in basis[k + 1:]:
+                    d = w[a] * x + w[b] * y + w[c] * z
+                    if d:
+                        w = [d0 * p - d * q for p, q in zip(w, w0)]
+                        g = gcd(*w)
+                        if g > 1:
+                            w = [v // g for v in w]
+                    child.append(w)
+                break
+        dims[slot] = 2 + len(child)
         slot += 1
-        _walk(vectors, i + 1, depth + 1, echelon, dims, slots)
-        if reduced is not None:
-            echelon.pop()
+        if child:
+            _walk(pairs, i + 1, depth + 1, child, dims, slots)
+        else:
+            rest = len(pairs) - i - 1
+            for deeper in range(depth + 1, len(slots)):
+                count = comb(rest, deeper - depth)
+                dims[slots[deeper]:slots[deeper] + count] = [2] * count
+                slots[deeper] += count
     slots[depth] = slot
 
 
 def _check_trace(args):
     """Dimension n - rank of every collection of up to `cap` slope forms.
 
-    Walks the collections of triples depth first, keeping the echelon rows of
-    the current prefix and reducing only the new triple's form against them.
-    Preorder restricted to one size is the lex order of `combinations`, so
-    each size fills its own block of the result, smaller sizes first (the
-    `_layout` that verify_independence reads).
+    The form of (a, b, c) is (u_c - u_b) e_a + (u_a - u_c) e_b + (u_b - u_a) e_c.
+    `_walk` starts from D = e_3, ..., e_n, a complement of span(1, u) for
+    distinct slopes; repeated slopes raise ValueError.  Preorder restricted
+    to one size is the lex order of `combinations`, so each size fills its
+    own block of the result, smaller sizes first (the `_layout` that
+    verify_independence reads).
     """
-    slopes, n, cap = args
-    vectors = [_slope_form(slopes, t, n) for t in combinations(range(1, n + 1), 3)]
-    slots, total = _layout(len(vectors), cap)
+    u, n, cap = args
+    if len(set(u)) != n:
+        raise ValueError(f"need {n} distinct slopes, got {u}")
+    pairs = [
+        (a, u[c] - u[b], b, u[a] - u[c], c, u[b] - u[a])
+        for a, b, c in combinations(range(n), 3)
+    ]
+    slots, total = _layout(len(pairs), cap)
     dims = [0] * total
     if slots:
-        _walk(vectors, 0, 0, [], dims, slots)
+        basis = [[int(i == j) for i in range(n)] for j in range(2, n)]
+        _walk(pairs, 0, 0, basis, dims, slots)
     return dims
 
 

@@ -213,6 +213,17 @@ def test_verify_independence_jobs_deterministic():
     serial = verify_independence(5, 3, trials=2, seed=44, jobs=1)
     parallel = verify_independence(5, 3, trials=2, seed=44, jobs=2)
     assert serial == parallel
+    # cap 4 reaches collections that span every form at n = 5
+    serial = verify_independence(5, 4, trials=2, seed=44, jobs=1)
+    parallel = verify_independence(5, 4, trials=2, seed=44, jobs=2)
+    assert serial == parallel
+
+
+def test_check_trace_rejects_repeated_slopes():
+    # the walk's root basis e_3..e_n complements span(1, u) only for
+    # distinct slopes; with u_1 = u_2 it would return wrong ranks
+    with pytest.raises(ValueError, match="distinct slopes"):
+        _check_trace(([1, 1, 2, 3], 4, 2))
 
 
 ORACLE_SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -235,6 +246,11 @@ def traces(draw):
 @example(([1, 2, 3, 4, 5, 6], 6, 1))
 @example(([2, -9, 4, 7, -1, 12, 0], 7, 2))  # cap 2: one level of pushes
 @example(([1, 2, 4, 8, 16, 32], 6, 2))
+@example(([0, 3, -5, 7], 4, 4))  # two pushes span every form: the fill path
+@example(([1, 2, 3, 4], 4, 4))
+@example(([4, -7, 0, 9, 2], 5, 5))
+@example(([1, 2, 3, 4, 5], 5, 5))
+@example(([3, -7, 11, 2, 5, -1], 6, 5))
 def test_depth_first_dims_match_per_collection_rank(trace):
     slopes, n, cap = trace
     assert _check_trace(trace) == dims_by_rank(slopes, n, cap)
