@@ -10,7 +10,8 @@ the geometric dependency that produces multiplicity-3 flats.  The census
 tests the few forms that a pair's supports allow for membership in the
 pair's span, by one integer identity (`codim2_census`); dependent triples of
 groups of every size are found by one meet identity of the k x k minors
-(`dependent_triples`).  The flat kinds are:
+(`dependent_triples`) over `group_triples`, the one enumerator of disjoint
+group triples, which the Gale pencil search shares.  The flat kinds are:
 
 * GOOD       multiplicity k+2, the flat where a full (k+2)-subset concurs;
              there are exactly C(n, k+2) of these for every generic trace.
@@ -231,18 +232,22 @@ def codim2_census(arr: GenericArrangement) -> list[StratumRecord]:
     return records
 
 
-def group_partitions(items: tuple[int, ...], size: int):
-    """Partitions of `items` into three unordered groups of `size`, lex order.
+def group_triples(pool: tuple[int, ...], size: int):
+    """Each unordered triple of disjoint `size`-groups of `pool`, exactly once.
 
-    `items` has 3 * size elements; each partition is (g1, g2, g3) with every
-    group sorted as in `items` and g1 < g2 < g3 by their first elements.
+    Yields (g1, g2, thirds), `thirds` iterating over the g3: groups sorted as
+    in `pool`, ordered by first element, so lexicographic when flattened.  A
+    pair comes only where the pool leaves room for a g3 after it.
     """
-    for rest in combinations(items[1:], size - 1):
-        g1 = (items[0],) + rest
-        rem1 = tuple(x for x in items if x not in g1)
-        for g2rest in combinations(rem1[1:], size - 1):
-            g2 = (rem1[0],) + g2rest
-            yield g1, g2, tuple(x for x in rem1 if x not in g2)
+    for i, a in enumerate(pool[: len(pool) - 3 * size + 1]):
+        after = pool[i + 1 :]
+        for rest in combinations(after, size - 1):
+            g1 = (a,) + rest
+            others = [x for x in after if x not in rest]
+            for j, b in enumerate(others[: len(others) - 2 * size + 1]):
+                tail = others[j + 1 :]
+                for rest2 in combinations(tail, size - 1):
+                    yield g1, (b,) + rest2, combinations([x for x in tail if x not in rest2], size)
 
 
 def _triple_members(common, g1, g2, g3) -> tuple[tuple[int, ...], ...]:
@@ -309,12 +314,12 @@ def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
         for common in combinations(range(1, arr.n + 1), t):
             pool = tuple(j for j in range(1, arr.n + 1) if j not in set(common))
             cofactors: dict[tuple[int, ...], list[list[int]]] = {}
-            for union in combinations(pool, 3 * s):
-                for g1, g2, g3 in group_partitions(union, s):
+            for g1, g2, thirds in group_triples(pool, s):
+                form = forms[tuple(sorted(common + g1 + g2))]
+                for g3 in thirds:
                     rows = cofactors.get(g3)
                     if rows is None:
                         rows = cofactors[g3] = _cofactor_rows(arr, common, g3, pool)
-                    form = forms[tuple(sorted(common + g1 + g2))]
                     for row in rows:
                         if sum([form[x] * row[x] for x in g1]):
                             break
@@ -322,6 +327,17 @@ def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
                         found.append(DependentTriple(_triple_members(common, g1, g2, g3), t, s))
     found.sort(key=lambda d: d.members)
     return found
+
+
+def check_census_agrees(census, triples) -> None:
+    """Raise AssertionError on an OTHER stratum, or unless the census's DEPENDENT
+    flats are the members of `triples`: on a generic trace the two provably agree."""
+    if any(rec.kind == OTHER for rec in census):
+        raise AssertionError("census produced an unclassified stratum")
+    found = {d.members for d in triples}
+    census_dep = {rec.members for rec in census if rec.kind == DEPENDENT}
+    if found != census_dep:
+        raise AssertionError(f"dependency search and census disagree: {found} vs {census_dep}")
 
 
 def construct_dependent(group_size: int, common_count: int, seed: int) -> GenericArrangement:
@@ -332,8 +348,8 @@ def construct_dependent(group_size: int, common_count: int, seed: int) -> Generi
     subspaces inside a fixed hyperplane of the (2s-1)-dimensional trace
     space are realized as the common direction spaces of three groups of s
     hyperplanes; t generic coordinates lift the picture.  Resamples until
-    the trace is generic and the census shows exactly the constructed
-    dependent stratum and nothing unexpected.
+    the trace is generic and the search finds just the constructed triple;
+    then a census that disagrees raises AssertionError, never resamples.
     """
     s, t = group_size, common_count
     if s < 2 or t < 0:
@@ -388,13 +404,8 @@ def construct_dependent(group_size: int, common_count: int, seed: int) -> Generi
         if not is_trace_generic(arr):
             continue
         triples = dependent_triples(arr)
-        if len(triples) != 1 or triples[0].members != expected:
-            continue
-        census = codim2_census(arr)
-        dep = [r for r in census if r.kind == DEPENDENT]
-        if any(r.kind == OTHER for r in census):
-            continue
-        if len(dep) == 1 and dep[0].members == expected:
+        if [d.members for d in triples] == [expected]:
+            check_census_agrees(codim2_census(arr), triples)
             return arr
     raise RuntimeError(
         f"dependent construction failed after {CONSTRUCT_BUDGET} resamples "

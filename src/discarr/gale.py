@@ -28,7 +28,7 @@ from itertools import combinations
 from math import lcm
 
 from .arrangement import GenericArrangement
-from .discriminantal import build_form, group_partitions
+from .discriminantal import build_form, group_triples
 from .linalg import _bareiss_det, int_nullspace, int_rank
 from .rng import SplitMix64
 
@@ -126,23 +126,24 @@ def pencil_partition_exists(points):
     partition whose three normals have rank <= 2 is returned as
     (True, partition), else (False, None).
     """
-    dim, n = len(points), len(points[0])
-    if n % 3 != 0:
-        raise ValueError("point count must be a multiple of 3")
+    dim, n = len(points), len(points[0]) if points else 0
+    if n == 0 or n % 3 or any(len(row) != n for row in points):
+        raise ValueError("expected 3s points, s >= 1, as rows of equal length")
     s = n // 3
     if dim != s + 1:
         raise ValueError(f"expected dimension s+1={s + 1} for n=3s={n}")
     columns = list(zip(*points))
-    for partition in group_partitions(tuple(range(1, n + 1)), s):
-        normals = []
-        for group in partition:
-            basis = int_nullspace([columns[i - 1] for i in group], dim)
-            if len(basis) != 1:
-                break  # group does not span a hyperplane
-            normals.append(basis[0])
-        else:
-            if int_rank(normals) <= 2:
-                return True, partition
+    for g1, g2, thirds in group_triples(tuple(range(1, n + 1)), s):
+        for g3 in thirds:
+            normals = []
+            for group in (g1, g2, g3):
+                basis = int_nullspace([columns[i - 1] for i in group], dim)
+                if len(basis) != 1:
+                    break  # group does not span a hyperplane
+                normals.append(basis[0])
+            else:
+                if int_rank(normals) <= 2:
+                    return True, (g1, g2, g3)
     return False, None
 
 

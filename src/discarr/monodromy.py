@@ -46,8 +46,8 @@ from .braid import BraidWord, apply_images, artin_images, halftwist, invert, red
 from .discriminantal import (
     DEPENDENT,
     GOOD,
-    OTHER,
     SIMPLE,
+    check_census_agrees,
     codim2_census,
     dependent_triples,
     build_all,
@@ -382,14 +382,7 @@ def nilpotent_relations(arr: GenericArrangement) -> RelationFamilies:
 
 def _relation_families(arr: GenericArrangement, census) -> RelationFamilies:
     """nilpotent_relations for a census of `arr` the caller already holds."""
-    if any(rec.kind == OTHER for rec in census):
-        raise AssertionError("census produced an unclassified stratum")
-    triples = {d.members for d in dependent_triples(arr)}
-    census_dep = {rec.members for rec in census if rec.kind == DEPENDENT}
-    if triples != census_dep:
-        raise AssertionError(
-            f"dependency search and census disagree: {triples} vs {census_dep}"
-        )
+    check_census_agrees(census, dependent_triples(arr))
     full_sets = []
     dependents = []
     commuting = []

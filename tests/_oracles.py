@@ -23,7 +23,7 @@ half twists with `braid.halftwist`, and `presentation_by_expansion`, which
 runs the Artin action of `braid.py` (its substitution step, `apply_images`,
 is checked on explicit words in test_braid.py), nothing here shares code
 with the elimination routines, the minors table, the census's candidate
-test, the meet identity, the JSON writer, the partition enumerator, the
+test, the meet identity, the JSON writer, the group-triple enumerator, the
 depth-first planar walk, the one-pass merge, the single-pass section, the
 integer sweep, the shared-prefix braids or the image tables under test.
 

@@ -22,7 +22,9 @@ from discarr.discriminantal import (
     GOOD,
     OTHER,
     SIMPLE,
+    DiscForm,
     StratumRecord,
+    build_form,
     codim2_census,
     construct_dependent,
 )
@@ -314,6 +316,60 @@ def test_census_other_stratum_exits_two(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "UNCLASSIFIED" in captured.err
+
+
+def other_record(census):
+    return census + [StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), 4, OTHER)]
+
+
+def without_dependent(census):
+    return [rec for rec in census if rec.kind != DEPENDENT]
+
+
+@pytest.mark.parametrize("falsify", [other_record, without_dependent])
+def test_dependent_construct_falsified_census_exits_two(falsify, capsys, monkeypatch):
+    # the search finds the constructed triple, so a census that disagrees is
+    # a discrepancy, not a reason to resample
+    import discarr.discriminantal as disc
+
+    monkeypatch.setattr(disc, "codim2_census", lambda arr: falsify(codim2_census(arr)))
+    code = main(["dependent-construct", "--s", "2", "--seed", "11"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("discrepancy: ")
+    assert captured.out == ""
+
+
+def reversed_form(arr, subset):
+    form = build_form(arr, subset)
+    return DiscForm(form.subset, form.coeffs[::-1])
+
+
+@pytest.mark.parametrize(
+    "command, target, fake, message",
+    [
+        (
+            "relations", "discarr.monodromy.dependent_triples", lambda arr: [],
+            "census cross-check failed: dependency search and census disagree",
+        ),
+        (
+            "relations", "discarr.monodromy.codim2_census",
+            lambda arr: other_record(codim2_census(arr)),
+            "census cross-check failed: census produced an unclassified stratum",
+        ),
+        ("gale", "discarr.gale.build_form", reversed_form, "gale cross-check failed: "),
+    ],
+    ids=["relations-search", "relations-other", "gale-forms"],
+)
+def test_cross_check_failure_exits_two(command, target, fake, message, tmp_path, capsys, monkeypatch):
+    arr_path = str(tmp_path / "dep63.json")
+    run(["dependent-construct", "--s", "2", "--seed", "11", "--output", arr_path], capsys)
+    monkeypatch.setattr(target, fake)
+    code = main([command, "--input", arr_path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(message)
+    assert captured.out == ""
 
 
 def test_census_inconsistent_flat_exits_two(tmp_path, capsys, monkeypatch):

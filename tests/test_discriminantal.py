@@ -26,7 +26,7 @@ from discarr.discriminantal import (
     codim_intersection,
     construct_dependent,
     dependent_triples,
-    group_partitions,
+    group_triples,
 )
 from discarr.linalg import QMatrix, _bareiss_det, int_nullspace, int_rank
 from discarr.rng import SplitMix64
@@ -296,17 +296,19 @@ def test_dependency_equivalence_scan_with_common_hyperplane():
     assert dependent_found == 1
 
 
-def test_group_partitions_cover_every_disjoint_triple_once():
+def flat_group_triples(pool, size):
+    return [(g1, g2, g3) for g1, g2, thirds in group_triples(pool, size) for g3 in thirds]
+
+
+def test_group_triples_cover_every_disjoint_triple_once():
+    # the oracle list is sorted, so equality checks order and uniqueness;
+    # size 4 is left out, its oracle filters about 4e8 combinations
     for size in (1, 2, 3):
         for n in range(3 * size, 3 * size + 3):
             pool = tuple(range(1, n + 1))
-            enumerated = [
-                groups
-                for union in combinations(pool, 3 * size)
-                for groups in group_partitions(union, size)
-            ]
-            assert len(enumerated) == len(set(enumerated))
-            assert sorted(enumerated) == disjoint_group_triples(pool, size)
+            assert flat_group_triples(pool, size) == disjoint_group_triples(pool, size)
+    pool = (2, 3, 5, 7, 8, 9, 11, 12)
+    assert flat_group_triples(pool, 2) == disjoint_group_triples(pool, 2)
 
 
 def test_classifier_reserves_other_for_falsifiers():
@@ -474,6 +476,24 @@ def test_hexagon_has_four_dependent_triples():
     assert triples == [m for m, _, kind in census_summary(arr) if kind == DEPENDENT]
 
 
+def test_hexagon_behind_a_seventh_point():
+    # the pool 1..7 is larger than 3s = 6, and the hexagon's four triples,
+    # which share groups, all miss the pool's first index; the seventh
+    # point (2, 7) adds three triples through it
+    rows = [(2, 7, 1)] + list(hexagon().normals)
+    arr = GenericArrangement(7, 3, rows)
+    assert is_trace_generic(arr)
+    triples = [d.members for d in dependent_triples(arr)]
+    shifted = {
+        tuple(tuple(x + 1 for x in member) for member in d.members)
+        for d in dependent_triples(hexagon())
+    }
+    assert len(triples) == 7 and shifted <= set(triples)
+    assert all(1 not in member for members in shifted for member in members)
+    assert triples == triples_call_by_call(arr)
+    assert triples == [m for m, _, kind in census_summary(arr) if kind == DEPENDENT]
+
+
 @st.composite
 def two_group_arrangements(draw):
     """Arrangements with k >= 3, generic or carrying one s = 2 triple."""
@@ -545,7 +565,7 @@ def test_four_groups_match_the_span_test():
     assert (triple.common_count, triple.overlap_size) == (0, 4)
     assert codim_intersection(arr, triple.members) == 2
     # the constructed partition and a seeded sample of the other 5 774
-    partitions = list(group_partitions(tuple(range(1, 13)), 4))
+    partitions = flat_group_triples(tuple(range(1, 13)), 4)
     shuffle(SplitMix64(0), partitions)
     sample = [((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12))] + partitions[:60]
     for groups in sample:

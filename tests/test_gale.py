@@ -154,6 +154,16 @@ def test_pencil_agrees_with_concurrent_for_s2():
         assert pencil_partition_exists(neg)[0] == concurrent_partition_exists(neg)[0]
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[], [[]], [[1, 0, 0, 1, 2, 3], [0, 1, 0, 1, 5], [0, 0, 1, 1, 1, 1]]],
+    ids=["no-rows", "no-points", "unequal-rows"],
+)
+def test_pencil_partition_rejects_malformed_points(points):
+    with pytest.raises(ValueError, match="rows of equal length"):
+        pencil_partition_exists(points)
+
+
 def quadrilateral_vertices(seed):
     """The six meets of four random lines, shuffled: six concurrent pairings.
 
