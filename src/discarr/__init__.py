@@ -10,8 +10,9 @@ arrangements, and braid monodromy with fundamental-group presentations of
 generic plane sections.
 
 The records are frozen dataclasses, and every public function returns the
-same result for the same arguments; two caches, an arrangement's `minors`
-and `planar._memo`, hold state that never changes a result.
+same result for the same arguments; three caches, an arrangement's `minors`
+and `planar`'s `_memo` and `_closed`, hold state that never changes a
+result.
 """
 
 from .arrangement import (

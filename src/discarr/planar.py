@@ -7,7 +7,11 @@ This module computes that dimension purely combinatorially: families of sets
 are first merged along pairwise intersections of size >= 2 (two concurrency
 points sharing two lines coincide), then a fiber-counting formula resolves
 families whose sets pairwise share at most one index, recursing on the
-subfamily of sets with at least three shared indices.
+subfamily of sets with at least three shared indices.  Sets are held as
+integer bitmasks (index i is bit i), and a merged family as the sorted tuple
+of its masks.  The formula gives the codimension, which does not depend on
+n (the indices in no set are free coordinates), so one module memo, `_memo`,
+maps each merged family to its codimension, whatever n it was met at.
 
 The recursion bottoms out almost always.  The one exception is a "closed"
 family in which every index lies in >= 2 sets and every set keeps >= 3 such
@@ -38,10 +42,11 @@ n - rank = 2 + |D|.  A form lies in the prefix's span iff its 3-term
 pairings with D vanish: a leaf stops at its first nonzero pairing, a push
 is one fraction-free step per row, and below an empty D every collection
 has dimension 2 and is filled without being walked.  The formula's walk
-carries the prefix's merge classes and folds in the new triple, since
-merging is an order-independent closure; each distinct class family then
-goes through `_dim_reduced` once.  The two layouts are compared position by
-position, and a collection is spelled out only where they differ.
+carries the prefix's merge classes and folds in the new triple's mask,
+since merging is an order-independent closure; each distinct class family
+then goes through `_codim` once, and its slot gets n - codim.  The two
+layouts are compared position by position, and a collection is spelled out
+only where they differ.
 """
 
 from __future__ import annotations
@@ -55,67 +60,85 @@ from .rng import SplitMix64
 SLOPE_BUDGET = 1000
 
 
-def _normalize_sets(sets) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for s in sets:
-        t = tuple(sorted(set(s)))
-        if len(t) < 3:
-            raise ValueError(f"every set needs >= 3 indices, got {t}")
-        out.append(t)
-    return tuple(sorted(set(out)))
+def _set_masks(sets, n: int | None = None) -> set[int]:
+    """The distinct sets as bitmasks, index i as bit i.
 
-
-def _fold_class(classes: tuple[tuple[int, ...], ...], s) -> tuple[tuple[int, ...], ...]:
-    """merge_classes of the merged `classes` and one more sorted set `s`.
-
-    `s` absorbs every class sharing >= 2 indices with it, sweeping again
-    while the union grows; the classes it leaves share at most one index
-    with it or with each other.  The sweep runs at least once, as `s` is
-    not empty.
+    Every set needs >= 3 indices.  Indices must be >= 0 to be bit positions,
+    and with `n` they must lie in [1..n]; both checks run before any memo
+    lookup, since the memo's keys do not show n.
     """
-    merged = set(s)
-    rest = classes
-    size = 0
-    while size != len(merged):
-        size = len(merged)
-        kept = []
+    masks = set()
+    for s in sets:
+        t = sorted(set(s))
+        if len(t) < 3:
+            raise ValueError(f"every set needs >= 3 indices, got {tuple(t)}")
+        if n is not None and not (0 < t[0] and t[-1] <= n):
+            bad = t[0] if t[0] < 1 else t[-1]
+            raise ValueError(f"set index {bad} out of range [1..{n}]")
+        if t[0] < 0:
+            raise ValueError(f"set index {t[0]} is negative")
+        masks.add(sum(1 << idx for idx in t))
+    return masks
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The indices of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _fold(classes: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """The merge classes of the merged mask family `classes` and one more set `t`.
+
+    `t` absorbs every class sharing >= 2 indices with it (`x & (x - 1)` is
+    nonzero for x = merged & c), sweeping again while the union grows; the
+    classes it leaves share at most one index with it or with each other.
+    """
+    merged = t
+    kept = classes
+    grown = 0
+    while grown != merged:
+        grown = merged
+        rest, kept = kept, []
         for c in rest:
-            if len(merged.intersection(c)) >= 2:
-                merged.update(c)
+            x = merged & c
+            if x & (x - 1):
+                merged |= c
             else:
                 kept.append(c)
-        rest = kept
-    kept.append(s if size == len(s) else tuple(sorted(merged)))
+    kept.append(merged)
     kept.sort()
     return tuple(kept)
+
+
+def _merge(masks) -> tuple[int, ...]:
+    classes: tuple[int, ...] = ()
+    for t in masks:
+        classes = _fold(classes, t)
+    return classes
 
 
 def merge_classes(sets) -> tuple[tuple[int, ...], ...]:
     """Union sets chained by pairwise intersections of size >= 2, to fixpoint.
 
-    Folds the sets in one at a time (`_fold_class`), so the classes kept
-    always share at most one index pairwise.  Idempotent and independent of
-    input order, which is what lets the formula walk carry a prefix's
-    classes down to its extensions.
+    Folds the sets in one at a time (`_fold`), so the classes kept always
+    share at most one index pairwise.  Idempotent and independent of input
+    order, which is what lets the formula walk carry a prefix's classes down
+    to its extensions.
     """
-    classes: tuple[tuple[int, ...], ...] = ()
-    for s in _normalize_sets(sets):
-        classes = _fold_class(classes, s)
-    return classes
+    return tuple(sorted(map(_bits, _merge(_set_masks(sets)))))
 
 
-def _relabel(sets: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """Relabel indices by first appearance in the lex-sorted family.
-
-    The relabelled family no longer shows the indices, so this is where
-    they are checked against [1..n].
-    """
+def _relabel(sets: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Relabel indices 1, 2, ... by first appearance in the lex-sorted family."""
     mapping: dict[int, int] = {}
     for s in sets:
         for idx in s:
             if idx not in mapping:
-                if not 0 < idx <= n:
-                    raise ValueError("set indices out of range [1..n]")
                 mapping[idx] = len(mapping) + 1
     return tuple(tuple(sorted(mapping[i] for i in s)) for s in sets)
 
@@ -224,59 +247,60 @@ def _generic_rank(family, n: int) -> int:
     return rank
 
 
-_memo: dict[tuple, int] = {}
+_memo: dict[tuple[int, ...], int] = {}
+_closed: dict[tuple[tuple[int, ...], ...], int] = {}
 
 
-def _dim_reduced(family: tuple[tuple[int, ...], ...], n: int) -> int:
-    """Dimension of the concurrency locus of a merged family (pairwise |∩| <= 1).
+def _codim(family: tuple[int, ...]) -> int:
+    """Codimension of the concurrency locus of a merged mask family (pairwise |∩| <= 1).
 
-    Writes C1 for the indices lying in >= 2 sets, C2 for the sets disjoint
-    from all others, C3 for the indices in no set.  Sets keeping >= 3
-    indices of C1 recurse (reduced to those indices, in an ambient counting
-    C1 plus one slot per isolated set); sets meeting C1 in exactly one index
-    contribute a sliding concurrency point; sets meeting it in exactly two
-    contribute nothing, their point being forced.  Isolated sets contribute
-    once through the ambient and once through their own sliding point.
+    Writes C1 for the indices lying in >= 2 sets (`shared`), C2 for the
+    sets disjoint from all others.  Sets keeping >= 3 indices of C1 recurse,
+    reduced to those indices (they still share <= 1 index pairwise, so they
+    are merged already); sets meeting C1 in exactly one index contribute a
+    sliding concurrency point; sets meeting it in exactly two contribute
+    nothing, their point being forced.  An isolated set contributes its two
+    degrees of freedom.  So codim = |covered| - |C1| - 2|C2| - #sliding +
+    codim(reduced), and n never enters: `_memo` keys a family by its masks
+    alone, whatever n it was reached at.  A closed family (every covered
+    index in C1) reduces to itself; its codimension is the generic rank,
+    cached in `_closed` under the relabelled family, since many labelled
+    families share one shape.
     """
-    key = (_relabel(family, n), n)
-    if key in _memo:
-        return _memo[key]
-
-    counts: dict[int, int] = {}
-    for s in family:
-        for idx in s:
-            counts[idx] = counts.get(idx, 0) + 1
-    shared = {idx for idx, c in counts.items() if c >= 2}  # C1
-    isolated = [s for s in family if not (set(s) & shared)]  # C2
-    covered = set()
-    for s in family:
-        covered.update(s)
-    outside = n - len(covered)  # |C3|
-
-    sliding = sum(1 for s in family if len(set(s) & shared) == 1)
-    reduced = tuple(
-        tuple(sorted(set(s) & shared)) for s in family if len(set(s) & shared) >= 3
-    )
-
-    if not reduced:
-        dim = len(shared) + 2 * len(isolated) + sliding + outside
-    elif reduced == family and not isolated and outside == 0:
+    codim = _memo.get(family)
+    if codim is not None:
+        return codim
+    covered = shared = 0
+    for c in family:
+        shared |= covered & c
+        covered |= c
+    isolated = sliding = 0
+    reduced = []
+    for c in family:
+        x = c & shared
+        if not x:
+            isolated += 1
+        elif not x & (x - 1):
+            sliding += 1
+        elif x.bit_count() >= 3:
+            reduced.append(x)
+    codim = covered.bit_count() - shared.bit_count() - 2 * isolated - sliding
+    if covered == shared and family:
         # Closed family: the projection is the identity and the formula
         # carries no information.  These are exactly the families whose
         # dimension can degenerate on special traces, so take the generic
         # value over the slope function field.
-        dim = n - _generic_rank(family, n)
-    else:
-        sub_n = len(shared) + len(isolated)
-        relabel = {idx: pos + 1 for pos, idx in enumerate(sorted(shared))}
-        sub_family = tuple(
-            sorted(tuple(sorted(relabel[i] for i in s)) for s in reduced)
-        )
-        sub_dim = _dim_reduced(merge_classes(sub_family), sub_n)
-        dim = sub_dim + sliding + len(isolated) + outside
-
-    _memo[key] = dim
-    return dim
+        # the family as lex-sorted index tuples; a merged family merges to itself
+        key = _relabel(merge_classes(map(_bits, family)))
+        rank = _closed.get(key)
+        if rank is None:
+            rank = _closed[key] = _generic_rank(key, covered.bit_count())
+        codim = rank
+    elif reduced:
+        reduced.sort()
+        codim += _codim(tuple(reduced))
+    _memo[family] = codim
+    return codim
 
 
 def dim_combinatorial(sets, n: int) -> int:
@@ -285,7 +309,7 @@ def dim_combinatorial(sets, n: int) -> int:
     Pure combinatorics: merge chained sets, then apply the fiber-count
     formula.  Input sets have size >= 3 (smaller sets impose nothing).
     """
-    return _dim_reduced(merge_classes(sets), n)
+    return n - _codim(_merge(_set_masks(sets, n)))
 
 
 def codim_combinatorial(sets, n: int) -> int:
@@ -407,36 +431,37 @@ def _check_trace(args):
 
 
 def _formula_walk(
-    triples, start: int, depth: int, classes, n: int, dims: list[int], slots: list[int], known: dict
+    triples, start: int, depth: int, classes, n: int, dims: list[int], slots: list[int]
 ) -> None:
     """`_walk`'s twin on the formula side: dim_combinatorial of every extension.
 
-    `classes` are the merge classes of the current prefix; an extension
-    folds its one new triple into them.  Far fewer class families than
-    collections occur (6 258 of 59 535 at n = 7, cap 4), so `known` keeps
-    each family's dimension and `_dim_reduced` sees every family once.
+    `triples` are masks and `classes` the prefix's merge classes, a sorted
+    tuple of masks; an extension folds its one new triple into them.  Far
+    fewer class families than collections occur (6 258 of 59 535 at n = 7,
+    cap 4), and a family's codimension does not depend on n, so `_memo`
+    sees each family once, whichever walk or call reached it first.
     """
     deeper = depth + 1 < len(slots)
     slot = slots[depth]
     for i in range(start, len(triples)):
-        child = _fold_class(classes, triples[i])
-        dim = known.get(child)
-        if dim is None:
-            dim = known[child] = _dim_reduced(child, n)
-        dims[slot] = dim
+        child = _fold(classes, triples[i])
+        codim = _memo.get(child)
+        if codim is None:
+            codim = _codim(child)
+        dims[slot] = n - codim
         slot += 1
         if deeper:
-            _formula_walk(triples, i + 1, depth + 1, child, n, dims, slots, known)
+            _formula_walk(triples, i + 1, depth + 1, child, n, dims, slots)
     slots[depth] = slot
 
 
 def _formula_dims(n: int, cap: int) -> list[int]:
     """dim_combinatorial of every collection of up to `cap` triples, in `_layout` order."""
-    triples = list(combinations(range(1, n + 1), 3))
+    triples = [1 << a | 1 << b | 1 << c for a, b, c in combinations(range(1, n + 1), 3)]
     slots, total = _layout(len(triples), cap)
     dims = [0] * total
     if slots:
-        _formula_walk(triples, 0, 0, (), n, dims, slots, {})
+        _formula_walk(triples, 0, 0, (), n, dims, slots)
     return dims
 
 
@@ -461,7 +486,8 @@ def verify_independence(
     for name, value in (("cap", tuple_size_cap), ("trials", trials), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"need {name} >= 1, got {value}")
-    # first, so that its class families are freed before the traces' dims exist
+    # in this process: the codimensions it finds stay in `_memo` for later
+    # calls, while the pool's workers run only `_check_trace`
     formula = _formula_dims(n, tuple_size_cap)
     rng = SplitMix64(seed)
     traces = [_sample_slopes(rng, n, seed) for _ in range(trials)]

@@ -9,23 +9,27 @@ census JSON through intermediate dicts, the six-point concurrency search by
 cross products, the group triples by filtering all triples of groups, the
 dependency of three groups by the rank of their direction spaces' nullspace
 bases, the planar rank oracle by one `int_rank` per collection, the class
-merge by restarting after every merge, the plane section in `Fraction`s with
-its parallel test and its intersections in two separate passes, the sweep by
-sorting every line by its `Fraction` t-value at every midpoint, the
-monodromy braids by re-inverting every earlier half twist for every point,
-and the van Kampen relators by expanding every conjugated braid and acting
-with it letter by letter.  Apart from `dims_by_rank`, which calls `int_rank`
-(itself checked against `rank_by_minors`), `dependency_by_rank`, which calls
-`int_nullspace` and `int_rank`, `build_form_by_fractions`, which normalises
-with `primitive_int_vector`, `section_by_two_passes`, which substitutes into
-the forms of `build_all`, `braid_monodromy_by_reinversion`, which builds
-half twists with `braid.halftwist`, and `presentation_by_expansion`, which
-runs the Artin action of `braid.py` (its substitution step, `apply_images`,
-is checked on explicit words in test_braid.py), nothing here shares code
-with the elimination routines, the minors table, the census's candidate
-test, the meet identity, the JSON writer, the group-triple enumerator, the
-depth-first planar walk, the one-pass merge, the single-pass section, the
-integer sweep, the shared-prefix braids or the image tables under test.
+merge by restarting after every merge, the planar dimension formula on
+classes held as index tuples with a memo keyed by the relabelled family and
+n, the plane section in `Fraction`s with its parallel test and its
+intersections in two separate passes, the sweep by sorting every line by its
+`Fraction` t-value at every midpoint, the monodromy braids by re-inverting
+every earlier half twist for every point, and the van Kampen relators by
+expanding every conjugated braid and acting with it letter by letter.  Apart
+from `dims_by_rank`, which calls `int_rank` (itself checked against
+`rank_by_minors`), `dependency_by_rank`, which calls `int_nullspace` and
+`int_rank`, `dim_by_tuple_formula`, which takes the generic rank of a closed
+family from `planar._generic_rank`, `build_form_by_fractions`, which
+normalises with `primitive_int_vector`, `section_by_two_passes`, which
+substitutes into the forms of `build_all`, `braid_monodromy_by_reinversion`,
+which builds half twists with `braid.halftwist`, and
+`presentation_by_expansion`, which runs the Artin action of `braid.py` (its
+substitution step, `apply_images`, is checked on explicit words in
+test_braid.py), nothing here shares code with the elimination routines, the
+minors table, the census's candidate test, the meet identity, the JSON
+writer, the group-triple enumerator, the depth-first planar walk, the
+bitmask merge and its n-free memo, the single-pass section, the integer
+sweep, the shared-prefix braids or the image tables under test.
 
 The last three are not oracles but helpers that only tests read:
 `restrict` (an arrangement and its offsets restricted to a flat, through
@@ -55,6 +59,7 @@ from discarr.monodromy import (
     SingularPoint,
     SweepError,
 )
+from discarr.planar import _generic_rank
 
 
 def perm_sign(perm) -> int:
@@ -335,6 +340,90 @@ def merge_by_restart(sets):
                 changed = True
                 break
     return tuple(sorted(set(current)))
+
+
+def _fold_class(classes, s):
+    """The merge classes of the merged `classes` and one more sorted set `s`.
+
+    `s` absorbs every class sharing >= 2 indices with it, sweeping again
+    while the union grows.
+    """
+    merged = set(s)
+    rest = classes
+    size = 0
+    while size != len(merged):
+        size = len(merged)
+        kept = []
+        for c in rest:
+            if len(merged.intersection(c)) >= 2:
+                merged.update(c)
+            else:
+                kept.append(c)
+        rest = kept
+    kept.append(s if size == len(s) else tuple(sorted(merged)))
+    kept.sort()
+    return tuple(kept)
+
+
+def _merge_by_folding(sets):
+    classes = ()
+    for s in sorted({tuple(sorted(set(s))) for s in sets}):
+        classes = _fold_class(classes, s)
+    return classes
+
+
+def _relabel(sets, n: int):
+    """Relabel indices by first appearance in the lex-sorted family, checking [1..n]."""
+    mapping = {}
+    for s in sets:
+        for idx in s:
+            if idx not in mapping:
+                if not 0 < idx <= n:
+                    raise ValueError("set indices out of range [1..n]")
+                mapping[idx] = len(mapping) + 1
+    return tuple(tuple(sorted(mapping[i] for i in s)) for s in sets)
+
+
+def _dim_reduced(family, n: int, memo: dict) -> int:
+    """Dimension of a merged family of index tuples at n, by the fiber count.
+
+    C1 is the indices in >= 2 sets, C2 the sets disjoint from all others,
+    C3 the indices in no set.  Sets keeping >= 3 indices of C1 recurse in
+    an ambient of |C1| + |C2| slots, relabelled; a closed family (the
+    recursion would return it unchanged, with no outside index) takes the
+    generic rank.  `memo` is keyed by the relabelled family and n.
+    """
+    key = (_relabel(family, n), n)
+    if key in memo:
+        return memo[key]
+    counts = {}
+    for s in family:
+        for idx in s:
+            counts[idx] = counts.get(idx, 0) + 1
+    shared = {idx for idx, c in counts.items() if c >= 2}
+    isolated = [s for s in family if not (set(s) & shared)]
+    outside = n - len(counts)
+    sliding = sum(1 for s in family if len(set(s) & shared) == 1)
+    reduced = tuple(
+        tuple(sorted(set(s) & shared)) for s in family if len(set(s) & shared) >= 3
+    )
+    if not reduced:
+        dim = len(shared) + 2 * len(isolated) + sliding + outside
+    elif reduced == family and not isolated and outside == 0:
+        dim = n - _generic_rank(family, n)
+    else:
+        sub_n = len(shared) + len(isolated)
+        relabel = {idx: pos + 1 for pos, idx in enumerate(sorted(shared))}
+        sub_family = [sorted(relabel[i] for i in s) for s in reduced]
+        sub_dim = _dim_reduced(_merge_by_folding(sub_family), sub_n, memo)
+        dim = sub_dim + sliding + len(isolated) + outside
+    memo[key] = dim
+    return dim
+
+
+def dim_by_tuple_formula(sets, n: int) -> int:
+    """dim_combinatorial on classes held as index tuples, folded set by set."""
+    return _dim_reduced(_merge_by_folding(sets), n, {})
 
 
 def section_by_two_passes(arr, plane):

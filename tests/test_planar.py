@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from discarr.linalg import int_rank, reduce_row
 from discarr import planar
 from discarr.planar import (
+    _bits,
     _check_trace,
     _collection,
-    _fold_class,
+    _fold,
     _formula_dims,
     _generic_rank,
     _layout,
+    _set_masks,
     codim_combinatorial,
     dim_combinatorial,
     merge_classes,
@@ -26,7 +28,13 @@ from discarr.planar import (
 )
 from discarr.rng import SplitMix64
 
-from _oracles import dims_by_rank, merge_by_restart, rank_by_minors, shuffle
+from _oracles import (
+    dim_by_tuple_formula,
+    dims_by_rank,
+    merge_by_restart,
+    rank_by_minors,
+    shuffle,
+)
 
 
 def test_merge_trivials():
@@ -59,6 +67,11 @@ def test_merge_idempotent():
     sets = [(1, 2, 3), (2, 3, 4), (5, 6, 7)]
     once = merge_classes(sets)
     assert merge_classes(once) == once
+
+
+def test_merge_classes_names_a_negative_index():
+    with pytest.raises(ValueError, match="set index -2 is negative"):
+        merge_classes([(1, 2, 3), (-2, 4, 5)])
 
 
 def test_dim_combinatorial_rejects_sets_below_three():
@@ -306,6 +319,42 @@ def test_carried_classes_give_dim_combinatorial_slot_by_slot(n, cap):
     assert _formula_dims(n, cap) == expected
 
 
+QUADRANGLE = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))
+FANO_SIX = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (1, 5, 6), (2, 6, 7))
+
+
+def relabel(family, labels):
+    return [[labels[i - 1] for i in s] for s in family]
+
+
+@settings(ORACLE_SETTINGS, max_examples=300)
+@given(families, st.sampled_from((0, 1, 3)))
+@example(relabel(QUADRANGLE, (4, 6, 1, 2, 5, 3)), 0)  # closed, no outside index
+@example(relabel(QUADRANGLE, (4, 6, 1, 2, 5, 3)), 3)
+@example(relabel(QUADRANGLE, (9, 2, 7, 10, 4, 5)), 0)  # closed, outside indices 1, 3, 6, 8
+@example([*relabel(QUADRANGLE, (9, 2, 7, 10, 4, 5)), [1, 2, 3]], 1)  # one set slides
+@example(list(FANO_SIX), 2)  # n = 9: the formula gives 4, the count 9 - 6 = 3
+def test_dim_combinatorial_matches_tuple_formula(family, extra):
+    # the memo stays warm across examples, so a family met at one n is
+    # looked up again at another
+    n = max((i for s in family for i in s), default=3) + extra
+    assert dim_combinatorial(family, n) == dim_by_tuple_formula(family, n)
+
+
+@pytest.mark.parametrize("n, cap, families", [(7, 4, 6258), (6, 5, 352)])
+def test_formula_walk_keys_each_class_family_once(n, cap, families):
+    # one memo entry per labelled class family, whatever n reached it, and
+    # one generic rank per relabelled closed family (the 210 labelled
+    # quadrangle-type families at n = 7 have two shapes)
+    planar._memo.clear()
+    planar._closed.clear()
+    _formula_dims(n, cap)
+    assert len(planar._memo) == families
+    assert len(planar._closed) == 2
+    _formula_dims(n - 1, cap)  # every family on 1..n-1 was met at n
+    assert len(planar._memo) == families
+
+
 triple_of_ten = st.lists(st.integers(1, 10), min_size=3, max_size=3, unique=True).map(
     lambda s: tuple(sorted(s))
 )
@@ -317,7 +366,10 @@ triple_of_ten = st.lists(st.integers(1, 10), min_size=3, max_size=3, unique=True
 @example([[1, 2, 3, 4]], (2, 3, 4))  # absorbed into a class that contains it
 def test_folding_a_triple_into_merged_classes_matches_a_fresh_merge(prefix, triple):
     whole = [*prefix, triple]
-    folded = _fold_class(merge_classes(prefix), triple)
+    (mask,) = _set_masks([triple])
+    masks = _fold(tuple(sorted(_set_masks(merge_classes(prefix)))), mask)
+    assert list(masks) == sorted(masks)  # the memo's key form
+    folded = tuple(sorted(map(_bits, masks)))
     assert folded == merge_classes(whole)
     assert folded == merge_by_restart(whole)
 
