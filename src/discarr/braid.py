@@ -114,6 +114,12 @@ def apply_images(word: Sequence[int], images: dict[int, Word]) -> Word:
 
 
 def braids_equal(w1: Sequence[int], w2: Sequence[int], n: int) -> bool:
-    """Exact braid group equality via the faithful Artin representation."""
+    """Exact braid group equality via the faithful Artin representation.
+
+    Every letter must be one of ±1..±(n-1); `artin_images` does not check.
+    """
+    for letter in (*w1, *w2):
+        if not 0 < abs(letter) < n:
+            raise ValueError(f"braid letter {letter} out of range ±1..±{n - 1}")
     return artin_images(reduce_free(w1), n) == artin_images(reduce_free(w2), n)
 

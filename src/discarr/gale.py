@@ -61,6 +61,8 @@ def gale_transform(points):
     nullspace basis pins the result down uniquely.
     """
     d, n = len(points), len(points[0]) if points else 0
+    if any(len(row) != n for row in points):
+        raise ValueError("expected rows of equal length")
     if n <= d:
         raise ValueError(f"need more points than dimensions, got n={n}, d={d}")
     dual = _scaled_nullspace(points, n)

@@ -32,11 +32,10 @@ that disagrees (for random integer slopes the degeneration locus has
 measure zero, so the expected report is empty).
 
 verify_independence walks the collections of concurrency triples depth
-first, twice, and both walks fill the same layout: one block per size,
-smaller sizes first, each block in the lex order of `combinations` (which
-is preorder restricted to one size).  The rank oracle's walk, once per
-trace, works on the dual side: every slope form vanishes on (1, ..., 1) and
-on the slopes u, so the walk carries an integer basis D of the prefix's
+first, twice, and both walks append one dimension per collection in the
+order they visit it (preorder).  The rank oracle's walk, once per trace,
+works on the dual side: every slope form vanishes on (1, ..., 1) and on the
+slopes u, so the walk carries an integer basis D of the prefix's
 annihilator modulo span(1, u), from e_3, ..., e_n at the root, and
 n - rank = 2 + |D|.  A form lies in the prefix's span iff its 3-term
 pairings with D vanish: a leaf stops at its first nonzero pairing, a push
@@ -44,15 +43,14 @@ is one fraction-free step per row, and below an empty D every collection
 has dimension 2 and is filled without being walked.  The formula's walk
 carries the prefix's merge classes and folds in the new triple's mask,
 since merging is an order-independent closure; each distinct class family
-then goes through `_codim` once, and its slot gets n - codim.  The two
-layouts are compared position by position, and a collection is spelled out
+then goes through `_codim` once, and its collection gets n - codim.  The
+two lists are compared entry by entry, and a collection is spelled out
 only where they differ.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, gcd
 
 from .rng import SplitMix64
@@ -325,56 +323,26 @@ def _sample_slopes(rng: SplitMix64, n: int, seed: int) -> list[int]:
     raise RuntimeError(f"no {n} distinct slopes after {SLOPE_BUDGET} draws (seed={seed})")
 
 
-def _layout(count: int, cap: int) -> tuple[list[int], int]:
-    """(first position of each collection size, total) for up to `cap` of `count` items.
-
-    Sizes 1..cap take consecutive blocks, smaller sizes first, and each
-    block holds its collections in the lex order of `combinations`.
-    """
-    starts = list(accumulate((comb(count, size) for size in range(1, cap + 1)), initial=0))
-    return starts[:-1], starts[-1]
-
-
-def _collection(items, starts: list[int], pos: int) -> tuple:
-    """The collection at position `pos` of the `_layout` of `items`."""
-    size = bisect_right(starts, pos)
-    rank = pos - starts[size - 1]
-    chosen = []
-    i = 0
-    while len(chosen) < size:
-        # the collections of this size that pick items[i] next
-        block = comb(len(items) - i - 1, size - len(chosen) - 1)
-        if rank < block:
-            chosen.append(items[i])
-        else:
-            rank -= block
-        i += 1
-    return tuple(chosen)
-
-
-def _walk(pairs, start: int, depth: int, basis, dims: list[int], slots: list[int]) -> None:
-    """Record n - rank of the current prefix extended by each form from `start` on.
+def _walk(pairs, start: int, left: int, basis, dims: list[int]) -> None:
+    """Append n - rank of the current prefix extended by each form from `start` on.
 
     `pairs[i]` is triple i's form as its three entries (a, x, b, y, c, z),
     and `basis` is the prefix's D (module docstring), so the prefix has
-    n - rank = 2 + len(basis); `slots[d]` is the next free position in
-    `dims` for a collection of d + 1 forms.  A push keeps the rows before
-    the first row w0 with a nonzero pairing d0 and turns each later row w
-    with pairing d != 0 into d0 * w - d * w0, divided by its content.
-    Extensions recurse while the size cap, len(slots), allows, except below
-    an empty basis, where each deeper size block is one slice of `dims`.
+    n - rank = 2 + len(basis); `left` forms may still join it.  A push keeps
+    the rows before the first row w0 with a nonzero pairing d0 and turns
+    each later row w with pairing d != 0 into d0 * w - d * w0, divided by
+    its content.  Below an empty basis the extension's whole subtree has
+    dimension 2, one run of `dims` in preorder.
     """
-    slot = slots[depth]
-    dim = 2 + len(basis)
-    if depth + 1 == len(slots):
+    if left == 1:
+        dim = 2 + len(basis)
         for a, x, b, y, c, z in pairs[start:]:
-            dims[slot] = dim
             for w in basis:
                 if w[a] * x + w[b] * y + w[c] * z:
-                    dims[slot] = dim - 1
+                    dims.append(dim - 1)
                     break
-            slot += 1
-        slots[depth] = slot
+            else:
+                dims.append(dim)
         return
     for i in range(start, len(pairs)):
         a, x, b, y, c, z = pairs[i]
@@ -392,28 +360,20 @@ def _walk(pairs, start: int, depth: int, basis, dims: list[int], slots: list[int
                             w = [v // g for v in w]
                     child.append(w)
                 break
-        dims[slot] = 2 + len(child)
-        slot += 1
+        dims.append(2 + len(child))
         if child:
-            _walk(pairs, i + 1, depth + 1, child, dims, slots)
+            _walk(pairs, i + 1, left - 1, child, dims)
         else:
             rest = len(pairs) - i - 1
-            for deeper in range(depth + 1, len(slots)):
-                count = comb(rest, deeper - depth)
-                dims[slots[deeper]:slots[deeper] + count] = [2] * count
-                slots[deeper] += count
-    slots[depth] = slot
+            dims.extend([2] * sum(comb(rest, d) for d in range(1, left)))
 
 
 def _check_trace(args):
-    """Dimension n - rank of every collection of up to `cap` slope forms.
+    """Dimension n - rank of every collection of up to `cap` slope forms, in preorder.
 
     The form of (a, b, c) is (u_c - u_b) e_a + (u_a - u_c) e_b + (u_b - u_a) e_c.
     `_walk` starts from D = e_3, ..., e_n, a complement of span(1, u) for
-    distinct slopes; repeated slopes raise ValueError.  Preorder restricted
-    to one size is the lex order of `combinations`, so each size fills its
-    own block of the result, smaller sizes first (the `_layout` that
-    verify_independence reads).
+    distinct slopes; repeated slopes raise ValueError.
     """
     u, n, cap = args
     if len(set(u)) != n:
@@ -422,17 +382,12 @@ def _check_trace(args):
         (a, u[c] - u[b], b, u[a] - u[c], c, u[b] - u[a])
         for a, b, c in combinations(range(n), 3)
     ]
-    slots, total = _layout(len(pairs), cap)
-    dims = [0] * total
-    if slots:
-        basis = [[int(i == j) for i in range(n)] for j in range(2, n)]
-        _walk(pairs, 0, 0, basis, dims, slots)
+    dims: list[int] = []
+    _walk(pairs, 0, cap, [[int(i == j) for i in range(n)] for j in range(2, n)], dims)
     return dims
 
 
-def _formula_walk(
-    triples, start: int, depth: int, classes, n: int, dims: list[int], slots: list[int]
-) -> None:
+def _formula_walk(triples, start: int, left: int, classes, n: int, dims: list[int]) -> None:
     """`_walk`'s twin on the formula side: dim_combinatorial of every extension.
 
     `triples` are masks and `classes` the prefix's merge classes, a sorted
@@ -441,28 +396,31 @@ def _formula_walk(
     cap 4), and a family's codimension does not depend on n, so `_memo`
     sees each family once, whichever walk or call reached it first.
     """
-    deeper = depth + 1 < len(slots)
-    slot = slots[depth]
     for i in range(start, len(triples)):
         child = _fold(classes, triples[i])
         codim = _memo.get(child)
         if codim is None:
             codim = _codim(child)
-        dims[slot] = n - codim
-        slot += 1
-        if deeper:
-            _formula_walk(triples, i + 1, depth + 1, child, n, dims, slots)
-    slots[depth] = slot
+        dims.append(n - codim)
+        if left > 1:
+            _formula_walk(triples, i + 1, left - 1, child, n, dims)
 
 
 def _formula_dims(n: int, cap: int) -> list[int]:
-    """dim_combinatorial of every collection of up to `cap` triples, in `_layout` order."""
+    """dim_combinatorial of every collection of up to `cap` triples, in preorder."""
     triples = [1 << a | 1 << b | 1 << c for a, b, c in combinations(range(1, n + 1), 3)]
-    slots, total = _layout(len(triples), cap)
-    dims = [0] * total
-    if slots:
-        _formula_walk(triples, 0, 0, (), n, dims, slots)
+    dims: list[int] = []
+    _formula_walk(triples, 0, cap, (), n, dims)
     return dims
+
+
+def _preorder(items, cap: int, prefix: tuple = ()):
+    """Every collection of up to `cap` items, in the order both walks visit them."""
+    for i, item in enumerate(items):
+        collection = prefix + (item,)
+        yield collection
+        if cap > 1:
+            yield from _preorder(items[i + 1:], cap - 1, collection)
 
 
 def verify_independence(
@@ -486,36 +444,38 @@ def verify_independence(
     for name, value in (("cap", tuple_size_cap), ("trials", trials), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"need {name} >= 1, got {value}")
-    # in this process: the codimensions it finds stay in `_memo` for later
-    # calls, while the pool's workers run only `_check_trace`
-    formula = _formula_dims(n, tuple_size_cap)
     rng = SplitMix64(seed)
     traces = [_sample_slopes(rng, n, seed) for _ in range(trials)]
     tasks = [(slopes, n, tuple_size_cap) for slopes in traces]
+    # the formula runs in this process, so the codimensions it finds stay in
+    # `_memo` for later calls; the pool's workers run only `_check_trace`
     if jobs > 1 and trials > 1:
         from multiprocessing import Pool
 
         with Pool(min(jobs, trials)) as pool:
-            per_trace = pool.map(_check_trace, tasks)
+            pending = pool.map_async(_check_trace, tasks)
+            formula = _formula_dims(n, tuple_size_cap)
+            per_trace = pending.get()
     else:
+        formula = _formula_dims(n, tuple_size_cap)
         per_trace = [_check_trace(t) for t in tasks]
 
-    failing = sorted({
-        pos
-        for dims in per_trace
-        if dims != formula
-        for pos, (d, f) in enumerate(zip(dims, formula))
-        if d != f
-    })
-    triples = list(combinations(range(1, n + 1), 3))
-    starts, _ = _layout(len(triples), tuple_size_cap)
+    failing = []
+    if any(dims != formula for dims in per_trace):
+        triples = list(combinations(range(1, n + 1), 3))
+        visits = zip(_preorder(triples, tuple_size_cap), formula, *per_trace)
+        failing = sorted(
+            (len(collection), collection, f, dims)
+            for collection, f, *dims in visits
+            if any(d != f for d in dims)
+        )
     discrepancies = [
         {
-            "collection": [list(t) for t in _collection(triples, starts, pos)],
-            "formula": formula[pos],
-            "oracle_dims": [dims[pos] for dims in per_trace],
+            "collection": [list(t) for t in collection],
+            "formula": f,
+            "oracle_dims": dims,
         }
-        for pos in failing
+        for _, collection, f, dims in failing
     ]
     return {
         "n": n,

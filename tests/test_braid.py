@@ -70,6 +70,14 @@ def test_braid_relations():
     assert not braids_equal((1,), (-1,), 2)
 
 
+@pytest.mark.parametrize("w1, w2", [((5,), ()), ((), (1, -3)), ((0,), (0,)), ((2, 3), (3, 2))])
+def test_braids_equal_rejects_letters_outside_the_group(w1, w2):
+    # on three strands only ±1, ±2 are generators; x_3 under sigma_3 would
+    # become a word in x_4, and sigma_5 would act as the identity
+    with pytest.raises(ValueError, match="out of range"):
+        braids_equal(w1, w2, 3)
+
+
 def test_braid_equality_random_conjugates():
     rng = SplitMix64(8)
     n = 5

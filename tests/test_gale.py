@@ -72,6 +72,14 @@ def test_gale_rejects_degenerate():
         gale_transform([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # no more points than dimensions
 
 
+@pytest.mark.parametrize("points", [[[1, 2, 3], [4, 5, 6, 7]], [[1, 2, 3, 4], [4, 5, 6]]])
+def test_gale_rejects_ragged_rows(points):
+    # a longer later row used to be cut to the first row's length, and a
+    # shorter one to raise IndexError
+    with pytest.raises(ValueError, match="equal length"):
+        gale_transform(points)
+
+
 @st.composite
 def point_rows(draw):
     """d x n integer rows, n > d, full rank or not."""

@@ -15,11 +15,10 @@ from discarr import planar
 from discarr.planar import (
     _bits,
     _check_trace,
-    _collection,
     _fold,
     _formula_dims,
     _generic_rank,
-    _layout,
+    _preorder,
     _set_masks,
     codim_combinatorial,
     dim_combinatorial,
@@ -265,8 +264,11 @@ def traces(draw):
 @example(([1, 2, 3, 4, 5], 5, 5))
 @example(([3, -7, 11, 2, 5, -1], 6, 5))
 def test_depth_first_dims_match_per_collection_rank(trace):
+    # the walk appends in visit order, the oracle goes size by size
     slopes, n, cap = trace
-    assert _check_trace(trace) == dims_by_rank(slopes, n, cap)
+    triples = list(combinations(range(1, n + 1), 3))
+    oracle = dict(zip(all_collections(triples, cap), dims_by_rank(slopes, n, cap)))
+    assert _check_trace(trace) == [oracle[coll] for coll in _preorder(triples, cap)]
 
 
 @settings(ORACLE_SETTINGS, max_examples=100)
@@ -315,7 +317,7 @@ def all_collections(items, cap):
 @example(4, 4)
 def test_carried_classes_give_dim_combinatorial_slot_by_slot(n, cap):
     triples = list(combinations(range(1, n + 1), 3))
-    expected = [dim_combinatorial(coll, n) for coll in all_collections(triples, cap)]
+    expected = [dim_combinatorial(coll, n) for coll in _preorder(triples, cap)]
     assert _formula_dims(n, cap) == expected
 
 
@@ -374,12 +376,14 @@ def test_folding_a_triple_into_merged_classes_matches_a_fresh_merge(prefix, trip
     assert folded == merge_by_restart(whole)
 
 
-def test_collection_unranks_every_layout_position():
-    items = list(range(9))
-    starts, total = _layout(len(items), 4)
-    expected = list(all_collections(items, 4))
-    assert total == len(expected)
-    assert [_collection(items, starts, pos) for pos in range(total)] == expected
+@pytest.mark.parametrize("count, cap", [(9, 4), (9, 1), (5, 5), (3, 6), (1, 2)])
+def test_preorder_yields_every_collection_once(count, cap):
+    items = list(range(count))
+    visited = list(_preorder(items, cap))
+    assert len(visited) == len(set(visited))
+    assert sorted(visited, key=lambda coll: (len(coll), coll)) == list(
+        all_collections(items, cap)
+    )
 
 
 def test_discrepancies_on_degenerate_traces_match_per_collection_report(monkeypatch):
@@ -407,6 +411,31 @@ def test_discrepancies_on_degenerate_traces_match_per_collection_report(monkeypa
     assert expected  # the degenerate traces do show
     assert report["collections_checked"] == pos + 1
     assert report["discrepancies"] == expected
+
+
+def test_report_lists_discrepancies_size_first_then_lex(monkeypatch):
+    # the walks visit a size-5 collection right after its size-4 prefix, so
+    # only the report's sort puts every size-4 entry first
+    n, cap = 7, 5
+    slopes = [1, 2, 3, 4, 5, 6, 7]
+    monkeypatch.setattr(planar, "_sample_slopes", lambda rng, n, seed: slopes)
+    report = verify_independence(n, cap, trials=1, seed=0)
+    entries = report["discrepancies"]
+    collections = [tuple(map(tuple, e["collection"])) for e in entries]
+    assert [len(coll) for coll in collections].count(4) == 6
+    assert [len(coll) for coll in collections].count(5) == 168
+    keys = [(len(coll), coll) for coll in collections]
+    assert keys == sorted(keys)
+    for coll, entry in zip(collections, entries):
+        assert entry["formula"] == dim_combinatorial(coll, n)
+        forms = []
+        for a, b, c in coll:
+            vec = [0] * n
+            vec[a - 1] = slopes[c - 1] - slopes[b - 1]
+            vec[b - 1] = slopes[a - 1] - slopes[c - 1]
+            vec[c - 1] = slopes[b - 1] - slopes[a - 1]
+            forms.append(vec)
+        assert entry["oracle_dims"] == [n - int_rank(forms)]
 
 
 def test_planar_verify_cli_prints_the_same_bytes_for_any_jobs():
