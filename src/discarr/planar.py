@@ -28,8 +28,10 @@ the three pairs of slopes not sharing a set, here (u1,u6),(u2,u5),(u3,u4),
 lie in a projective involution; arithmetic and geometric progressions both
 satisfy it.  dim_combinatorial therefore returns the dimension for a
 Zariski-general trace, and verify_independence reports any sampled trace
-that disagrees (for random integer slopes the degeneration locus has
-measure zero, so the expected report is empty).
+that disagrees.  The degeneration locus has measure zero, but sampled
+integer slopes do land on it: `planar-verify --n 7 --cap 4 --trials 5
+--seed 10` reports 2 discrepancies (and exits 2), and 25 of the seeds
+0-399 draw such a trace among their five at n = 7.
 
 verify_independence walks the collections of concurrency triples depth
 first, twice, and both walks append one dimension per collection in the
@@ -37,19 +39,24 @@ order they visit it (preorder).  The rank oracle's walk, once per trace,
 works on the dual side: every slope form vanishes on (1, ..., 1) and on the
 slopes u, so the walk carries an integer basis D of the prefix's
 annihilator modulo span(1, u), from e_3, ..., e_n at the root, and
-n - rank = 2 + |D|.  A form lies in the prefix's span iff its 3-term
-pairings with D vanish: a leaf stops at its first nonzero pairing, a push
-is one fraction-free step per row, and below an empty D every collection
-has dimension 2 and is filled without being walked.  The formula's walk
-carries the prefix's merge classes and folds in the new triple's mask,
-since merging is an order-independent closure; each distinct class family
-then goes through `_codim` once, and its collection gets n - codim.  The
-two lists are compared entry by entry, and a collection is spelled out
-only where they differ.
+n - rank = 2 + |D|.  Pairing with D is linear and its kernel is the
+prefix's span, so a form's column of 3-term pairings with the rows of D
+decides the last two levels: adding one form lowers the dimension iff its
+column is nonzero, and adding two lowers it by the rank of their two
+columns.  So a node with at most two forms left to add keys each remaining
+form once by its column's parallel class, and writes its whole subtree
+from the keys.  Higher up, a push is one fraction-free step per row, and
+below an empty D every collection has dimension 2 and is filled without
+being walked.  The formula's walk carries the prefix's merge classes and
+folds in the new triple's mask, since merging is an order-independent
+closure; each distinct class family then goes through `_codim` once, and
+its collection gets n - codim.  The two lists are compared entry by entry,
+and a collection is spelled out only where they differ.
 """
 
 from __future__ import annotations
 
+import reprlib
 from itertools import combinations
 from math import comb, gcd
 
@@ -61,12 +68,16 @@ SLOPE_BUDGET = 1000
 def _set_masks(sets, n: int | None = None) -> set[int]:
     """The distinct sets as bitmasks, index i as bit i.
 
-    Every set needs >= 3 indices.  Indices must be >= 0 to be bit positions,
-    and with `n` they must lie in [1..n]; both checks run before any memo
-    lookup, since the memo's keys do not show n.
+    Every set needs >= 3 indices, each an int and not a bool.  Indices must
+    be >= 0 to be bit positions, and with `n` they must lie in [1..n]; these
+    checks run before any memo lookup, since the memo's keys do not show n.
     """
     masks = set()
     for s in sets:
+        s = tuple(s)
+        for idx in s:
+            if type(idx) is not int:
+                raise TypeError(f"set index must be an integer, got {reprlib.repr(idx)}")
         t = sorted(set(s))
         if len(t) < 3:
             raise ValueError(f"every set needs >= 3 indices, got {tuple(t)}")
@@ -323,26 +334,64 @@ def _sample_slopes(rng: SplitMix64, n: int, seed: int) -> list[int]:
     raise RuntimeError(f"no {n} distinct slopes after {SLOPE_BUDGET} draws (seed={seed})")
 
 
+def _keys(pairs, basis) -> list:
+    """Each form's column of pairings with the rows of `basis`, as a parallel-class key.
+
+    A zero column gives None.  With one row every nonzero column is
+    parallel, so the key is 1; otherwise it is the primitive column with its
+    first nonzero entry positive, equal for two forms exactly when their
+    columns are parallel.
+    """
+    if len(basis) == 1:
+        (w,) = basis
+        return [1 if w[a] * x + w[b] * y + w[c] * z else None for a, x, b, y, c, z in pairs]
+    keys = []
+    for a, x, b, y, c, z in pairs:
+        col = [w[a] * x + w[b] * y + w[c] * z for w in basis]
+        g = gcd(*col)
+        if g:
+            for v in col:
+                if v:
+                    break
+            if v < 0:
+                g = -g
+            keys.append(tuple([v // g for v in col]))
+        else:
+            keys.append(None)
+    return keys
+
+
 def _walk(pairs, start: int, left: int, basis, dims: list[int]) -> None:
     """Append n - rank of the current prefix extended by each form from `start` on.
 
     `pairs[i]` is triple i's form as its three entries (a, x, b, y, c, z),
     and `basis` is the prefix's D (module docstring), so the prefix has
-    n - rank = 2 + len(basis); `left` forms may still join it.  A push keeps
+    n - rank = 2 + len(basis); `left` forms may still join it.  Pairing with
+    D is linear with the prefix's span as kernel, so with `left` <= 2 every
+    extension is read off the forms' keys (`_keys`): adding i lowers the
+    dimension by one unless i's key is None, and adding j after i lowers it
+    once more unless j's key is None or i's.  With `left` >= 3, a push keeps
     the rows before the first row w0 with a nonzero pairing d0 and turns
     each later row w with pairing d != 0 into d0 * w - d * w0, divided by
     its content.  Below an empty basis the extension's whole subtree has
     dimension 2, one run of `dims` in preorder.
     """
-    if left == 1:
+    if left <= 2:
         dim = 2 + len(basis)
-        for a, x, b, y, c, z in pairs[start:]:
-            for w in basis:
-                if w[a] * x + w[b] * y + w[c] * z:
-                    dims.append(dim - 1)
-                    break
-            else:
+        keys = _keys(pairs[start:], basis)
+        one = dim - 1
+        ones = [dim if k is None else one for k in keys]
+        if left == 1:
+            dims.extend(ones)
+            return
+        two = dim - 2
+        for i, key in enumerate(keys, 1):
+            if key is None:
                 dims.append(dim)
+                dims.extend(ones[i:])
+            else:
+                dims.append(one)
+                dims.extend([two if k != key and k is not None else one for k in keys[i:]])
         return
     for i in range(start, len(pairs)):
         a, x, b, y, c, z = pairs[i]
@@ -437,7 +486,9 @@ def verify_independence(
     size cap, and reports any collection on which either two traces
     disagree or the oracle disagrees with dim_combinatorial.  With at least
     one trace, that is any collection on which some trace disagrees with
-    the formula.  The expected report has an empty discrepancy list.
+    the formula.  A trace on a closed family's degeneration locus (module
+    docstring) disagrees with the formula there, and sampled slopes do
+    reach that locus, e.g. two discrepancies at n = 7, cap 4, seed 10.
     """
     if n < 4:
         raise ValueError("need n >= 4")

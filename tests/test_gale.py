@@ -5,10 +5,10 @@ from contextlib import redirect_stdout
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from discarr.arrangement import random_generic
+from discarr.arrangement import GenericArrangement, is_trace_generic, random_generic
 from discarr.cli import main
 from discarr.discriminantal import construct_dependent, dependent_triples
 from discarr.gale import (
@@ -233,6 +233,29 @@ def test_pencil_invariance_for_three_groups_of_three():
     assert not dependent_triples(generic)
     gale_side = gale_transform(columns(generic.normals))
     assert not pencil_partition_exists(gale_side)[0]
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(
+    st.sampled_from([random_concurrent_sextuple, random_generic_sextuple]),
+    st.integers(0, 10**6),
+)
+def test_gale_dual_triples_answer_the_concurrent_partition_search(sampler, seed):
+    # s = 2: six plane points P admit three pairs spanning concurrent lines
+    # exactly when the (6,3) arrangement whose normals are the Gale points of
+    # P has a dependent triple, and then the pairs are such a triple's groups
+    points = sampler(seed)
+    dual = GenericArrangement(6, 3, columns(gale_transform(points)))
+    # three collinear points of P make a 3 x 3 minor of the dual vanish
+    assume(is_trace_generic(dual))
+    found, witness = concurrent_partition_exists(points)
+    triples = dependent_triples(dual)
+    assert found == bool(triples)
+    groups = [
+        tuple(sorted(tuple(sorted(set(x) & set(y))) for x, y in combinations(t.members, 2)))
+        for t in triples
+    ]
+    assert witness in groups if found else witness is None
 
 
 def test_concurrent_sampler_redraws_collinear_points():

@@ -18,6 +18,7 @@ from discarr.planar import (
     _fold,
     _formula_dims,
     _generic_rank,
+    _keys,
     _preorder,
     _set_masks,
     codim_combinatorial,
@@ -71,6 +72,14 @@ def test_merge_idempotent():
 def test_merge_classes_names_a_negative_index():
     with pytest.raises(ValueError, match="set index -2 is negative"):
         merge_classes([(1, 2, 3), (-2, 4, 5)])
+
+
+@pytest.mark.parametrize("bad", [3.0, True, "3"])
+def test_set_indices_must_be_ints(bad):
+    # a float is no bit position, and a bool would count as index 0 or 1
+    for call in (lambda sets: dim_combinatorial(sets, 5), merge_classes):
+        with pytest.raises(TypeError, match=f"must be an integer, got {bad!r}"):
+            call([[1, 2, 4], [bad, 2, 5]])
 
 
 def test_dim_combinatorial_rejects_sets_below_three():
@@ -263,12 +272,33 @@ def traces(draw):
 @example(([4, -7, 0, 9, 2], 5, 5))
 @example(([1, 2, 3, 4, 5], 5, 5))
 @example(([3, -7, 11, 2, 5, -1], 6, 5))
+# a node with two forms left and |D| = 2 keys two nonzero parallel columns of
+# opposite sign: one class, so adding both lowers the dimension once
+@example(([0, 1, 3, 2, 4], 5, 3))
+# (1,3,4) pushed onto (1,2,3), (1,2,4) has a zero column and leaves |D| = 2;
+# the columns after it are nonzero
+@example(([0, 2, -3, 5, 1, -4], 6, 5))
+# the five traces of `planar-verify --n 7 --cap 4 --seed 10`; on the fourth,
+# two quadrangles lie on the involution locus and their rank drops
+@example(([-51, 52, -19, -6, 9, 27, 17], 7, 4))
+@example(([13, 48, -21, 0, -5, -28, 30], 7, 4))
+@example(([9, -49, 3, 6, -20, -24, 46], 7, 4))
+@example(([-15, 8, -16, -39, -3, -44, 26], 7, 4))
+@example(([51, 21, -23, 27, 7, -40, -49], 7, 4))
 def test_depth_first_dims_match_per_collection_rank(trace):
     # the walk appends in visit order, the oracle goes size by size
     slopes, n, cap = trace
     triples = list(combinations(range(1, n + 1), 3))
     oracle = dict(zip(all_collections(triples, cap), dims_by_rank(slopes, n, cap)))
     assert _check_trace(trace) == [oracle[coll] for coll in _preorder(triples, cap)]
+
+
+def test_keys_are_the_parallel_classes_of_the_pairing_columns():
+    # each form reads entry 0, 1 or 2 of every row: columns (2, -4), (-1, 2), (0, 0)
+    pairs = [(j, 1, 3, 0, 4, 0) for j in range(3)]
+    assert _keys(pairs, [[2, -1, 0, 5, 6], [-4, 2, 0, 5, 6]]) == [(1, -2), (1, -2), None]
+    # one row: every nonzero pairing is in the one class
+    assert _keys(pairs, [[3, -5, 0, 5, 6]]) == [1, 1, None]
 
 
 @settings(ORACLE_SETTINGS, max_examples=100)
