@@ -23,14 +23,17 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import chain, starmap
 
 from . import acceptance
 from .arrangement import arrangement_from_json, arrangement_to_json, random_generic
 from .discriminantal import (
     DEPENDENT,
     OTHER,
+    SIMPLE,
     codim2_census,
     construct_dependent,
+    simple_pairs,
 )
 from .gale import essential_normals_via_gale, gale_disagreements
 from .monodromy import (
@@ -133,33 +136,34 @@ def _cmd_gen(args) -> int:
 
 def _cmd_census(args) -> int:
     arr = _load_arrangement(args.input)
-    records = codim2_census(arr)
+    census = codim2_census(arr)
+    simple = ((SIMPLE, pair) for pair in simple_pairs(arr, census))
     with _opened(args.output) as fh:
-        _write_census(fh, records, arr.k)
-    if any(r.kind == OTHER for r in records):
-        bad = [r for r in records if r.kind == OTHER]
+        _write_census(fh, chain(((r.kind, r.members) for r in census), simple), arr.k)
+    if any(r.kind == OTHER for r in census):
+        bad = [r for r in census if r.kind == OTHER]
         print(f"UNCLASSIFIED codimension-2 strata found: {bad}", file=sys.stderr)
         return DISCREPANCY
     return OK
 
 
 def _write_census(fh, records, k: int) -> None:
-    """The census, one object per record; dependent ones also carry t and
-    s = (k+1-t)/2."""
+    """The census from (kind, members) records, one object each: the flats,
+    then the SIMPLE pairs; dependent ones also carry t and s = (k+1-t)/2."""
     rows = _int_rows(3)
 
-    def text(rec):
+    def text(kind, members):
         extra = ""
-        if rec.kind == DEPENDENT:
-            t = len(set(rec.members[0]).intersection(*rec.members[1:]))
+        if kind == DEPENDENT:
+            t = len(set(members[0]).intersection(*members[1:]))
             extra = f',\n    "s": {(k + 1 - t) // 2},\n    "t": {t}'
-        members = ",\n      ".join(map(rows, rec.members))  # _array, never empty
+        body = ",\n      ".join(map(rows, members))  # _array, never empty
         return (
-            f'{{\n    "kind": "{rec.kind}",\n    "members": [\n      {members}\n    ],'
-            f'\n    "multiplicity": {rec.multiplicity}{extra}\n  }}'
+            f'{{\n    "kind": "{kind}",\n    "members": [\n      {body}\n    ],'
+            f'\n    "multiplicity": {len(members)}{extra}\n  }}'
         )
 
-    _write_array(fh, map(text, records), 0)
+    _write_array(fh, starmap(text, records), 0)
     fh.write("\n")
 
 

@@ -4,11 +4,12 @@ Given a trace-generic arrangement of n hyperplanes in k-space, the space of
 parallel translates is an n-dimensional affine space; the translate tuples
 for which some k+1 of the hyperplanes become concurrent form one hyperplane
 per (k+1)-subset.  This module builds those hyperplanes as exact coefficient
-vectors, enumerates every codimension-2 flat of the resulting arrangement,
+vectors, enumerates the multiple codimension-2 flats (three or more forms),
 classifies each flat by its multiplicity pattern, and detects or constructs
 the geometric dependency that produces multiplicity-3 flats.  The census
 tests the few forms that a pair's supports allow for membership in the
-pair's span, by one integer identity (`codim2_census`); dependent triples of
+pair's span, by one integer identity (`codim2_census`); a pair in no such
+flat is a SIMPLE crossing, yielded by `simple_pairs`.  Dependent triples of
 groups of every size are found by one meet identity of the k x k minors
 (`dependent_triples`) over `group_triples`, the one enumerator of disjoint
 group triples, which the Gale pencil search shares.  The flat kinds are:
@@ -18,7 +19,7 @@ group triples, which the Gale pencil search shares.  The flat kinds are:
 * DEPENDENT  multiplicity 3, present only when three groups of hyperplanes
              have their common subspaces at infinity spanning a proper
              subspace (collinear double points in the smallest case).
-* SIMPLE     multiplicity 2, a transverse crossing of two hyperplanes.
+* SIMPLE     multiplicity 2, a pair of forms in no flat of the census (`simple_pairs`).
 * OTHER      anything else.  Never produced silently: an OTHER record on a
              trace-generic input falsifies the classification and is the
              most interesting possible output, so callers surface it loudly.
@@ -132,8 +133,6 @@ def _classify(members: tuple[tuple[int, ...], ...], k: int) -> str:
         return GOOD
     if mult == 3:
         return DEPENDENT
-    if mult == 2:
-        return SIMPLE
     return OTHER
 
 
@@ -156,7 +155,7 @@ def _in_span(h, f, g, i, j, support) -> bool:
 
 
 def codim2_census(arr: GenericArrangement) -> list[StratumRecord]:
-    """Enumerate and classify every codimension-2 flat.
+    """The multiple codimension-2 flats, those of three or more forms, classified.
 
     Each pair of forms f, g spans one flat, whose members are the forms in
     span(f, g).  Let J, K be their supports and d = |J - K|.  A third member
@@ -170,9 +169,9 @@ def codim2_census(arr: GenericArrangement) -> list[StratumRecord]:
 
     A flat of three or more forms is emitted by its lexicographically first
     pair.  Every later pair of it must find the same members, and the flats
-    must cover each pair exactly once, or the census raises AssertionError.
-    The multiple flats come first, most members first; the SIMPLE pairs
-    follow in the order `combinations` visits them, which is sorted order.
+    and the SIMPLE pairs (counted, not kept) must cover each pair exactly
+    once, or the census raises AssertionError.  The flats are sorted most
+    members first, then by members; `simple_pairs` yields the SIMPLE pairs.
     """
     if arr.n < arr.k + 2:
         raise ValueError(f"census needs n >= k+2, got n={arr.n}, k={arr.k}")
@@ -187,8 +186,8 @@ def codim2_census(arr: GenericArrangement) -> list[StratumRecord]:
     extras: dict[int, list[int]] = {}  # J & K -> the masks of its possible C'
     flats = []  # member indices of each multiple flat, from its first pair
     emitted = set()
-    simple = []
-    for a, (ma, fa, sa) in enumerate(zip(masks, coeffs, subsets)):
+    simple = 0
+    for a, (ma, fa) in enumerate(zip(masks, coeffs)):
         for b in range(a + 1, len(forms)):
             mb = masks[b]
             common = ma & mb
@@ -220,16 +219,23 @@ def codim2_census(arr: GenericArrangement) -> list[StratumRecord]:
                     elif key not in emitted:
                         raise AssertionError("span membership produced an inconsistent flat")
                     continue
-            simple.append(StratumRecord((sa, subsets[b]), 2, SIMPLE))
-    if sum(comb(len(key), 2) for key in flats) + len(simple) != comb(len(forms), 2):
+            simple += 1
+    if sum(comb(len(key), 2) for key in flats) + simple != comb(len(forms), 2):
         raise AssertionError("span membership produced an inconsistent flat")
     flats.sort(key=lambda key: (-len(key), key))
     records = []
     for key in flats:
         members = tuple(subsets[c] for c in key)
         records.append(StratumRecord(members, len(members), _classify(members, arr.k)))
-    records.extend(simple)
     return records
+
+
+def simple_pairs(arr: GenericArrangement, census):
+    """The SIMPLE crossings: each pair of (k+1)-subsets inside no flat of
+    `census`, in the order `combinations` visits them, which is sorted order."""
+    covered = {pair for rec in census for pair in combinations(rec.members, 2)}
+    subsets = combinations(range(1, arr.n + 1), arr.k + 1)
+    return (pair for pair in combinations(subsets, 2) if pair not in covered)
 
 
 def group_triples(pool: tuple[int, ...], size: int):
@@ -409,5 +415,5 @@ def construct_dependent(group_size: int, common_count: int, seed: int) -> Generi
             return arr
     raise RuntimeError(
         f"dependent construction failed after {CONSTRUCT_BUDGET} resamples "
-        f"(group_size={s}, common_count={t}, seed={seed})"
+        f"(group_size={s}, common_count={t}, seed={seed}); try another seed"
     )

@@ -214,7 +214,8 @@ def random_concurrent_sextuple(seed: int, bound: int = 9):
         if _coincident_pair(list(zip(*gale_transform(points)))):
             continue
         return points
-    raise RuntimeError(f"no concurrent sextuple after {SEXTUPLE_BUDGET} draws (seed={seed})")
+    msg = f"no concurrent sextuple after {SEXTUPLE_BUDGET} draws (seed={seed}); try another seed"
+    raise RuntimeError(msg)
 
 
 def random_generic_sextuple(seed: int, bound: int = 9):
@@ -232,4 +233,5 @@ def random_generic_sextuple(seed: int, bound: int = 9):
         if _coincident_pair(list(zip(*gale_transform(points)))):
             continue
         return points
-    raise RuntimeError(f"no generic sextuple after {SEXTUPLE_BUDGET} draws (seed={seed})")
+    msg = f"no generic sextuple after {SEXTUPLE_BUDGET} draws (seed={seed}); try another seed"
+    raise RuntimeError(msg)

@@ -30,8 +30,8 @@ nilpotent_relations emits the three commutator relation families of the
 holonomy Lie algebra / nilpotent completion, keyed by the codimension-2
 census: one per (hyperplane, full (k+2)-set) incidence, one per member of a
 dependent triple, and one per ordered pair in a simple crossing.  The
-commuting family ranges over simple-crossing pairs of (k+1)-subsets, the
-only cardinality that indexes hyperplanes here.
+commuting family ranges over the simple-crossing pairs of (k+1)-subsets,
+as `simple_pairs` yields them.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ from .braid import BraidWord, apply_images, artin_images, halftwist, invert, red
 from .discriminantal import (
     DEPENDENT,
     GOOD,
-    SIMPLE,
     check_census_agrees,
     codim2_census,
     dependent_triples,
     build_all,
+    simple_pairs,
 )
 from .rng import SplitMix64
 
@@ -163,7 +163,8 @@ def random_section(arr: GenericArrangement, seed: int):
         except NonGenericSection:
             continue
         return plane, lines, points
-    raise RuntimeError(f"no generic section after {SECTION_BUDGET} draws (seed={seed})")
+    msg = f"no generic section after {SECTION_BUDGET} draws (seed={seed}); try another seed"
+    raise RuntimeError(msg)
 
 
 def singular_points(lines: list[SectionLine], crossings=None) -> list[SingularPoint]:
@@ -381,11 +382,11 @@ def nilpotent_relations(arr: GenericArrangement) -> RelationFamilies:
 
 
 def _relation_families(arr: GenericArrangement, census) -> RelationFamilies:
-    """nilpotent_relations for a census of `arr` the caller already holds."""
+    """nilpotent_relations for a census (the multiple flats) of `arr` that the
+    caller already holds; the commuting pairs come from `simple_pairs`."""
     check_census_agrees(census, dependent_triples(arr))
     full_sets = []
     dependents = []
-    commuting = []
     for rec in census:
         if rec.kind == GOOD:
             union = tuple(sorted(set().union(*map(set, rec.members))))
@@ -394,11 +395,8 @@ def _relation_families(arr: GenericArrangement, census) -> RelationFamilies:
         elif rec.kind == DEPENDENT:
             for member in rec.members:
                 dependents.append((member, rec.members))
-        elif rec.kind == SIMPLE:
-            a, b = rec.members
-            commuting.append((a, b))
-            commuting.append((b, a))
-    return RelationFamilies(tuple(full_sets), tuple(dependents), tuple(commuting))
+    commuting = tuple(x for a, b in simple_pairs(arr, census) for x in ((a, b), (b, a)))
+    return RelationFamilies(tuple(full_sets), tuple(dependents), commuting)
 
 
 def presentation_to_text(pres: Presentation) -> str:

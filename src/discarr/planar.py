@@ -331,7 +331,8 @@ def _sample_slopes(rng: SplitMix64, n: int, seed: int) -> list[int]:
         u = [rng.randint(-bound, bound) for _ in range(n)]
         if len(set(u)) == n:
             return u
-    raise RuntimeError(f"no {n} distinct slopes after {SLOPE_BUDGET} draws (seed={seed})")
+    msg = f"no {n} distinct slopes after {SLOPE_BUDGET} draws (seed={seed}); try another seed"
+    raise RuntimeError(msg)
 
 
 def _keys(pairs, basis) -> list:

@@ -8,33 +8,36 @@ grouping the pairs under the primitive Plücker vector of their span, the
 census JSON through intermediate dicts, the six-point concurrency search by
 cross products, the group triples by filtering all triples of groups, the
 dependency of three groups by the rank of their direction spaces' nullspace
-bases, the planar rank oracle by one `int_rank` per collection, the class
-merge by restarting after every merge, the planar dimension formula on
-classes held as index tuples with a memo keyed by the relabelled family and
-n, the plane section in `Fraction`s with its parallel test and its
-intersections in two separate passes, the sweep by sorting every line by its
-`Fraction` t-value at every midpoint, the monodromy braids by re-inverting
-every earlier half twist for every point, and the van Kampen relators by
-expanding every conjugated braid and acting with it letter by letter.  Apart
-from `dims_by_rank`, which calls `int_rank` (itself checked against
-`rank_by_minors`), `dependency_by_rank`, which calls `int_nullspace` and
-`int_rank`, `dim_by_tuple_formula`, which takes the generic rank of a closed
-family from `planar._generic_rank`, `build_form_by_fractions`, which
-normalises with `primitive_int_vector`, `section_by_two_passes`, which
-substitutes into the forms of `build_all`, `braid_monodromy_by_reinversion`,
-which builds half twists with `braid.halftwist`, and
-`presentation_by_expansion`, which runs the Artin action of `braid.py` (its
-substitution step, `apply_images`, is checked on explicit words in
-test_braid.py), nothing here shares code with the elimination routines, the
-minors table, the census's candidate test, the meet identity, the JSON
-writer, the group-triple enumerator, the depth-first planar walk, the
-bitmask merge and its n-free memo, the single-pass section, the integer
-sweep, the shared-prefix braids or the image tables under test.
+bases, the planar rank oracle by one `reduce_row` of each collection's last
+form against the echelon of the collection without it, the class merge by
+restarting after every merge, the planar dimension formula on classes held
+as index tuples with a memo keyed by the relabelled family and n, the plane
+section in `Fraction`s with its parallel test and its intersections in two
+separate passes, the sweep by sorting every line by its `Fraction` t-value
+at every midpoint, the monodromy braids by re-inverting every earlier half
+twist for every point, and the van Kampen relators by expanding every
+conjugated braid and acting with it letter by letter.  Apart from
+`dims_by_rank`, which calls `reduce_row` (the step of `int_rank`, itself
+checked against `rank_by_minors`), `dependency_by_rank`, which calls
+`int_nullspace` and `int_rank`, `dim_by_tuple_formula`, which takes the
+generic rank of a closed family from `planar._generic_rank`,
+`build_form_by_fractions`, which normalises with `primitive_int_vector`,
+`section_by_two_passes`, which substitutes into the forms of `build_all`,
+`braid_monodromy_by_reinversion`, which builds half twists with
+`braid.halftwist`, and `presentation_by_expansion`, which runs the Artin
+action of `braid.py` (its substitution step, `apply_images`, is checked on
+explicit words in test_braid.py), nothing here shares code with the
+elimination routines, the minors table, the census's candidate test, the
+meet identity, the JSON writer, the group-triple enumerator, the depth-first
+planar walk, the bitmask merge and its n-free memo, the single-pass section,
+the integer sweep, the shared-prefix braids or the image tables under test.
 
-The last three are not oracles but helpers that only tests read:
+The last four are not oracles but helpers that only tests read:
 `restrict` (an arrangement and its offsets restricted to a flat, through
-`QMatrix.rref` and `is_trace_generic`), `permutation` (a braid word's
-strand permutation) and `shuffle` (a seeded in-place shuffle).
+`QMatrix.rref` and `is_trace_generic`), `full_census` (the census's flats
+and then one SIMPLE record per pair of `simple_pairs`, the record list
+that `discarr census` prints), `permutation` (a braid word's strand
+permutation) and `shuffle` (a seeded in-place shuffle).
 """
 
 from fractions import Fraction
@@ -44,13 +47,20 @@ from math import comb, gcd
 
 from discarr.arrangement import GenericArrangement, is_trace_generic
 from discarr.braid import BraidWord, artin_images, halftwist, invert, reduce_free
-from discarr.discriminantal import build_all
+from discarr.discriminantal import (
+    SIMPLE,
+    StratumRecord,
+    build_all,
+    codim2_census,
+    simple_pairs,
+)
 from discarr.linalg import (
     QMatrix,
     common_int_rows,
     int_nullspace,
     int_rank,
     primitive_int_vector,
+    reduce_row,
 )
 from discarr.monodromy import (
     NonGenericSection,
@@ -305,11 +315,13 @@ def dependency_by_rank(arr, common, groups) -> bool:
 
 
 def dims_by_rank(slopes, n: int, cap: int):
-    """n - rank of every collection of up to `cap` slope forms, one rank each.
+    """n - rank of every collection of up to `cap` slope forms.
 
     The form of a triple (a, b, c) has u_c - u_b at a, u_a - u_c at b and
     u_b - u_a at c.  Collections come size by size, each size in the lex
-    order of `combinations`.
+    order of `combinations`.  A collection's echelon is its last form
+    reduced (`reduce_row`) against the echelon of the collection without
+    it, which the size before kept.
     """
     triples = list(combinations(range(1, n + 1), 3))
     vectors = {}
@@ -320,9 +332,18 @@ def dims_by_rank(slopes, n: int, cap: int):
         vec[c - 1] = slopes[b - 1] - slopes[a - 1]
         vectors[(a, b, c)] = vec
     dims = []
+    echelons = {(): []}
     for size in range(1, cap + 1):
+        level = {}
         for coll in combinations(triples, size):
-            dims.append(n - int_rank([vectors[t] for t in coll]))
+            echelon = echelons[coll[:-1]]
+            reduced = reduce_row(vectors[coll[-1]], echelon)
+            if reduced is not None:
+                echelon = echelon + [reduced]
+            if size < cap:
+                level[coll] = echelon
+            dims.append(n - len(echelon))
+        echelons = level
     return dims
 
 
@@ -629,6 +650,13 @@ def restrict(arr, chosen, offsets=None):
     if not is_trace_generic(out):
         raise AssertionError("restriction of a generic trace must stay generic")
     return out, tuple(row[-1] for row in cleared)
+
+
+def full_census(arr) -> list:
+    """The flats of `codim2_census(arr)`, then a SIMPLE record for each pair
+    that `simple_pairs` yields: every codimension-2 flat, in printed order."""
+    census = codim2_census(arr)
+    return census + [StratumRecord(pair, 2, SIMPLE) for pair in simple_pairs(arr, census)]
 
 
 def permutation(word, n: int) -> tuple[int, ...]:

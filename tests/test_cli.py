@@ -30,7 +30,7 @@ from discarr.discriminantal import (
 )
 from discarr.monodromy import RelationFamilies
 
-from _oracles import census_to_json
+from _oracles import census_to_json, full_census
 
 
 def run(argv, capsys):
@@ -565,7 +565,31 @@ def test_exhausted_rejection_budget_exits_one(capsys, monkeypatch, reject, argv,
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {message}; try another seed\n"
+
+
+@pytest.mark.parametrize(
+    "budget, argv, remedy",
+    [
+        ("discarr.arrangement.RESAMPLE_BUDGET", ["gen", "--n", "5", "--k", "2"], "raise the bound"),
+        ("discarr.discriminantal.CONSTRUCT_BUDGET", ["dependent-construct", "--s", "2"], None),
+        ("discarr.monodromy.SECTION_BUDGET", ["section", "--input", "ARR"], None),
+        ("discarr.planar.SLOPE_BUDGET", ["planar-verify", "--n", "5", "--cap", "2"], None),
+        ("discarr.gale.SEXTUPLE_BUDGET", ["gale-invariance", "--trials", "1"], None),
+    ],
+    ids=["resample", "construct", "section", "slope", "sextuple"],
+)
+def test_spent_budget_names_its_remedy(budget, argv, remedy, tmp_path, capsys, monkeypatch):
+    # a budget of 0 draws nothing, so only the message is under test
+    arr_path = str(tmp_path / "arr.json")
+    assert main(["gen", "--n", "5", "--k", "2", "--output", arr_path]) == 0
+    monkeypatch.setattr(budget, 0)
+    code = main([arr_path if x == "ARR" else x for x in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and " after 0 " in captured.err
+    assert captured.err.endswith(f"; {remedy or 'try another seed'}\n")
 
 
 @pytest.mark.parametrize(
@@ -644,7 +668,8 @@ RECORDS = st.lists(st.tuples(st.lists(ROWS, min_size=2, max_size=5), KINDS), max
 @example([StratumRecord(((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)), 3, DEPENDENT)], 3)
 @example([StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), 4, OTHER)], 2)
 def test_census_writer_matches_json_dumps(records, k):
-    assert written(_write_census, records, k) == dumped(census_to_json(records, k))
+    kinds_members = [(r.kind, r.members) for r in records]
+    assert written(_write_census, kinds_members, k) == dumped(census_to_json(records, k))
 
 
 PAIRS = st.lists(st.tuples(ROWS, ROWS), max_size=5)
@@ -706,11 +731,12 @@ def test_census_records_match_the_dict_oracle(monkeypatch):
         construct_dependent(2, 1, seed=0),
         random_generic(6, 3, seed=4, bound=10),
     ):
-        records = codim2_census(arr)
+        records = full_census(arr)
         expected = dumped(census_to_json(records, arr.k))
+        kinds_members = [(r.kind, r.members) for r in records]
         for chunk in (1, 500, CHUNK):  # a write after every record, every few, or once
             monkeypatch.setattr(cli, "CHUNK", chunk)
-            assert written(_write_census, records, arr.k) == expected
+            assert written(_write_census, kinds_members, arr.k) == expected
         dependent += [(r["s"], r["t"]) for r in json.loads(expected) if r["kind"] == DEPENDENT]
     assert dependent == [(2, 0), (2, 1)]
 

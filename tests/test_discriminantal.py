@@ -27,6 +27,7 @@ from discarr.discriminantal import (
     construct_dependent,
     dependent_triples,
     group_triples,
+    simple_pairs,
 )
 from discarr.linalg import QMatrix, _bareiss_det, int_nullspace, int_rank
 from discarr.rng import SplitMix64
@@ -38,6 +39,7 @@ from _oracles import (
     dependency_by_rank,
     det_by_permutations,
     disjoint_group_triples,
+    full_census,
     rank_by_minors,
     restrict,
     shuffle,
@@ -151,7 +153,7 @@ def test_census_generic_63():
     arr = random_generic(6, 3, seed=31, bound=12)
     if dependent_triples(arr):
         pytest.skip("sampled a dependent trace; seeds elsewhere cover this")
-    census = codim2_census(arr)
+    census = full_census(arr)
     mults = Counter(r.multiplicity for r in census)
     assert mults[5] == comb(6, 5) == 6
     assert set(mults) == {5, 2}
@@ -160,7 +162,7 @@ def test_census_generic_63():
 
 def test_census_pair_completeness():
     arr = dep63()
-    census = codim2_census(arr)
+    census = full_census(arr)
     n_forms = comb(6, 4)
     assert sum(comb(r.multiplicity, 2) for r in census) == comb(n_forms, 2)
     # every record's forms really span a rank-2 flat
@@ -174,6 +176,31 @@ def test_census_dep63_dependent_record():
     assert len(dependent) == 1
     assert dependent[0].members == DEP63_TRIPLE
     assert dependent[0].multiplicity == 3
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        random_generic(4, 2, seed=5, bound=9),
+        random_generic(4, 1, seed=2, bound=9),
+        random_generic(6, 3, seed=31, bound=12),
+        construct_dependent(2, 0, seed=11),
+        construct_dependent(2, 1, seed=0),
+    ],
+    ids=["B42", "B41", "B63", "dep63", "dep74"],
+)
+def test_simple_pairs_are_the_pairs_in_no_flat(arr):
+    census = codim2_census(arr)
+    assert all(r.multiplicity >= 3 for r in census)
+    simple = list(simple_pairs(arr, census))
+    # combinations order: the subsets are sorted, so the pairs are too
+    assert simple == sorted(set(simple))
+    assert all(a < b for a, b in simple)
+    covered = [pair for r in census for pair in combinations(r.members, 2)]
+    everything = set(combinations(combinations(range(1, arr.n + 1), arr.k + 1), 2))
+    assert set(simple) == everything - set(covered)
+    n_forms = comb(arr.n, arr.k + 1)
+    assert len(covered) + len(simple) == comb(n_forms, 2) == len(everything)
 
 
 def test_census_no_multiplicity_four_for_k_at_least_4():
@@ -268,7 +295,7 @@ def test_census_k1_matches_braid_arrangement_structure():
     # k=1: concurrency sets are pairs-of-points; triangles {ij, ik, jk} give
     # the C(n,3) full-set strata, partner-disjoint pairs stay simple
     arr = random_generic(4, 1, seed=2, bound=9)
-    census = codim2_census(arr)
+    census = full_census(arr)
     kinds = Counter((r.kind, r.multiplicity) for r in census)
     assert kinds == {(GOOD, 3): comb(4, 3), (SIMPLE, 2): 3}
 
@@ -323,7 +350,6 @@ def test_classifier_reserves_other_for_falsifiers():
     fake4 = ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 4, 7), (1, 2, 3, 5, 6))
     assert _classify(fake4, k=4) == OTHER
     assert _classify(((1, 2, 3), (1, 4, 5), (2, 4, 6)), k=2) == DEPENDENT
-    assert _classify(((1, 2, 3), (4, 5, 6)), k=2) == SIMPLE
 
 
 # Property tests: the fast census and dependency search against brute force.
@@ -343,7 +369,7 @@ def generic_arrangements(draw):
 
 
 def census_summary(arr):
-    return [(r.members, r.multiplicity, r.kind) for r in codim2_census(arr)]
+    return [(r.members, r.multiplicity, r.kind) for r in full_census(arr)]
 
 
 def oracle_census(arr):

@@ -258,6 +258,29 @@ def test_gale_dual_triples_answer_the_concurrent_partition_search(sampler, seed)
     assert witness in groups if found else witness is None
 
 
+def triple_groups(triple):
+    """The three groups of a t = 0 dependent triple: its pairwise overlaps."""
+    pairs = combinations(triple.members, 2)
+    return tuple(sorted(tuple(sorted(set(x) & set(y))) for x, y in pairs))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=20)
+@given(st.booleans(), st.integers(0, 10**6))
+def test_gale_points_answer_the_dependent_triple_search_for_groups_of_three(dependent, seed):
+    # s = 3, t = 0: a (9,5) trace has a dependent triple exactly when the
+    # Gale transform of its normals, nine points in dimension 4, splits into
+    # three triples spanning hyperplanes of a pencil, and then the triples
+    # are the dependent triple's groups; t > 0 is not tested here
+    arr = construct_dependent(3, 0, seed) if dependent else random_generic(9, 5, seed, bound=14)
+    points = gale_transform(columns(arr.normals))
+    # a vanishing 4 x 4 minor of the points would make a group degenerate
+    assume(is_trace_generic(GenericArrangement(9, 4, columns(points))))
+    found, witness = pencil_partition_exists(points)
+    triples = dependent_triples(arr)
+    assert found == bool(triples)
+    assert witness in [triple_groups(t) for t in triples] if found else witness is None
+
+
 def test_concurrent_sampler_redraws_collinear_points():
     # seed 1055 first draws six points on one line; the configuration would
     # not span the plane and its Gale transform would be undefined
@@ -288,7 +311,8 @@ def test_concurrent_sampler_with_zero_bound_exits_one(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: no concurrent sextuple after 100 draws (seed=7)\n"
+    message = "no concurrent sextuple after 100 draws (seed=7); try another seed"
+    assert captured.err == f"error: {message}\n"
 
 
 # sha256 of the `gale` and `gale-invariance` stdout.  The printed normals

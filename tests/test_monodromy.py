@@ -14,7 +14,7 @@ from discarr.braid import (
     full_twist,
     reduce_free,
 )
-from discarr.discriminantal import codim2_census, construct_dependent
+from discarr.discriminantal import construct_dependent
 from discarr.linalg import int_rank
 from discarr.monodromy import (
     SECTION_BOUND,
@@ -36,6 +36,7 @@ from discarr.rng import SplitMix64
 
 from _oracles import (
     braid_monodromy_by_reinversion,
+    full_census,
     magnus_degree2,
     permutation,
     presentation_by_expansion,
@@ -140,7 +141,7 @@ def test_blocks_match_census_multiplicities():
     for arr in (random_generic(5, 2, seed=22, bound=9), construct_dependent(2, 0, seed=11)):
         _, records = records_for(arr)
         blocks = Counter(len(p.block) for p, _ in records)
-        mults = Counter(r.multiplicity for r in codim2_census(arr))
+        mults = Counter(r.multiplicity for r in full_census(arr))
         assert blocks == mults
 
 
@@ -188,7 +189,7 @@ def test_nilpotent_relations_families():
 
     dep63 = construct_dependent(2, 0, seed=11)
     fam = nilpotent_relations(dep63)
-    census = codim2_census(dep63)
+    census = full_census(dep63)
     assert len(fam.full_sets) == comb(6, 5) * 5
     assert len(fam.dependents) == 3
     simple = sum(1 for r in census if r.kind == "SIMPLE")
@@ -209,7 +210,7 @@ def test_large_section_sweep_and_total_monodromy():
     assert n == comb(8, 6) == 28
     assert sum(comb(len(p.block), 2) for p, _ in records) == comb(n, 2)
     blocks = Counter(len(p.block) for p, _ in records)
-    assert blocks == Counter(r.multiplicity for r in codim2_census(arr))
+    assert blocks == Counter(r.multiplicity for r in full_census(arr))
     product = reduce_free(sum((braid.letters for _, braid in records), ()))
     assert braids_equal(product, full_twist(n), n)
 
@@ -410,7 +411,7 @@ def check_section_against_census(arr, section_seed):
     """Both checks; returns the three ranks of check 2."""
     lines, points = section_for(arr, seed=section_seed)
     records = braid_monodromy(lines, points)
-    census = codim2_census(arr)
+    census = full_census(arr)
     assert census_blocks(lines, records) == sorted(r.members for r in census)
     return holonomy_ranks(lines, points, census)
 
@@ -433,6 +434,6 @@ def test_presentation_holonomy_matches_census(arr, ranks):
 def test_presentation_holonomy_matches_census_drawn(arr, section_seed):
     if arr.n == 4 and arr.k == 3:
         return  # one line: no point, no relation
-    census = codim2_census(arr)
+    census = full_census(arr)
     expected = sum(r.multiplicity - 1 for r in census)
     assert check_section_against_census(arr, section_seed) == (expected,) * 3
