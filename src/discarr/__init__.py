@@ -3,8 +3,9 @@
 Everything runs on arbitrary-precision integers, with `Fraction`s only where
 a rational is read or reported and in `construct_dependent`'s resample
 checks: construction of the concurrency hyperplanes of a generic trace, the
-codimension-2 census of multiple flats and its multiplicity classification
-(the SIMPLE crossings are the pairs that `simple_pairs` yields), detection
+codimension-2 census of multiple flats, from the full (k+2)-subsets and the
+dependent triples (the SIMPLE crossings are the pairs that `simple_pairs`
+yields), detection
 and construction of dependent configurations, Gale transforms and their
 discriminantal interpretation, the combinatorial dimension theory of line
 arrangements, and braid monodromy with fundamental-group presentations of

@@ -68,16 +68,22 @@ def _sample_nondependent(n: int, k: int, seed: int) -> GenericArrangement:
     raise RuntimeError(f"no dependency-free sample for n={n}, k={k}, seed={seed}")
 
 
+def _require_codim_two(arr: GenericArrangement, flats) -> None:
+    """Each flat's forms meet in codimension 2, by the rank of their rows."""
+    for rec in flats:
+        codim = codim_intersection(arr, rec.members)
+        _require(codim == 2, f"flat {rec.members} has codimension {codim} != 2")
+
+
 def check_dep63_reproduction() -> str:
     arr = _dep63()
     census = codim2_census(arr)
-    dependent = [r for r in census if r.multiplicity == 3]
+    dependent = [r for r in census if len(r.members) == 3]
     _require(len(dependent) == 1, f"expected one multiplicity-3 stratum, got {len(dependent)}")
     _require(dependent[0].members == DEP63_TRIPLE, dependent[0].members)
-    big = [r for r in census if r.multiplicity == 5]
+    big = [r for r in census if len(r.members) == 5]
     _require(len(big) == comb(6, 5) == 6, f"expected 6 multiplicity-5 strata, got {len(big)}")
-    codim = codim_intersection(arr, DEP63_TRIPLE)
-    _require(codim == 2, f"triple codimension {codim} != 2")
+    _require_codim_two(arr, dependent + big)
     return "one multiplicity-3 stratum {1234,1256,3456}, six of multiplicity 5, codim 2"
 
 
@@ -103,8 +109,10 @@ def check_generic_census() -> str:
     for n, k in ((6, 3), (7, 3), (7, 4), (8, 4)):
         for i in range(5):
             arr = _sample_nondependent(n, k, CENSUS_SEED + 97 * i)
-            kinds = Counter(r.kind for r in codim2_census(arr))
+            census = codim2_census(arr)
+            kinds = Counter(r.kind for r in census)
             _require(kinds == {GOOD: comb(n, k + 2)}, f"(n={n},k={k}) seed {i}: {kinds}")
+            _require_codim_two(arr, census)
         lines.append(f"({n},{k}): 5 seeds, multiplicity-{k+2} count {comb(n, k+2)}")
     return "; ".join(lines)
 
@@ -176,7 +184,7 @@ def check_monodromy_invariants() -> str:
         rank = n_lines - int_rank(pres.exponent_matrix())
         _require(rank == n_lines, f"{label}: abelianization rank {rank} != {n_lines}")
         # with the pair total, the flats fix the number of 2-blocks
-        census_mults = Counter(r.multiplicity for r in codim2_census(arr))
+        census_mults = Counter(len(r.members) for r in codim2_census(arr))
         block_mults = Counter(len(p.block) for p, _ in records if len(p.block) > 2)
         _require(block_mults == census_mults, f"{label}: {block_mults} vs {census_mults}")
         lines.append(f"{label}: N={n_lines}, {len(records)} points")
@@ -193,10 +201,10 @@ def check_nilpotent_relations() -> str:
     lines = []
     for label, arr, has_dependency in instances:
         census = codim2_census(arr)
-        families = _relation_families(arr, census)  # census consistency asserted inside
-        good = sum(r.multiplicity for r in census if r.kind == GOOD)
-        dep = sum(r.multiplicity for r in census if r.kind == DEPENDENT)
-        simple = comb(comb(arr.n, arr.k + 1), 2) - sum(comb(r.multiplicity, 2) for r in census)
+        families = _relation_families(arr, census)
+        good = sum(len(r.members) for r in census if r.kind == GOOD)
+        dep = sum(len(r.members) for r in census if r.kind == DEPENDENT)
+        simple = comb(comb(arr.n, arr.k + 1), 2) - sum(comb(len(r.members), 2) for r in census)
         _require(len(families.full_sets) == good)
         _require(len(families.dependents) == dep)
         _require(len(families.commuting) == 2 * simple)

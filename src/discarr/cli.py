@@ -1,10 +1,13 @@
 """Command-line surface: JSON in, JSON/text out, fully seed-deterministic.
 
 Exit codes: 0 success, 1 precondition or input failure, 2 a mathematical
-discrepancy (an unclassified stratum, an oracle mismatch, a failed
-cross-check).  Code 2 is not a crash: a falsifier of the classification is
-the most valuable output the tool can produce, so it is printed in full and
-flagged, never swallowed.
+discrepancy: an OTHER flat in the census of `census` or `relations`
+(trace-generic inputs can carry one; see `discarr.discriminantal`), an
+oracle mismatch in `planar-verify` or `gale-invariance`, a failed
+cross-check in `gale` or the monodromy sweep, or a failed `accept` check.
+Code 2 is not a crash: a flat outside the classification is the most
+valuable output the tool can produce, so it is printed in full and flagged,
+never swallowed.
 
 Same command, same seed: byte-identical output, on any machine (all
 randomness flows from the splitmix64-v1 generator in rng.py).

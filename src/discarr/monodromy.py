@@ -46,9 +46,8 @@ from .braid import BraidWord, apply_images, artin_images, halftwist, invert, red
 from .discriminantal import (
     DEPENDENT,
     GOOD,
-    check_census_agrees,
+    OTHER,
     codim2_census,
-    dependent_triples,
     build_all,
     simple_pairs,
 )
@@ -374,9 +373,7 @@ class RelationFamilies:
 def nilpotent_relations(arr: GenericArrangement) -> RelationFamilies:
     """Relation families of the nilpotent completion, from the census.
 
-    Cross-checks the census's multiplicity-3 strata against the geometric
-    dependency search; a mismatch raises AssertionError since the two are
-    provably equivalent.
+    An OTHER flat has no family, so it raises AssertionError.
     """
     return _relation_families(arr, codim2_census(arr))
 
@@ -384,7 +381,8 @@ def nilpotent_relations(arr: GenericArrangement) -> RelationFamilies:
 def _relation_families(arr: GenericArrangement, census) -> RelationFamilies:
     """nilpotent_relations for a census (the multiple flats) of `arr` that the
     caller already holds; the commuting pairs come from `simple_pairs`."""
-    check_census_agrees(census, dependent_triples(arr))
+    if any(rec.kind == OTHER for rec in census):
+        raise AssertionError("census produced an unclassified stratum")
     full_sets = []
     dependents = []
     for rec in census:

@@ -3,10 +3,12 @@
 Deliberately naive: determinant by permutation expansion, rank by largest
 nonvanishing minor, reduced row echelon form by `Fraction` Gauss-Jordan, the
 concurrency forms from `Fraction` minors of the unscaled normals, the
-codimension-2 census by testing every form against every pair and by
-grouping the pairs under the primitive Plücker vector of their span, the
-census JSON through intermediate dicts, the six-point concurrency search by
-cross products, the group triples by filtering all triples of groups, the
+codimension-2 census by testing every form against every pair, by testing
+each pair's few candidate third forms for membership in its span with one
+integer identity (`census_by_pairs`), and by grouping the pairs under the
+primitive Plücker vector of their span, the census JSON through
+intermediate dicts, the six-point concurrency search by cross products,
+the group triples by filtering all triples of groups, the
 dependency of three groups by the rank of their direction spaces' nullspace
 bases, the planar rank oracle by one `reduce_row` of each collection's last
 form against the echelon of the collection without it, the class merge by
@@ -27,17 +29,20 @@ generic rank of a closed family from `planar._generic_rank`,
 `braid.halftwist`, and `presentation_by_expansion`, which runs the Artin
 action of `braid.py` (its substitution step, `apply_images`, is checked on
 explicit words in test_braid.py), nothing here shares code with the
-elimination routines, the minors table, the census's candidate test, the
+elimination routines, the minors table, the census's merge of dependent triples, the
 meet identity, the JSON writer, the group-triple enumerator, the depth-first
 planar walk, the bitmask merge and its n-free memo, the single-pass section,
 the integer sweep, the shared-prefix braids or the image tables under test.
 
-The last four are not oracles but helpers that only tests read:
+The last six are not oracles but helpers that only tests read:
 `restrict` (an arrangement and its offsets restricted to a flat, through
 `QMatrix.rref` and `is_trace_generic`), `full_census` (the census's flats
 and then one SIMPLE record per pair of `simple_pairs`, the record list
-that `discarr census` prints), `permutation` (a braid word's strand
-permutation) and `shuffle` (a seeded in-place shuffle).
+that `discarr census` prints), `multiplicity_four` (the pinned (8,5) trace
+whose census holds an OTHER flat), `small_entry_generic` (a seeded
+trace-generic draw with entries in [-2, 2], where coincidences such as
+that flat occur), `permutation` (a braid word's strand permutation) and
+`shuffle` (a seeded in-place shuffle).
 """
 
 from fractions import Fraction
@@ -70,6 +75,7 @@ from discarr.monodromy import (
     SweepError,
 )
 from discarr.planar import _generic_rank
+from discarr.rng import SplitMix64
 
 
 def perm_sign(perm) -> int:
@@ -160,7 +166,7 @@ def census_to_json(records, k: int) -> list[dict]:
     for rec in records:
         doc = {
             "members": [list(m) for m in rec.members],
-            "multiplicity": rec.multiplicity,
+            "multiplicity": len(rec.members),
             "kind": rec.kind,
         }
         if rec.kind == "DEPENDENT":
@@ -229,6 +235,83 @@ def census_by_plucker_keys(forms, k: int):
         assert pairs == comb(len(members), 2), "pairs of one key do not form a flat"
         flats.add(tuple(sorted(members)))
     return _census_records(flats, k)
+
+
+def _in_span(h, f, g, i, j, support) -> bool:
+    """Whether the form h lies in span(f, g), by one integer identity.
+
+    f is nonzero and g zero at coordinate i, and the other way round at j,
+    so h = a f + b g forces a = h_i / f_i and b = h_j / g_j: h is in the
+    span exactly when h f_i g_j = h_i g_j f + h_j f_i g at every coordinate
+    of `support`, the union of the supports of f and g (all three vanish
+    outside it).
+    """
+    figj = f[i] * g[j]
+    a = h[i] * g[j]
+    b = h[j] * f[i]
+    for x in support:
+        if h[x] * figj != a * f[x] + b * g[x]:
+            return False
+    return True
+
+
+def census_by_pairs(forms, k: int):
+    """Codimension-2 flats of the discriminantal forms, pair by pair.
+
+    `forms` is as for `census_by_minors`, in lexicographic order of the
+    subsets.  Each pair of forms f, g spans one flat, whose members are the
+    forms in span(f, g).  Let J, K be their supports and d = |J - K|.  A
+    third member h = a f + b g has a, b != 0, so it is nonzero on the 2d
+    indices of the symmetric difference of J and K and zero outside J | K;
+    as every form has exactly k+1 nonzero entries, h has support
+    (J ^ K) | C' for some C' inside J & K with |C'| = k+1-2d.  A pair with
+    2d > k+1 is therefore a SIMPLE crossing and needs no arithmetic; any
+    other pair tests its C(k+1-d, d) candidates with `_in_span`.
+
+    A flat of three or more forms is kept from its lexicographically first
+    pair.  Every later pair of it must find the same members, and the flats
+    and the SIMPLE pairs must cover each pair exactly once, or the census
+    raises AssertionError.
+    """
+    k1 = k + 1
+    n = len(forms[0][1])
+    subsets = [subset for subset, _ in forms]
+    coeffs = [row for _, row in forms]
+    # supports as bitmasks of 0-based coordinates
+    masks = [sum(1 << (j - 1) for j in subset) for subset in subsets]
+    index = {mask: c for c, mask in enumerate(masks)}
+    flats = []  # member indices of each multiple flat, from its first pair
+    emitted = set()
+    simple = []
+    for a, (ma, fa) in enumerate(zip(masks, coeffs)):
+        for b in range(a + 1, len(forms)):
+            mb = masks[b]
+            common = ma & mb
+            d = k1 - common.bit_count()
+            if 2 * d <= k1:
+                union = ma | mb
+                support = tuple(x for x in range(n) if union >> x & 1)
+                bits = [1 << x for x in range(n) if common >> x & 1]
+                i = (ma & ~mb).bit_length() - 1
+                j = (mb & ~ma).bit_length() - 1
+                members = [a, b]
+                for extra in combinations(bits, k1 - 2 * d):
+                    c = index[(ma ^ mb) | sum(extra)]
+                    if _in_span(coeffs[c], fa, coeffs[b], i, j, support):
+                        members.append(c)
+                if len(members) > 2:
+                    members.sort()
+                    key = tuple(members)
+                    if key[:2] == (a, b):
+                        emitted.add(key)
+                        flats.append(key)
+                    elif key not in emitted:
+                        raise AssertionError("span membership produced an inconsistent flat")
+                    continue
+            simple.append((a, b))
+    if sum(comb(len(key), 2) for key in flats) + len(simple) != comb(len(forms), 2):
+        raise AssertionError("span membership produced an inconsistent flat")
+    return _census_records({tuple(subsets[c] for c in key) for key in flats + simple}, k)
 
 
 def _census_records(flats, k: int):
@@ -656,7 +739,33 @@ def full_census(arr) -> list:
     """The flats of `codim2_census(arr)`, then a SIMPLE record for each pair
     that `simple_pairs` yields: every codimension-2 flat, in printed order."""
     census = codim2_census(arr)
-    return census + [StratumRecord(pair, 2, SIMPLE) for pair in simple_pairs(arr, census)]
+    return census + [StratumRecord(pair, SIMPLE) for pair in simple_pairs(arr, census)]
+
+
+def multiplicity_four() -> GenericArrangement:
+    """A trace-generic (8,5) arrangement whose census holds a flat of four
+    forms, (1,2,3,4,7,8), (1,2,4,5,6,8), (1,3,4,5,6,7) and (2,3,5,6,7,8),
+    next to two DEPENDENT flats.  Each member is {1..8} minus one block of
+    the pairing {1,4}, {2,8}, {3,7}, {5,6}, and any three members are a
+    dependent triple (s = 2) whose common set is the fourth block."""
+    rows = [
+        [2, -2, -1, 1, -1], [-2, -1, 1, -1, 1], [2, 0, -2, 2, 2], [1, 2, 1, 1, -1],
+        [1, -1, 1, 2, -1], [2, 0, 1, -2, -1], [0, 2, -1, 2, -1], [0, -1, 1, -1, 0],
+    ]
+    return GenericArrangement(8, 5, rows)
+
+
+def small_entry_generic(n: int, k: int, seed: int) -> GenericArrangement:
+    """The first trace-generic draw of n x k normals with entries in [-2, 2],
+    from a SplitMix64 seeded with `seed`.  Only about 1 draw in 3 at (8,5)
+    and 1 in 12 at (9,5) is trace-generic, so the draw rejects in its own
+    loop rather than through hypothesis."""
+    rng = SplitMix64(seed)
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        arr = GenericArrangement(n, k, rows)
+        if is_trace_generic(arr):
+            return arr
 
 
 def permutation(word, n: int) -> tuple[int, ...]:

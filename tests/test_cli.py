@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import lcm
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discarr.arrangement import random_generic
+from discarr.arrangement import arrangement_to_json, random_generic
 from discarr.cli import (
     CHUNK,
     _load_arrangement,
@@ -30,7 +32,7 @@ from discarr.discriminantal import (
 )
 from discarr.monodromy import RelationFamilies
 
-from _oracles import census_to_json, full_census
+from _oracles import census_to_json, full_census, multiplicity_four
 
 
 def run(argv, capsys):
@@ -310,7 +312,7 @@ def test_census_other_stratum_exits_two(tmp_path, capsys, monkeypatch):
     arr_path = str(tmp_path / "arr.json")
     run(["gen", "--n", "5", "--k", "2", "--seed", "3", "--output", arr_path], capsys)
 
-    fake = StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), 4, "OTHER")
+    fake = StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), "OTHER")
     monkeypatch.setattr(cli, "codim2_census", lambda arr: [fake])
     code = cli.main(["census", "--input", arr_path])
     captured = capsys.readouterr()
@@ -319,25 +321,7 @@ def test_census_other_stratum_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def other_record(census):
-    return census + [StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), 4, OTHER)]
-
-
-def without_dependent(census):
-    return [rec for rec in census if rec.kind != DEPENDENT]
-
-
-@pytest.mark.parametrize("falsify", [other_record, without_dependent])
-def test_dependent_construct_falsified_census_exits_two(falsify, capsys, monkeypatch):
-    # the search finds the constructed triple, so a census that disagrees is
-    # a discrepancy, not a reason to resample
-    import discarr.discriminantal as disc
-
-    monkeypatch.setattr(disc, "codim2_census", lambda arr: falsify(codim2_census(arr)))
-    code = main(["dependent-construct", "--s", "2", "--seed", "11"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("discrepancy: ")
-    assert captured.out == ""
+    return census + [StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), OTHER)]
 
 
 def reversed_form(arr, subset):
@@ -349,17 +333,13 @@ def reversed_form(arr, subset):
     "command, target, fake, message",
     [
         (
-            "relations", "discarr.monodromy.dependent_triples", lambda arr: [],
-            "census cross-check failed: dependency search and census disagree",
-        ),
-        (
             "relations", "discarr.monodromy.codim2_census",
             lambda arr: other_record(codim2_census(arr)),
             "census cross-check failed: census produced an unclassified stratum",
         ),
         ("gale", "discarr.gale.build_form", reversed_form, "gale cross-check failed: "),
     ],
-    ids=["relations-search", "relations-other", "gale-forms"],
+    ids=["relations-other", "gale-forms"],
 )
 def test_cross_check_failure_exits_two(command, target, fake, message, tmp_path, capsys, monkeypatch):
     arr_path = str(tmp_path / "dep63.json")
@@ -372,22 +352,35 @@ def test_cross_check_failure_exits_two(command, target, fake, message, tmp_path,
     assert captured.out == ""
 
 
-def test_census_inconsistent_flat_exits_two(tmp_path, capsys, monkeypatch):
-    # a membership test that accepts every candidate merges distinct flats;
-    # the census consistency check must surface that as a discrepancy, not a
-    # traceback.  At k <= 3 the candidates of every pair happen to form a
-    # consistent partition, so the input has k = 4.
-    import discarr.discriminantal as disc
-
-    arr_path = str(tmp_path / "arr.json")
-    run(["gen", "--n", "7", "--k", "4", "--seed", "3", "--output", arr_path], capsys)
-
-    monkeypatch.setattr(disc, "_in_span", lambda h, f, g, i, j, support: True)
-    code = main(["census", "--input", arr_path])
+def test_census_inconsistent_flat_exits_two(tmp_path, capsys):
+    # a trace-generic input whose census holds a flat of four forms, outside
+    # the classification: the whole census is printed, and flagged
+    arr_path = tmp_path / "arr.json"
+    arr_path.write_text(json.dumps(arrangement_to_json(multiplicity_four())))
+    code = main(["census", "--input", str(arr_path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "inconsistent flat" in captured.err
+    assert "UNCLASSIFIED" in captured.err
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == "efdc477473e8612a1f66c15daee72ffbe89cde2afad64e6f15d74addbdc55c4d"
+    other = [r for r in json.loads(captured.out) if r["kind"] == OTHER]
+    assert [len(r["members"]) for r in other] == [4]
+
+
+def test_multiplicity_four_relations_and_monodromy(tmp_path, capsys):
+    # relations has no family for an OTHER flat; the section meets it as one
+    # 4-fold point
+    arr_path = tmp_path / "arr.json"
+    arr_path.write_text(json.dumps(arrangement_to_json(multiplicity_four())))
+    code = main(["relations", "--input", str(arr_path)])
+    captured = capsys.readouterr()
+    assert code == 2
     assert captured.out == ""
+    assert captured.err.startswith("census cross-check failed: census produced an unclassified")
+    code, out = run(["monodromy", "--input", str(arr_path), "--seed", "0"], capsys)
+    assert code == 0
+    blocks = Counter(len(b["block"]) for b in json.loads(out)["braids"])
+    assert blocks == {2: 198, 3: 2, 4: 1, 7: 8}
 
 
 def test_monodromy_sweep_error_exits_two(tmp_path, capsys, monkeypatch):
@@ -658,15 +651,15 @@ ROWS = st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True).map(
 )
 KINDS = st.sampled_from([GOOD, DEPENDENT, SIMPLE, OTHER])
 RECORDS = st.lists(st.tuples(st.lists(ROWS, min_size=2, max_size=5), KINDS), max_size=6).map(
-    lambda recs: [StratumRecord(tuple(m), len(m), kind) for m, kind in recs]
+    lambda recs: [StratumRecord(tuple(m), kind) for m, kind in recs]
 )
 
 
 @ORACLE
 @given(RECORDS, st.integers(1, 6))
 @example([], 2)
-@example([StratumRecord(((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)), 3, DEPENDENT)], 3)
-@example([StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), 4, OTHER)], 2)
+@example([StratumRecord(((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)), DEPENDENT)], 3)
+@example([StratumRecord(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), OTHER)], 2)
 def test_census_writer_matches_json_dumps(records, k):
     kinds_members = [(r.kind, r.members) for r in records]
     assert written(_write_census, kinds_members, k) == dumped(census_to_json(records, k))

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discarr.arrangement import (
@@ -13,7 +13,6 @@ from discarr.arrangement import (
     is_trace_generic,
     random_generic,
 )
-import discarr.discriminantal as disc
 from discarr.discriminantal import (
     DEPENDENT,
     GOOD,
@@ -32,17 +31,21 @@ from discarr.discriminantal import (
 from discarr.linalg import QMatrix, _bareiss_det, int_nullspace, int_rank
 from discarr.rng import SplitMix64
 
+import _oracles
 from _oracles import (
     build_form_by_fractions,
     census_by_minors,
+    census_by_pairs,
     census_by_plucker_keys,
     dependency_by_rank,
     det_by_permutations,
     disjoint_group_triples,
     full_census,
+    multiplicity_four,
     rank_by_minors,
     restrict,
     shuffle,
+    small_entry_generic,
 )
 
 DEP63_TRIPLE = ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
@@ -154,7 +157,7 @@ def test_census_generic_63():
     if dependent_triples(arr):
         pytest.skip("sampled a dependent trace; seeds elsewhere cover this")
     census = full_census(arr)
-    mults = Counter(r.multiplicity for r in census)
+    mults = Counter(len(r.members) for r in census)
     assert mults[5] == comb(6, 5) == 6
     assert set(mults) == {5, 2}
     assert all(r.kind in (GOOD, SIMPLE) for r in census)
@@ -164,7 +167,7 @@ def test_census_pair_completeness():
     arr = dep63()
     census = full_census(arr)
     n_forms = comb(6, 4)
-    assert sum(comb(r.multiplicity, 2) for r in census) == comb(n_forms, 2)
+    assert sum(comb(len(r.members), 2) for r in census) == comb(n_forms, 2)
     # every record's forms really span a rank-2 flat
     for record in census[:10]:
         assert int_rank([build_form(arr, m).coeffs for m in record.members]) == 2
@@ -175,7 +178,7 @@ def test_census_dep63_dependent_record():
     dependent = [r for r in census if r.kind == DEPENDENT]
     assert len(dependent) == 1
     assert dependent[0].members == DEP63_TRIPLE
-    assert dependent[0].multiplicity == 3
+    assert len(dependent[0].members) == 3
 
 
 @pytest.mark.parametrize(
@@ -191,7 +194,7 @@ def test_census_dep63_dependent_record():
 )
 def test_simple_pairs_are_the_pairs_in_no_flat(arr):
     census = codim2_census(arr)
-    assert all(r.multiplicity >= 3 for r in census)
+    assert all(len(r.members) >= 3 for r in census)
     simple = list(simple_pairs(arr, census))
     # combinations order: the subsets are sorted, so the pairs are too
     assert simple == sorted(set(simple))
@@ -203,11 +206,12 @@ def test_simple_pairs_are_the_pairs_in_no_flat(arr):
     assert len(covered) + len(simple) == comb(n_forms, 2) == len(everything)
 
 
-def test_census_no_multiplicity_four_for_k_at_least_4():
+def test_census_sampled_k4_has_no_multiplicity_four():
+    # multiplicity 4 does occur at k = 5 (`multiplicity_four`), not on these
     for n, k, seed in ((7, 4, 41), (8, 4, 43)):
         arr = random_generic(n, k, seed=seed, bound=12)
         census = codim2_census(arr)
-        assert all(r.multiplicity != 4 for r in census)
+        assert all(len(r.members) != 4 for r in census)
         assert not any(r.kind == OTHER for r in census)
 
 
@@ -296,7 +300,7 @@ def test_census_k1_matches_braid_arrangement_structure():
     # the C(n,3) full-set strata, partner-disjoint pairs stay simple
     arr = random_generic(4, 1, seed=2, bound=9)
     census = full_census(arr)
-    kinds = Counter((r.kind, r.multiplicity) for r in census)
+    kinds = Counter((r.kind, len(r.members)) for r in census)
     assert kinds == {(GOOD, 3): comb(4, 3), (SIMPLE, 2): 3}
 
 
@@ -339,17 +343,37 @@ def test_group_triples_cover_every_disjoint_triple_once():
 
 
 def test_classifier_reserves_other_for_falsifiers():
-    from discarr.discriminantal import _classify
+    # each kind comes from how the flat was built: the full (k+2)-subsets are
+    # GOOD, a dependent triple sharing no pair DEPENDENT, and dependent
+    # triples merged into four or more forms OTHER
+    census = codim2_census(dep63())
+    assert Counter(r.kind for r in census) == {GOOD: comb(6, 5), DEPENDENT: 1}
+    census = codim2_census(multiplicity_four())
+    kinds = Counter((r.kind, len(r.members)) for r in census)
+    assert kinds == {(GOOD, 7): comb(8, 7), (DEPENDENT, 3): 2, (OTHER, 4): 1}
+    for rec in census:
+        union = sorted(set().union(*rec.members))
+        assert (rec.members == tuple(combinations(union, 6))) == (rec.kind == GOOD)
 
-    # a full (k+2)-set pattern is GOOD
-    good = tuple(combinations((1, 2, 3, 4), 3))
-    assert _classify(good, k=2) == GOOD
-    # multiplicity k+2 without the full-set structure would falsify part 1
-    assert _classify(((1, 2, 3), (1, 2, 4), (1, 2, 5), (3, 4, 5)), k=2) == OTHER
-    # multiplicity 4 at k >= 4 would falsify part 3
-    fake4 = ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 4, 7), (1, 2, 3, 5, 6))
-    assert _classify(fake4, k=4) == OTHER
-    assert _classify(((1, 2, 3), (1, 4, 5), (2, 4, 6)), k=2) == DEPENDENT
+
+def test_multiplicity_four_flat():
+    arr = multiplicity_four()
+    census = codim2_census(arr)
+    [other] = [r for r in census if r.kind == OTHER]
+    assert other.members == (
+        (1, 2, 3, 4, 7, 8), (1, 2, 4, 5, 6, 8), (1, 3, 4, 5, 6, 7), (2, 3, 5, 6, 7, 8)
+    )
+    assert codim_intersection(arr, other.members) == 2
+    # any three of its members are a dependent triple
+    triples = {d.members for d in dependent_triples(arr)}
+    assert set(combinations(other.members, 3)) <= triples
+    assert len(triples) == 4 + 2
+    summary = census_summary(arr)
+    kinds = Counter(kind for _, _, kind in summary)
+    assert (kinds[OTHER], kinds[DEPENDENT]) == (1, 2)
+    forms = [(f.subset, f.coeffs) for f in build_all(arr)]
+    for oracle in (census_by_minors, census_by_pairs, census_by_plucker_keys):
+        assert oracle(forms, arr.k) == summary, oracle.__name__
 
 
 # Property tests: the fast census and dependency search against brute force.
@@ -369,7 +393,7 @@ def generic_arrangements(draw):
 
 
 def census_summary(arr):
-    return [(r.members, r.multiplicity, r.kind) for r in full_census(arr)]
+    return [(r.members, len(r.members), r.kind) for r in full_census(arr)]
 
 
 def oracle_census(arr):
@@ -459,27 +483,49 @@ def test_census_matches_both_oracles_dependent(shape, seed):
     assert census_summary(arr) == by_minors == by_keys
 
 
+# Entries in [-2, 2] make coincidences such as `multiplicity_four`'s flat
+# likely (about 1 draw in 190 at (8,5)); draws with bound >= n never met one.
+SMALL_ENTRY_SHAPES = [(6, 3), (7, 3), (7, 4), (8, 4), (8, 5), (9, 4), (9, 5)]
+
+
+@st.composite
+def small_entry_arrangements(draw):
+    n, k = draw(st.sampled_from(SMALL_ENTRY_SHAPES))
+    return small_entry_generic(n, k, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(ORACLE_SETTINGS, max_examples=25)
+@given(arr=small_entry_arrangements())
+@example(arr=multiplicity_four())
+def test_census_matches_oracles_small_entries(arr):
+    forms = [(f.subset, f.coeffs) for f in build_all(arr)]
+    summary = census_summary(arr)
+    assert census_by_pairs(forms, arr.k) == summary
+    assert census_by_plucker_keys(forms, arr.k) == summary
+
+
 def test_census_inconsistent_membership_raises(monkeypatch):
     arr = random_generic(6, 3, seed=31, bound=12)
     assert not dependent_triples(arr)
-    forms = {f.subset: f.coeffs for f in build_all(arr)}
-    real = disc._in_span
+    forms = [(f.subset, f.coeffs) for f in build_all(arr)]
+    coeffs = dict(forms)
+    real = _oracles._in_span
 
     # a form dropped from one span: a later pair of its GOOD flat finds a
     # member set that the flat's first pair never emitted
-    first = forms[1, 2, 3, 4]
-    monkeypatch.setattr(disc, "_in_span", lambda h, *rest: h != first and real(h, *rest))
+    first = coeffs[1, 2, 3, 4]
+    monkeypatch.setattr(_oracles, "_in_span", lambda h, *rest: h != first and real(h, *rest))
     with pytest.raises(AssertionError, match="inconsistent flat"):
-        codim2_census(arr)
+        census_by_pairs(forms, arr.k)
 
     # a form added to one span: the false triple and the true simple
     # crossings of its other pairs both cover those pairs
-    f, g, h = forms[1, 2, 3, 4], forms[1, 2, 5, 6], forms[3, 4, 5, 6]
+    f, g, h = coeffs[1, 2, 3, 4], coeffs[1, 2, 5, 6], coeffs[3, 4, 5, 6]
     monkeypatch.setattr(
-        disc, "_in_span", lambda *args: args[:3] == (h, f, g) or real(*args)
+        _oracles, "_in_span", lambda *args: args[:3] == (h, f, g) or real(*args)
     )
     with pytest.raises(AssertionError, match="inconsistent flat"):
-        codim2_census(arr)
+        census_by_pairs(forms, arr.k)
 
 
 def hexagon():

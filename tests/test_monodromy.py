@@ -141,7 +141,7 @@ def test_blocks_match_census_multiplicities():
     for arr in (random_generic(5, 2, seed=22, bound=9), construct_dependent(2, 0, seed=11)):
         _, records = records_for(arr)
         blocks = Counter(len(p.block) for p, _ in records)
-        mults = Counter(r.multiplicity for r in full_census(arr))
+        mults = Counter(len(r.members) for r in full_census(arr))
         assert blocks == mults
 
 
@@ -197,7 +197,7 @@ def test_nilpotent_relations_families():
     # family sizes agree with the census multiplicity accounting
     total = len(fam.full_sets) + len(fam.dependents) + len(fam.commuting)
     assert total == sum(
-        r.multiplicity if r.kind in ("GOOD", "DEPENDENT") else 2 for r in census
+        len(r.members) if r.kind in ("GOOD", "DEPENDENT") else 2 for r in census
     )
 
 
@@ -210,7 +210,7 @@ def test_large_section_sweep_and_total_monodromy():
     assert n == comb(8, 6) == 28
     assert sum(comb(len(p.block), 2) for p, _ in records) == comb(n, 2)
     blocks = Counter(len(p.block) for p, _ in records)
-    assert blocks == Counter(r.multiplicity for r in full_census(arr))
+    assert blocks == Counter(len(r.members) for r in full_census(arr))
     product = reduce_free(sum((braid.letters for _, braid in records), ()))
     assert braids_equal(product, full_twist(n), n)
 
@@ -435,5 +435,5 @@ def test_presentation_holonomy_matches_census_drawn(arr, section_seed):
     if arr.n == 4 and arr.k == 3:
         return  # one line: no point, no relation
     census = full_census(arr)
-    expected = sum(r.multiplicity - 1 for r in census)
+    expected = sum(len(r.members) - 1 for r in census)
     assert check_section_against_census(arr, section_seed) == (expected,) * 3

@@ -2,8 +2,9 @@
 
 `python -O` strips assert statements, so a check written as one would
 silently stop checking.  The package raises AssertionError explicitly
-instead (the census, the cross-checks, `acceptance._require`); this scan
-parses every module with `ast` and flags any `Assert` node.
+instead (`relations` on an OTHER flat, the cross-checks,
+`acceptance._require`); this scan parses every module with `ast` and flags
+any `Assert` node.
 """
 
 import ast
