@@ -30,7 +30,6 @@ from .discriminantal import (
     GOOD,
     OTHER,
     SIMPLE,
-    DependentTriple,
     DiscForm,
     StratumRecord,
     build_all,

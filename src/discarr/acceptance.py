@@ -25,7 +25,7 @@ from .discriminantal import (
 )
 from .gale import essential_normals_via_gale, gale_disagreements
 from .linalg import int_rank
-from .monodromy import _relation_families, braid_monodromy, presentation, random_section
+from .monodromy import braid_monodromy, nilpotent_relations, presentation, random_section
 from .planar import codim_combinatorial, verify_independence
 from .rng import SplitMix64
 
@@ -123,8 +123,7 @@ def check_lifted_dependency() -> str:
     census = codim2_census(arr)
     dependent = [r for r in census if r.kind == DEPENDENT]
     _require(len(dependent) == 1 and dependent[0].members == LIFTED_TRIPLE)
-    triple = dependent_triples(arr)[0]
-    _require((triple.common_count, triple.overlap_size) == (2, 2))
+    _require(dependent_triples(arr) == [LIFTED_TRIPLE])
     codim = codim_intersection(arr, LIFTED_TRIPLE)
     _require(codim == 2 and arr.n - codim == 6, f"intersection dim {arr.n - codim} != 6")
     return "(8,5) stratum with t=2, s=2; intersection dimension 6"
@@ -200,8 +199,8 @@ def check_nilpotent_relations() -> str:
     ]
     lines = []
     for label, arr, has_dependency in instances:
+        families = nilpotent_relations(arr)
         census = codim2_census(arr)
-        families = _relation_families(arr, census)
         good = sum(len(r.members) for r in census if r.kind == GOOD)
         dep = sum(len(r.members) for r in census if r.kind == DEPENDENT)
         simple = comb(comb(arr.n, arr.k + 1), 2) - sum(comb(len(r.members), 2) for r in census)
@@ -235,7 +234,8 @@ def run_check(name: str, budget: float, fn) -> CheckResult:
         passed = elapsed <= budget
         if not passed:
             detail = f"over budget ({elapsed:.1f}s > {budget:.0f}s): {detail}"
-    except AssertionError as exc:
+    except (AssertionError, RuntimeError) as exc:
+        # a failed check, or a budgeted search that ran out of draws
         elapsed = time.perf_counter() - start
         passed = False
         detail = str(exc) or "assertion failed"

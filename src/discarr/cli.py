@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 precondition or input failure, 2 a mathematical
 discrepancy: an OTHER flat in the census of `census` or `relations`
 (trace-generic inputs can carry one; see `discarr.discriminantal`), an
 oracle mismatch in `planar-verify` or `gale-invariance`, a failed
-cross-check in `gale` or the monodromy sweep, or a failed `accept` check.
-Code 2 is not a crash: a flat outside the classification is the most
-valuable output the tool can produce, so it is printed in full and flagged,
-never swallowed.
+cross-check in `gale` or the monodromy sweep, or a failed `accept` check
+(a wrong value, or a seeded search that spent its budget).  A discrepancy
+raised inside a command is an AssertionError, and `main` alone reports it,
+as `discrepancy: <what failed>` on stderr.  Code 2 is not a crash: a flat
+outside the classification is the most valuable output the tool can
+produce, so it is printed in full and flagged, never swallowed.
 
 Same command, same seed: byte-identical output, on any machine (all
 randomness flows from the splitmix64-v1 generator in rng.py).
@@ -178,11 +180,7 @@ def _cmd_dependent_construct(args) -> int:
 
 def _cmd_gale(args) -> int:
     arr = _load_arrangement(args.input)
-    try:
-        normals = essential_normals_via_gale(arr)
-    except AssertionError as exc:
-        print(f"gale cross-check failed: {exc}", file=sys.stderr)
-        return DISCREPANCY
+    normals = essential_normals_via_gale(arr)
     _emit(
         {
             "n": arr.n,
@@ -283,11 +281,7 @@ def _cmd_presentation(args) -> int:
 
 def _cmd_relations(args) -> int:
     arr = _load_arrangement(args.input)
-    try:
-        families = nilpotent_relations(arr)
-    except AssertionError as exc:
-        print(f"census cross-check failed: {exc}", file=sys.stderr)
-        return DISCREPANCY
+    families = nilpotent_relations(arr)
     with _opened(args.output) as fh:
         _write_relations(fh, families)
     return OK

@@ -69,19 +69,6 @@ class StratumRecord:
     kind: str
 
 
-@dataclass(frozen=True)
-class DependentTriple:
-    """Three subsets whose hyperplanes fail transversality for geometric reasons.
-
-    `common_count` is the size t of the three-way intersection, `overlap_size`
-    the size s = (k+1-t)/2 of each pairwise overlap outside it.
-    """
-
-    members: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    common_count: int
-    overlap_size: int
-
-
 def build_form(arr: GenericArrangement, subset) -> DiscForm:
     """Coefficient vector of the concurrency condition for one (k+1)-subset.
 
@@ -159,7 +146,7 @@ def _merged_triples(triples):
     a flat already emitted is skipped.
     """
     covered = set()
-    for pair, group in groupby((d.members for d in triples), key=lambda m: m[:2]):
+    for pair, group in groupby(triples, key=lambda m: m[:2]):
         if pair not in covered:
             members = pair + tuple(m[2] for m in group)
             covered.update(combinations(members, 2))
@@ -225,8 +212,9 @@ def _cofactor_rows(arr: GenericArrangement, common, group, pool) -> list[list[in
     return rows
 
 
-def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
-    """All triples of forms meeting in codimension 2 for dependency reasons.
+def dependent_triples(arr: GenericArrangement) -> list[tuple[tuple[int, ...], ...]]:
+    """All triples of forms meeting in codimension 2 for dependency reasons,
+    each as its three sorted (k+1)-subsets, in sorted order.
 
     Candidates are pruned combinatorially first: a triple can only fail
     transversality if each subset is covered by its overlaps with the other
@@ -266,8 +254,8 @@ def dependent_triples(arr: GenericArrangement) -> list[DependentTriple]:
                         if sum([form[x] * row[x] for x in g1]):
                             break
                     else:
-                        found.append(DependentTriple(_triple_members(common, g1, g2, g3), t, s))
-    found.sort(key=lambda d: d.members)
+                        found.append(_triple_members(common, g1, g2, g3))
+    found.sort()
     return found
 
 
@@ -335,7 +323,7 @@ def construct_dependent(group_size: int, common_count: int, seed: int) -> Generi
 
         if not is_trace_generic(arr):
             continue
-        if [d.members for d in dependent_triples(arr)] == [expected]:
+        if dependent_triples(arr) == [expected]:
             return arr
     raise RuntimeError(
         f"dependent construction failed after {CONSTRUCT_BUDGET} resamples "

@@ -371,16 +371,12 @@ class RelationFamilies:
 
 
 def nilpotent_relations(arr: GenericArrangement) -> RelationFamilies:
-    """Relation families of the nilpotent completion, from the census.
+    """Relation families of the nilpotent completion, from the census; the
+    commuting pairs come from `simple_pairs`.
 
     An OTHER flat has no family, so it raises AssertionError.
     """
-    return _relation_families(arr, codim2_census(arr))
-
-
-def _relation_families(arr: GenericArrangement, census) -> RelationFamilies:
-    """nilpotent_relations for a census (the multiple flats) of `arr` that the
-    caller already holds; the commuting pairs come from `simple_pairs`."""
+    census = codim2_census(arr)
     if any(rec.kind == OTHER for rec in census):
         raise AssertionError("census produced an unclassified stratum")
     full_sets = []

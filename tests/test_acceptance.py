@@ -40,3 +40,20 @@ def test_failing_check_still_fails_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False one is not two\n"
+
+
+def test_spent_budget_is_a_failed_row(capsys, monkeypatch):
+    # a construction that runs out of resamples fails its own checks and no
+    # other: all ten rows are printed and `accept` exits 2, not 1
+    from discarr import discriminantal
+    from discarr.cli import main
+
+    monkeypatch.setattr(discriminantal, "CONSTRUCT_BUDGET", 0)
+    code = main(["accept"])
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert [row.split()[1] for row in rows] == [c[0] for c in acceptance.CHECKS]
+    failed = [row for row in rows if row.startswith("FAIL")]
+    assert len(failed) == 5
+    assert all(row.endswith("; try another seed") for row in failed)
+    assert sum(row.startswith("PASS") for row in rows) == 5

@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -30,9 +31,15 @@ from discarr.discriminantal import (
     codim2_census,
     construct_dependent,
 )
-from discarr.monodromy import RelationFamilies
+from discarr.monodromy import (
+    Presentation,
+    RelationFamilies,
+    braid_monodromy,
+    presentation_to_text,
+    random_section,
+)
 
-from _oracles import census_to_json, full_census, multiplicity_four
+from _oracles import census_to_json, full_census, multiplicity_four, presentation_by_expansion
 
 
 def run(argv, capsys):
@@ -335,9 +342,9 @@ def reversed_form(arr, subset):
         (
             "relations", "discarr.monodromy.codim2_census",
             lambda arr: other_record(codim2_census(arr)),
-            "census cross-check failed: census produced an unclassified stratum",
+            "discrepancy: census produced an unclassified stratum",
         ),
-        ("gale", "discarr.gale.build_form", reversed_form, "gale cross-check failed: "),
+        ("gale", "discarr.gale.build_form", reversed_form, "discrepancy: Gale normal for "),
     ],
     ids=["relations-other", "gale-forms"],
 )
@@ -376,11 +383,48 @@ def test_multiplicity_four_relations_and_monodromy(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("census cross-check failed: census produced an unclassified")
+    assert captured.err.startswith("discrepancy: census produced an unclassified")
     code, out = run(["monodromy", "--input", str(arr_path), "--seed", "0"], capsys)
     assert code == 0
     blocks = Counter(len(b["block"]) for b in json.loads(out)["braids"])
     assert blocks == {2: 198, 3: 2, 4: 1, 7: 8}
+
+
+MULTIPLICITY_FOUR_DIGESTS = {
+    "section": "d83a65d5ff4c66b3f124a266729d7fbc8f8a4c8e397c6e5c57617bb89f613f12",
+    "presentation": "c24d6a5101a3be7bdb07aa87df686a32bd6595a2c48473ab1c6dddb3f8dedb23",
+    "presentation --reduce": "0c3d62fd1d6590e49d4dade6de8d7359d10867848c726c39f5831a1b27954d16",
+}
+
+
+def test_multiplicity_four_section_and_presentation(tmp_path, capsys):
+    # the 4-fold point of the OTHER flat is one more singular point: section
+    # and presentation exit 0, and the relators are those of the expanded braids
+    arr_path = tmp_path / "arr.json"
+    arr = multiplicity_four()
+    arr_path.write_text(json.dumps(arrangement_to_json(arr)))
+    outputs = {}
+    for command in MULTIPLICITY_FOUR_DIGESTS:
+        code, outputs[command] = run(
+            command.split() + ["--input", str(arr_path), "--seed", "0"], capsys
+        )
+        assert code == 0, command
+    section = json.loads(outputs["section"])
+    assert len(section["lines"]) == 28
+    blocks = Counter(len(p["lines"]) for p in section["singular_points"])
+    assert blocks == {2: 198, 3: 2, 4: 1, 7: 8}
+    # one expansion, most of this test's time: no relator is empty, so
+    # dropping the last relator of each point's block gives --reduce's list
+    _, lines, pts = random_section(arr, seed=0)
+    expanded = presentation_by_expansion(braid_monodromy(lines, pts), 28).relators
+    assert len(expanded) == 462
+    ends = list(accumulate(len(p.block) for p in pts))
+    reduced = [r for start, end in zip([0] + ends, ends) for r in expanded[start : end - 1]]
+    assert len(reduced) == 462 - 209
+    for command, relators in (("presentation", expanded), ("presentation --reduce", reduced)):
+        assert outputs[command] == presentation_to_text(Presentation(28, tuple(relators)))
+    digests = {c: hashlib.sha256(out.encode()).hexdigest() for c, out in outputs.items()}
+    assert digests == MULTIPLICITY_FOUR_DIGESTS
 
 
 def test_monodromy_sweep_error_exits_two(tmp_path, capsys, monkeypatch):

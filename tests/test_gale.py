@@ -252,7 +252,7 @@ def test_gale_dual_triples_answer_the_concurrent_partition_search(sampler, seed)
     triples = dependent_triples(dual)
     assert found == bool(triples)
     groups = [
-        tuple(sorted(tuple(sorted(set(x) & set(y))) for x, y in combinations(t.members, 2)))
+        tuple(sorted(tuple(sorted(set(x) & set(y))) for x, y in combinations(t, 2)))
         for t in triples
     ]
     assert witness in groups if found else witness is None
@@ -260,7 +260,7 @@ def test_gale_dual_triples_answer_the_concurrent_partition_search(sampler, seed)
 
 def triple_groups(triple):
     """The three groups of a t = 0 dependent triple: its pairwise overlaps."""
-    pairs = combinations(triple.members, 2)
+    pairs = combinations(triple, 2)
     return tuple(sorted(tuple(sorted(set(x) & set(y))) for x, y in pairs))
 
 

@@ -1,21 +1,30 @@
 """Mutant table: each fast path, replaced by a named wrong variant, must fail
 the oracle comparison that guards it.
 
-A row names the attribute of `discarr.discriminantal` it patches, the wrong
-variant (made from the real function), a fixed small input and the oracle
-the census is compared with.  Each row first checks that the comparison
-holds on the real code, so that no row passes vacuously.
+A row names the module and attribute it patches, the wrong variant (made
+from the real function, or written beside it where the real one's result
+no longer holds what the mutant drops) and the comparison, which holds
+exactly when the code agrees with its oracle on a fixed small input.  Each
+row first checks that the comparison holds on the real code, so that no row
+passes vacuously.
 """
+
+from functools import cache
+from itertools import chain, combinations
+from math import gcd
 
 import pytest
 
+import discarr.braid as braid
 import discarr.discriminantal as disc
+import discarr.planar as planar
 from discarr.discriminantal import GOOD, SIMPLE, build_all, construct_dependent
 
 from _oracles import (
     census_by_minors,
     census_by_pairs,
     census_by_plucker_keys,
+    dims_by_rank,
     multiplicity_four,
     small_entry_generic,
 )
@@ -29,12 +38,40 @@ def census_summary(arr):
     return [(r.members, len(r.members), r.kind) for r in census] + simple
 
 
+def census_agrees(make, oracle):
+    """The census of `make()` equals the oracle's, from the same forms; the
+    input is made once, before any patch (`construct_dependent` runs the
+    search that a mutant may break)."""
+    make = cache(make)
+
+    def agrees():
+        arr = make()
+        forms = [(f.subset, f.coeffs) for f in build_all(arr)]
+        return census_summary(arr) == oracle(forms, arr.k)
+
+    return agrees
+
+
+def walk_agrees(slopes, n, cap):
+    """The rank walk's dims equal `dims_by_rank`, collection by collection."""
+
+    def agrees():
+        triples = list(combinations(range(1, n + 1), 3))
+        sizes = range(1, cap + 1)
+        by_size = chain.from_iterable(combinations(triples, size) for size in sizes)
+        oracle = dict(zip(by_size, dims_by_rank(slopes, n, cap)))
+        walked = planar._check_trace((slopes, n, cap))
+        return walked == [oracle[coll] for coll in planar._preorder(triples, cap)]
+
+    return agrees
+
+
 def drop_first_triple(real):
     return lambda arr: real(arr)[1:]
 
 
 def merge_nothing(real):
-    return lambda triples: (d.members for d in triples)
+    return lambda triples: iter(triples)
 
 
 def omit_good_flat(real):
@@ -50,6 +87,22 @@ def first_cofactor_row(real):
     return lambda *args: real(*args)[:1]
 
 
+def unsigned_keys(real):
+    # the key of a column without its sign fixed: two opposite parallel
+    # columns get two keys, so the pair of forms seems to add two ranks
+    def keys(pairs, basis):
+        if len(basis) == 1:
+            return real(pairs, basis)
+        cols = ([w[a] * x + w[b] * y + w[c] * z for w in basis] for a, x, b, y, c, z in pairs)
+        return [tuple(v // gcd(*col) for v in col) if any(col) else None for col in cols]
+
+    return keys
+
+
+def no_free_cancellation(real):
+    return lambda word, images: tuple(y for x in word for y in images.get(x, (x,)))
+
+
 def dep63():
     return construct_dependent(2, 0, seed=11)
 
@@ -61,23 +114,27 @@ def meet_coincidence():
 
 
 MUTANTS = [
-    # id, patched attribute, wrong variant, input, oracle
-    ("dependent-triples-drops-one", "dependent_triples", drop_first_triple, dep63, census_by_pairs),
-    ("census-merges-no-triples", "_merged_triples", merge_nothing, multiplicity_four,
-     census_by_plucker_keys),
-    ("census-omits-a-good-flat", "codim2_census", omit_good_flat, dep63, census_by_minors),
-    ("meet-identity-tests-one-row", "_cofactor_rows", first_cofactor_row, meet_coincidence,
-     census_by_pairs),
+    # id, patched module, attribute, wrong variant, comparison
+    ("dependent-triples-drops-one", disc, "dependent_triples", drop_first_triple,
+     census_agrees(dep63, census_by_pairs)),
+    ("census-merges-no-triples", disc, "_merged_triples", merge_nothing,
+     census_agrees(multiplicity_four, census_by_plucker_keys)),
+    ("census-omits-a-good-flat", disc, "codim2_census", omit_good_flat,
+     census_agrees(dep63, census_by_minors)),
+    ("meet-identity-tests-one-row", disc, "_cofactor_rows", first_cofactor_row,
+     census_agrees(meet_coincidence, census_by_pairs)),
+    # a node with two forms left and |D| = 2 has two opposite parallel columns
+    ("planar-keys-unsigned", planar, "_keys", unsigned_keys, walk_agrees([0, 1, 3, 2, 4], 5, 3)),
+    # the braid relation holds only up to free cancellation of the images
+    ("artin-action-uncancelled", braid, "apply_images", no_free_cancellation,
+     lambda: braid.braids_equal((1, 2, 1), (2, 1, 2), 3)),
 ]
 
 
 @pytest.mark.parametrize(
-    "attr, mutant, make, oracle", [row[1:] for row in MUTANTS], ids=[row[0] for row in MUTANTS]
+    "module, attr, mutant, agrees", [row[1:] for row in MUTANTS], ids=[row[0] for row in MUTANTS]
 )
-def test_oracle_kills_mutant(attr, mutant, make, oracle, monkeypatch):
-    arr = make()
-    forms = [(f.subset, f.coeffs) for f in build_all(arr)]
-    expected = oracle(forms, arr.k)
-    assert census_summary(arr) == expected
-    monkeypatch.setattr(disc, attr, mutant(getattr(disc, attr)))
-    assert census_summary(arr) != expected
+def test_oracle_kills_mutant(module, attr, mutant, agrees, monkeypatch):
+    assert agrees()
+    monkeypatch.setattr(module, attr, mutant(getattr(module, attr)))
+    assert not agrees()
