@@ -11,10 +11,10 @@ discriminantal interpretation, the combinatorial dimension theory of line
 arrangements, and braid monodromy with fundamental-group presentations of
 generic plane sections.
 
-The records are frozen dataclasses, and every public function returns the
-same result for the same arguments; three caches, an arrangement's `minors`
-and `planar`'s `_memo` and `_closed`, hold state that never changes a
-result.
+The records are named tuples (so a record equals the plain tuple of its
+fields), and every public function returns the same result for the same
+arguments; three caches, an arrangement's `minors` and `planar`'s `_memo`
+and `_closed`, hold state that never changes a result.
 """
 
 from .arrangement import (

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .arrangement import GenericArrangement, is_trace_generic, random_generic
 from .braid import braids_equal, full_twist, reduce_free
@@ -47,8 +47,7 @@ def _require(cond: bool, msg="") -> None:
         raise AssertionError(msg)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     elapsed: float

@@ -15,9 +15,9 @@ interchange format.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .linalg import _bareiss_det, common_int_rows, to_fraction
 from .rng import SplitMix64
@@ -25,20 +25,35 @@ from .rng import SplitMix64
 RESAMPLE_BUDGET = 400
 
 
-@dataclass(frozen=True)
-class GenericArrangement:
+class _ArrangementFields(NamedTuple):
     n: int
     k: int
     normals: tuple[tuple[int, ...], ...]  # n x k integer rows
 
-    def __post_init__(self):
-        normals = tuple(map(tuple, self.normals))
-        if len(normals) != self.n or any(len(row) != self.k for row in normals):
+
+class GenericArrangement(_ArrangementFields):
+    # no __slots__: `minors` caches into the instance __dict__, which
+    # __setattr__ keeps closed to everything else
+
+    def __new__(cls, n: int, k: int, normals):
+        normals = tuple(map(tuple, normals))
+        if len(normals) != n or any(len(row) != k for row in normals):
             raise ValueError("normals must be an n x k matrix")
         # `_bareiss_det` divides exactly only on integers
         if any(type(x) is not int for row in normals for x in row):
             raise TypeError("normals must be integers (see common_int_rows)")
-        object.__setattr__(self, "normals", normals)
+        return super().__new__(cls, n, k, normals)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple one, which `_replace` calls, would skip the checks
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: GenericArrangement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: GenericArrangement is immutable")
 
     @cached_property
     def minors(self) -> dict[tuple[int, ...], int]:

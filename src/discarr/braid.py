@@ -15,14 +15,15 @@ generator images agree.  The same action, with substitution of image tables
 (apply_images), produces the van Kampen relators of the monodromy
 presentations, so one small engine serves both needs.
 
-Convention: in a word, the leftmost letter acts first; the automorphism of a
-word is built by substituting letter images left to right.
+Convention: in a word, the leftmost letter acts first.  The image of x_j is
+found by substituting the first letter's images into x_j, then the second
+letter's images into the result, and so on; `artin_images` builds the same
+automorphism from the last letter, which rewrites fewer words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
@@ -44,17 +45,26 @@ def invert(word: Sequence[int]) -> Word:
     return tuple(-x for x in reversed(word))
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in the Artin generators of the braid group on `strands` strands."""
-
+class _BraidWordFields(NamedTuple):
     strands: int
     letters: Word
 
-    def __post_init__(self):
-        for x in self.letters:
-            if not 1 <= abs(x) <= self.strands - 1:
-                raise ValueError(f"letter {x} out of range for {self.strands} strands")
+
+class BraidWord(_BraidWordFields):
+    """A word in the Artin generators of the braid group on `strands` strands."""
+
+    __slots__ = ()
+
+    def __new__(cls, strands: int, letters: Word):
+        for x in letters:
+            if not 1 <= abs(x) <= strands - 1:
+                raise ValueError(f"letter {x} out of range for {strands} strands")
+        return super().__new__(cls, strands, letters)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple one, which `_replace` calls, would skip the check
+        return cls(*iterable)
 
 
 def halftwist(start: int, size: int) -> Word:
@@ -76,25 +86,26 @@ def full_twist(n: int) -> Word:
     return half + half
 
 
-def _letter_images(letter: int) -> dict[int, Word]:
-    """One Artin generator's automorphism as an apply_images table."""
-    m = abs(letter)
-    if letter > 0:
-        # x_m -> x_m x_{m+1} x_m^-1, x_{m+1} -> x_m
-        a, b = (m, m + 1, -m), (m,)
-    else:
-        # inverse: x_m -> x_{m+1}, x_{m+1} -> x_{m+1}^-1 x_m x_{m+1}
-        a, b = (m + 1,), (-(m + 1), m, m + 1)
-    return {m: a, -m: invert(a), m + 1: b, -(m + 1): invert(b)}
-
-
 def artin_images(word: Sequence[int], n: int) -> list[Word]:
-    """Reduced images of the free generators x_1..x_n under the braid word."""
-    images: list[Word] = [(j,) for j in range(1, n + 1)]
-    for letter in word:
-        table = _letter_images(letter)
-        images = [apply_images(w, table) for w in images]
-    return images
+    """Reduced images of the free generators x_1..x_n under the braid word.
+
+    The word is read from its last letter: if `table` holds the action of
+    the letters after sigma_m, the whole suffix maps x_m and x_{m+1} to the
+    table's images of sigma_m's short images, and every other generator as
+    before.  So each letter rewrites two entries, not all n.
+    """
+    table: dict[int, Word] = {}  # apply_images fixes unnamed letters
+    for letter in reversed(word):
+        m = abs(letter)
+        if letter > 0:
+            # x_m -> x_m x_{m+1} x_m^-1, x_{m+1} -> x_m
+            a, b = (m, m + 1, -m), (m,)
+        else:
+            # inverse: x_m -> x_{m+1}, x_{m+1} -> x_{m+1}^-1 x_m x_{m+1}
+            a, b = (m + 1,), (-(m + 1), m, m + 1)
+        a, b = apply_images(a, table), apply_images(b, table)
+        table[m], table[-m], table[m + 1], table[-(m + 1)] = a, invert(a), b, invert(b)
+    return [table.get(j, (j,)) for j in range(1, n + 1)]
 
 
 def apply_images(word: Sequence[int], images: dict[int, Word]) -> Word:

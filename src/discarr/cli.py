@@ -30,7 +30,6 @@ import sys
 from contextlib import nullcontext
 from itertools import chain, starmap
 
-from . import acceptance
 from .arrangement import arrangement_from_json, arrangement_to_json, random_generic
 from .discriminantal import (
     DEPENDENT,
@@ -311,6 +310,8 @@ def _write_relations(fh, families) -> None:
 
 
 def _cmd_accept(args) -> int:
+    from . import acceptance  # only this command loads the suite
+
     results = acceptance.run_all()
     rows = []
     for res in results:

@@ -32,8 +32,8 @@ built, are:
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from itertools import combinations, groupby
+from typing import NamedTuple
 
 from .arrangement import GenericArrangement, is_trace_generic
 from .linalg import QMatrix, int_rank, primitive_int_vector
@@ -47,8 +47,7 @@ OTHER = "OTHER"
 CONSTRUCT_BUDGET = 400
 
 
-@dataclass(frozen=True)
-class DiscForm:
+class DiscForm(NamedTuple):
     """One hyperplane of the discriminantal arrangement.
 
     `subset` is the sorted (k+1)-tuple of 1-based hyperplane indices;
@@ -61,8 +60,7 @@ class DiscForm:
     coeffs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(NamedTuple):
     """A codimension-2 flat: the forms containing it plus its classification."""
 
     members: tuple[tuple[int, ...], ...]

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import re
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -187,8 +186,7 @@ def primitive_int_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(NamedTuple):
     """Immutable dense matrix of exact rationals.
 
     Instances are hashable and safe to share between threads; all operations

@@ -36,10 +36,10 @@ as `simple_pairs` yields them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, pairwise
 from math import comb, gcd
+from typing import NamedTuple
 
 from .arrangement import GenericArrangement
 from .braid import BraidWord, apply_images, artin_images, halftwist, invert, reduce_free
@@ -65,8 +65,7 @@ class NonGenericSection(ValueError):
         super().__init__("non-generic section: " + "; ".join(self.failures))
 
 
-@dataclass(frozen=True)
-class SectionPlane:
+class SectionPlane(NamedTuple):
     """Parametrization x_i = t_coeffs[i] * t + s_coeffs[i] * s + consts[i].
 
     The coefficients are ints; section_lines rejects any other entry.
@@ -77,8 +76,7 @@ class SectionPlane:
     consts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SectionLine:
+class SectionLine(NamedTuple):
     """One section line u*t + v*s + w = 0 with integer u, v, w, labeled by
     its (k+1)-subset."""
 
@@ -88,8 +86,7 @@ class SectionLine:
     w: int
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """A multiple point of the section at exact coordinates (s, t).
 
     `block` lists the concurrent lines by their position in the order the
@@ -270,8 +267,7 @@ def braid_monodromy(
     return records
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Finite presentation: generators x_1..x_N, relators as signed words."""
 
     generator_count: int
@@ -356,8 +352,7 @@ def _block_images(word: tuple[int, ...], lo: int) -> dict[int, tuple[int, ...]]:
     return table
 
 
-@dataclass(frozen=True)
-class RelationFamilies:
+class RelationFamilies(NamedTuple):
     """Symbolic commutator relation families keyed by the census.
 
     full_sets:   (subset, containing (k+2)-set) pairs, one per incidence.

@@ -56,6 +56,7 @@ and a collection is spelled out only where they differ.
 
 from __future__ import annotations
 
+import os
 import reprlib
 from itertools import combinations
 from math import comb, gcd
@@ -500,11 +501,12 @@ def verify_independence(
     traces = [_sample_slopes(rng, n, seed) for _ in range(trials)]
     tasks = [(slopes, n, tuple_size_cap) for slopes in traces]
     # the formula runs in this process, so the codimensions it finds stay in
-    # `_memo` for later calls; the pool's workers run only `_check_trace`
+    # `_memo` for later calls; the pool's workers run only `_check_trace`,
+    # at most one per trace and one per CPU
     if jobs > 1 and trials > 1:
         from multiprocessing import Pool
 
-        with Pool(min(jobs, trials)) as pool:
+        with Pool(min(jobs, trials, os.cpu_count() or 1)) as pool:
             pending = pool.map_async(_check_trace, tasks)
             formula = _formula_dims(n, tuple_size_cap)
             per_trace = pending.get()

@@ -17,7 +17,8 @@ as index tuples with a memo keyed by the relabelled family and n, the plane
 section in `Fraction`s with its parallel test and its intersections in two
 separate passes, the sweep by sorting every line by its `Fraction` t-value
 at every midpoint, the monodromy braids by re-inverting every earlier half
-twist for every point, and the van Kampen relators by expanding every
+twist for every point, the Artin images by acting with every letter on every
+generator's image, and the van Kampen relators by expanding every
 conjugated braid and acting with it letter by letter.  Apart from
 `dims_by_rank`, which calls `reduce_row` (the step of `int_rank`, itself
 checked against `rank_by_minors`), `dependency_by_rank`, which calls
@@ -642,6 +643,22 @@ def braid_monodromy_by_reinversion(lines, points):
         records.append((point, BraidWord(len(lines), tuple(gamma))))
         twists.append(beta)
     return records
+
+
+def artin_images_by_left_action(word, n: int):
+    """The Artin images of x_1..x_n, by acting with each letter of the word,
+    leftmost first, on all n images: substitute its short images (restated
+    here) and reduce the result."""
+    images = [(j,) for j in range(1, n + 1)]
+    for letter in word:
+        m = abs(letter)
+        if letter > 0:
+            a, b = (m, m + 1, -m), (m,)
+        else:
+            a, b = (m + 1,), (-(m + 1), m, m + 1)
+        table = {m: a, -m: invert(a), m + 1: b, -(m + 1): invert(b)}
+        images = [reduce_free(y for x in w for y in table.get(x, (x,))) for w in images]
+    return images
 
 
 def presentation_by_expansion(braids, n_strands: int, reduce_relators: bool = False):

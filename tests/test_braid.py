@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discarr.braid import (
     BraidWord,
@@ -12,7 +14,7 @@ from discarr.braid import (
 )
 from discarr.rng import SplitMix64
 
-from _oracles import permutation
+from _oracles import artin_images_by_left_action, permutation
 
 
 def test_free_reduction():
@@ -49,6 +51,20 @@ def test_artin_generator_action():
     assert artin_images((-1,), 3) == [(2,), (-2, 1, 2), (3,)]
     # inverse composes to identity
     assert artin_images((1, -1), 3) == [(1,), (2,), (3,)]
+
+
+@st.composite
+def braid_words(draw):
+    n = draw(st.integers(2, 7))
+    letter = st.integers(1, n - 1).flatmap(lambda m: st.sampled_from((m, -m)))
+    return draw(st.lists(letter, max_size=40)), n
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(braid_words())
+def test_artin_images_match_left_action_oracle(case):
+    word, n = case
+    assert artin_images(word, n) == artin_images_by_left_action(word, n)
 
 
 def test_apply_images_substitutes_and_reduces():

@@ -367,7 +367,12 @@ def test_census_inconsistent_flat_exits_two(tmp_path, capsys):
     code = main(["census", "--input", str(arr_path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "UNCLASSIFIED" in captured.err
+    # the message embeds the record's repr, field names and all
+    assert captured.err == (
+        "UNCLASSIFIED codimension-2 strata found: [StratumRecord(members=("
+        "(1, 2, 3, 4, 7, 8), (1, 2, 4, 5, 6, 8), (1, 3, 4, 5, 6, 7), (2, 3, 5, 6, 7, 8)"
+        "), kind='OTHER')]\n"
+    )
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert digest == "efdc477473e8612a1f66c15daee72ffbe89cde2afad64e6f15d74addbdc55c4d"
     other = [r for r in json.loads(captured.out) if r["kind"] == OTHER]

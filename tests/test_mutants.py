@@ -24,6 +24,7 @@ from _oracles import (
     census_by_minors,
     census_by_pairs,
     census_by_plucker_keys,
+    dim_by_tuple_formula,
     dims_by_rank,
     multiplicity_four,
     small_entry_generic,
@@ -66,6 +67,11 @@ def walk_agrees(slopes, n, cap):
     return agrees
 
 
+def formula_agrees(family, n):
+    """`dim_combinatorial` equals the tuple formula on one family."""
+    return lambda: planar.dim_combinatorial(family, n) == dim_by_tuple_formula(family, n)
+
+
 def drop_first_triple(real):
     return lambda arr: real(arr)[1:]
 
@@ -99,6 +105,18 @@ def unsigned_keys(real):
     return keys
 
 
+def codim_off_by_one(real):
+    # one too many on a non-closed family of two or more classes
+    def codim(family):
+        covered = shared = 0
+        for c in family:
+            shared |= covered & c
+            covered |= c
+        return real(family) + (len(family) >= 2 and covered != shared)
+
+    return codim
+
+
 def no_free_cancellation(real):
     return lambda word, images: tuple(y for x in word for y in images.get(x, (x,)))
 
@@ -125,6 +143,9 @@ MUTANTS = [
      census_agrees(meet_coincidence, census_by_pairs)),
     # a node with two forms left and |D| = 2 has two opposite parallel columns
     ("planar-keys-unsigned", planar, "_keys", unsigned_keys, walk_agrees([0, 1, 3, 2, 4], 5, 3)),
+    # two classes sharing index 3, with indices 1, 2, 4, 5 in one class each
+    ("planar-codim-off-by-one", planar, "_codim", codim_off_by_one,
+     formula_agrees([(1, 2, 3), (3, 4, 5)], 6)),
     # the braid relation holds only up to free cancellation of the images
     ("artin-action-uncancelled", braid, "apply_images", no_free_cancellation,
      lambda: braid.braids_equal((1, 2, 1), (2, 1, 2), 3)),
@@ -136,5 +157,8 @@ MUTANTS = [
 )
 def test_oracle_kills_mutant(module, attr, mutant, agrees, monkeypatch):
     assert agrees()
+    # a warm planar memo answers a family without recursing into a mutant,
+    # and a mutant's wrong codimensions must not stay there for later tests
+    monkeypatch.setattr(planar, "_memo", {})
     monkeypatch.setattr(module, attr, mutant(getattr(module, attr)))
     assert not agrees()

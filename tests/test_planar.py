@@ -240,6 +240,41 @@ def test_verify_independence_jobs_deterministic():
     assert serial == parallel
 
 
+class InProcessPool:
+    """A stand-in for `multiprocessing.Pool` that records its size and runs
+    `map_async` in the calling process, so no worker is started."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map_async(self, fn, tasks):
+        results = [fn(task) for task in tasks]
+        return type("Done", (), {"get": lambda self: results})()
+
+
+@pytest.mark.parametrize(
+    "jobs, trials, cpus, size",
+    [(5000, 3, 2, 2), (5000, 3, 8, 3), (2, 3, 8, 2), (4, 3, None, 1)],
+)
+def test_pool_has_at_most_one_worker_per_cpu_and_trace(jobs, trials, cpus, size, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(planar.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    report = verify_independence(5, 3, trials=trials, seed=44, jobs=jobs)
+    assert InProcessPool.sizes == [size]
+    assert report == verify_independence(5, 3, trials=trials, seed=44, jobs=1)
+
+
 def test_check_trace_rejects_repeated_slopes():
     # the walk's root basis e_3..e_n complements span(1, u) only for
     # distinct slopes; with u_1 = u_2 it would return wrong ranks
