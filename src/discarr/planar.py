@@ -50,8 +50,16 @@ below an empty D every collection has dimension 2 and is filled without
 being walked.  The formula's walk carries the prefix's merge classes and
 folds in the new triple's mask, since merging is an order-independent
 closure; each distinct class family then goes through `_codim` once, and
-its collection gets n - codim.  The two lists are compared entry by entry,
-and a collection is spelled out only where they differ.
+its collection gets n - codim.  A node's last level depends only on its
+classes and its start, so it is one row per class family, read from the
+node's start on.  The two lists are compared entry by entry, and a
+collection is spelled out only where they differ.
+
+With jobs > 1, min(jobs, trials, CPUs) processes share the traces, this
+one included: it forks a child per further share of the traces, then
+walks the formula and the smallest share itself, and reads the children's
+dims back in trace order.  The children run only the rank walk, so
+`_memo` fills in this process alone.
 """
 
 from __future__ import annotations
@@ -274,8 +282,10 @@ def _codim(family: tuple[int, ...]) -> int:
     codim(reduced), and n never enters: `_memo` keys a family by its masks
     alone, whatever n it was reached at.  A closed family (every covered
     index in C1) reduces to itself; its codimension is the generic rank,
-    cached in `_closed` under the relabelled family, since many labelled
-    families share one shape.
+    cached in `_closed` under the family relabelled by first appearance,
+    since many labelled families share one relabelling.  That relabelling
+    is not canonical: the quadrangle families at n = 6 and 7 take two keys,
+    one shape (swapping 4 and 5 maps one key onto the other).
     """
     codim = _memo.get(family)
     if codim is not None:
@@ -438,30 +448,56 @@ def _check_trace(args):
     return dims
 
 
-def _formula_walk(triples, start: int, left: int, classes, n: int, dims: list[int]) -> None:
+def _last_row(triples, start: int, classes, n: int, rows: dict) -> list[int]:
+    """n - codim of `classes` with each triple from `start` on folded in.
+
+    A node's last level depends only on its classes and its start, and many
+    nodes share their classes (2 086 families for the 52 360 leaves at n = 7,
+    cap 4).  So `rows`, which lives for one `_formula_dims` call, keeps one
+    row per class family, from the smallest start seen so far, and each node
+    reads its suffix from its own start on.
+    """
+    first, row = rows.get(classes, (len(triples), []))
+    if start < first:
+        head = []
+        for t in triples[start:first]:
+            child = _fold(classes, t)
+            codim = _memo.get(child)
+            if codim is None:
+                codim = _codim(child)
+            head.append(n - codim)
+        first, row = rows[classes] = start, head + row
+    return row[start - first:]
+
+
+def _formula_walk(triples, start: int, left: int, classes, n: int, dims: list[int],
+                  rows: dict) -> None:
     """`_walk`'s twin on the formula side: dim_combinatorial of every extension.
 
     `triples` are masks and `classes` the prefix's merge classes, a sorted
     tuple of masks; an extension folds its one new triple into them.  Far
     fewer class families than collections occur (6 258 of 59 535 at n = 7,
     cap 4), and a family's codimension does not depend on n, so `_memo`
-    sees each family once, whichever walk or call reached it first.
+    sees each family once, whichever walk or call reached it first.  The
+    last level comes from `_last_row`.
     """
+    if left == 1:
+        dims.extend(_last_row(triples, start, classes, n, rows))
+        return
     for i in range(start, len(triples)):
         child = _fold(classes, triples[i])
         codim = _memo.get(child)
         if codim is None:
             codim = _codim(child)
         dims.append(n - codim)
-        if left > 1:
-            _formula_walk(triples, i + 1, left - 1, child, n, dims)
+        _formula_walk(triples, i + 1, left - 1, child, n, dims, rows)
 
 
 def _formula_dims(n: int, cap: int) -> list[int]:
     """dim_combinatorial of every collection of up to `cap` triples, in preorder."""
     triples = [1 << a | 1 << b | 1 << c for a, b, c in combinations(range(1, n + 1), 3)]
     dims: list[int] = []
-    _formula_walk(triples, 0, cap, (), n, dims)
+    _formula_walk(triples, 0, cap, (), n, dims, {})
     return dims
 
 
@@ -472,6 +508,79 @@ def _preorder(items, cap: int, prefix: tuple = ()):
         yield collection
         if cap > 1:
             yield from _preorder(items[i + 1:], cap - 1, collection)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Share:
+    """The rank walks of some traces, run in a forked child.
+
+    The child writes the traces' dims, one trace after another, to a pipe
+    as native unsigned 16-bit integers (a dim lies in [2, n], and any n
+    whose C(n, 3) triples fit in memory is below 2**16).  It leaves by
+    `os._exit`, so it neither flushes the stdio buffers it inherited nor
+    returns into the caller.  If a walk raises, the child exits 1 without
+    a word; the same walk with jobs = 1 raises in the caller's process.
+    """
+
+    def __init__(self, tasks):
+        self.count = len(tasks)
+        self.fd, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.fd)
+            os.close(write)
+            raise
+        if self.pid:
+            os.close(write)
+            return
+        code = 1
+        try:
+            from array import array
+
+            os.close(self.fd)
+            packed = array("H")
+            for task in tasks:
+                packed.extend(_check_trace(task))
+            with open(write, "wb") as pipe:
+                pipe.write(packed)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def collect(self, length: int) -> list[list[int]]:
+        """Each trace's `length` dims, from the pipe read to EOF, once the child is reaped.
+
+        Raises RuntimeError if the child exited non-zero or wrote a payload
+        of the wrong size.
+        """
+        try:
+            with open(self.fd, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        size = 2 * self.count * length
+        if code or len(data) != size:
+            raise RuntimeError(
+                f"planar worker {self.pid} exited with code {code} after writing "
+                f"{len(data)} of {size} bytes; run with --jobs 1 to see its error"
+            )
+        packed = memoryview(data).cast("H")
+        return [packed[i:i + length].tolist() for i in range(0, len(packed), length)]
+
+    def stop(self) -> None:
+        """Kill the child, close its pipe and reap it."""
+        from signal import SIGKILL
+
+        os.kill(self.pid, SIGKILL)
+        os.close(self.fd)
+        os.waitpid(self.pid, 0)
 
 
 def verify_independence(
@@ -491,6 +600,14 @@ def verify_independence(
     the formula.  A trace on a closed family's degeneration locus (module
     docstring) disagrees with the formula there, and sampled slopes do
     reach that locus, e.g. two discrepancies at n = 7, cap 4, seed 10.
+
+    `jobs` counts processes, this one included, capped at one per trace
+    and one per CPU of this process's affinity mask.  This process walks
+    the formula and the smallest share of the traces; forked children walk
+    the other shares.  The report does not depend on `jobs`, and without
+    `os.fork` every trace is walked here.  A failed child makes the call
+    raise RuntimeError, and no child outlives the call.  Forking is unsafe
+    in a process that runs threads: call it with jobs = 1 there.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -498,21 +615,24 @@ def verify_independence(
         if value < 1:
             raise ValueError(f"need {name} >= 1, got {value}")
     rng = SplitMix64(seed)
-    traces = [_sample_slopes(rng, n, seed) for _ in range(trials)]
-    tasks = [(slopes, n, tuple_size_cap) for slopes in traces]
-    # the formula runs in this process, so the codimensions it finds stay in
-    # `_memo` for later calls; the pool's workers run only `_check_trace`,
-    # at most one per trace and one per CPU
-    if jobs > 1 and trials > 1:
-        from multiprocessing import Pool
-
-        with Pool(min(jobs, trials, os.cpu_count() or 1)) as pool:
-            pending = pool.map_async(_check_trace, tasks)
-            formula = _formula_dims(n, tuple_size_cap)
-            per_trace = pending.get()
-    else:
+    tasks = [(_sample_slopes(rng, n, seed), n, tuple_size_cap) for _ in range(trials)]
+    # `workers` processes, this one included, walk contiguous shares of the
+    # traces.  This one takes the first share, the smallest, and walks the
+    # formula too, so the codimensions it finds stay in `_memo` for later
+    # calls; the children are forked first, while this process is small.
+    workers = min(jobs, trials, _cpus()) if hasattr(os, "fork") else 1
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            children.append(_Share(tasks[lo:hi]))
         formula = _formula_dims(n, tuple_size_cap)
-        per_trace = [_check_trace(t) for t in tasks]
+        per_trace = [_check_trace(t) for t in tasks[: bounds[1]]]
+        while children:
+            per_trace += children.pop(0).collect(len(formula))
+    finally:
+        for share in children:
+            share.stop()
 
     failing = []
     if any(dims != formula for dims in per_trace):

@@ -67,6 +67,17 @@ def walk_agrees(slopes, n, cap):
     return agrees
 
 
+def formula_walk_agrees(n, cap):
+    """The formula walk's dims equal `dim_combinatorial`, collection by collection."""
+
+    def agrees():
+        triples = list(combinations(range(1, n + 1), 3))
+        walked = planar._formula_dims(n, cap)
+        return walked == [planar.dim_combinatorial(c, n) for c in planar._preorder(triples, cap)]
+
+    return agrees
+
+
 def formula_agrees(family, n):
     """`dim_combinatorial` equals the tuple formula on one family."""
     return lambda: planar.dim_combinatorial(family, n) == dim_by_tuple_formula(family, n)
@@ -117,6 +128,16 @@ def codim_off_by_one(real):
     return codim
 
 
+def row_without_offset(real):
+    # a node reads its class family's last-level row from the row's first
+    # entry, not from its own start: the right length, shifted values
+    def last_row(triples, start, classes, n, rows):
+        suffix = real(triples, start, classes, n, rows)
+        return rows.get(classes, (start, suffix))[1][: len(suffix)]
+
+    return last_row
+
+
 def no_free_cancellation(real):
     return lambda word, images: tuple(y for x in word for y in images.get(x, (x,)))
 
@@ -146,6 +167,10 @@ MUTANTS = [
     # two classes sharing index 3, with indices 1, 2, 4, 5 in one class each
     ("planar-codim-off-by-one", planar, "_codim", codim_off_by_one,
      formula_agrees([(1, 2, 3), (3, 4, 5)], 6)),
+    # at n = 5, cap 3, the prefixes (1,2,3),(1,2,4) and (1,2,3),(1,3,4) both
+    # merge to {1,2,3,4}; the second starts two triples later in that row
+    ("planar-last-row-unshifted", planar, "_last_row", row_without_offset,
+     formula_walk_agrees(5, 3)),
     # the braid relation holds only up to free cancellation of the images
     ("artin-action-uncancelled", braid, "apply_images", no_free_cancellation,
      lambda: braid.braids_equal((1, 2, 1), (2, 1, 2), 3)),

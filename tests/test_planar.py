@@ -240,39 +240,142 @@ def test_verify_independence_jobs_deterministic():
     assert serial == parallel
 
 
-class InProcessPool:
-    """A stand-in for `multiprocessing.Pool` that records its size and runs
-    `map_async` in the calling process, so no worker is started."""
+class InProcessShare:
+    """A stand-in for `planar._Share` that walks its traces in the calling
+    process, so no process is started."""
 
-    sizes = []
+    def __init__(self, tasks):
+        self.dims = [planar._check_trace(task) for task in tasks]
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    def collect(self, length):
+        return self.dims
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+def record_shares(monkeypatch, base):
+    """Patch `planar._Share` with `base`, recording each share's trace count."""
+    shares = []
 
-    def map_async(self, fn, tasks):
-        results = [fn(task) for task in tasks]
-        return type("Done", (), {"get": lambda self: results})()
+    class Recorded(base):
+        def __init__(self, tasks):
+            shares.append(len(tasks))
+            super().__init__(tasks)
+
+    monkeypatch.setattr(planar, "_Share", Recorded)
+    return shares
 
 
 @pytest.mark.parametrize(
-    "jobs, trials, cpus, size",
-    [(5000, 3, 2, 2), (5000, 3, 8, 3), (2, 3, 8, 2), (4, 3, None, 1)],
+    "jobs, trials, cpus, processes, fork",
+    [
+        pytest.param(5000, 3, 2, 2, False, id="5000-3-2-2"),
+        pytest.param(5000, 3, 8, 3, False, id="5000-3-8-3"),
+        pytest.param(2, 3, 8, 2, True, id="2-3-8-2"),
+        pytest.param(3, 3, 8, 3, True, id="3-3-8-3"),
+        pytest.param(4, 3, None, 1, True, id="4-3-None-1"),
+    ],
 )
-def test_pool_has_at_most_one_worker_per_cpu_and_trace(jobs, trials, cpus, size, monkeypatch):
-    import multiprocessing
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    monkeypatch.setattr(planar.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(InProcessPool, "sizes", [])
+def test_pool_has_at_most_one_worker_per_cpu_and_trace(
+    jobs, trials, cpus, processes, fork, monkeypatch
+):
+    # min(jobs, trials, CPUs) processes walk the traces, this one included;
+    # cpus=None is an OS with no affinity mask that cannot count its CPUs
+    if cpus is None:
+        monkeypatch.delattr(planar.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(planar.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(planar.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    shares = record_shares(monkeypatch, planar._Share if fork else InProcessShare)
     report = verify_independence(5, 3, trials=trials, seed=44, jobs=jobs)
-    assert InProcessPool.sizes == [size]
+    assert 1 + len(shares) == processes
+    # this process's share is the smallest
+    assert trials - sum(shares) <= min(shares, default=trials)
     assert report == verify_independence(5, 3, trials=trials, seed=44, jobs=1)
+
+
+def test_cpus_are_the_affinity_mask_where_there_is_one(monkeypatch):
+    # as under `taskset -c 3` on an eight-CPU machine
+    monkeypatch.setattr(planar.os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(planar.os, "cpu_count", lambda: 8)
+    assert planar._cpus() == 1
+    shares = record_shares(monkeypatch, InProcessShare)
+    report = verify_independence(5, 3, trials=3, seed=44, jobs=2)
+    assert shares == []
+    monkeypatch.delattr(planar.os, "sched_getaffinity")
+    assert planar._cpus() == 8
+    assert report == verify_independence(5, 3, trials=3, seed=44, jobs=1)
+
+
+def test_without_fork_the_traces_run_in_this_process(monkeypatch):
+    monkeypatch.setattr(planar.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.delattr(planar.os, "fork", raising=False)
+    shares = record_shares(monkeypatch, InProcessShare)
+    report = verify_independence(5, 3, trials=3, seed=44, jobs=3)
+    assert shares == []
+    assert report == verify_independence(5, 3, trials=3, seed=44, jobs=1)
+
+
+def walk_failing_in(side):
+    """`_check_trace` that raises in this process (side "parent") or only in
+    the processes forked from it (side "child")."""
+    parent, real = os.getpid(), planar._check_trace
+
+    def check(task):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise ValueError(f"walk failed in the {side}")
+        return real(task)
+
+    return check
+
+
+@pytest.mark.parametrize("side, error", [("child", RuntimeError), ("parent", ValueError)])
+def test_a_failed_share_raises_and_every_child_is_reaped(side, error, monkeypatch):
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(planar.os, "fork", fork)
+    monkeypatch.setattr(planar.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(planar, "_check_trace", walk_failing_in(side))
+    with pytest.raises(error, match="planar worker|walk failed in the parent"):
+        verify_independence(5, 3, trials=3, seed=44, jobs=3)
+    assert len(forked) == 2
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+FAILING_WALK = """
+import os, sys
+import discarr.cli, discarr.planar as planar
+parent, real = os.getpid(), planar._check_trace
+side = sys.argv.pop(1)
+def check(task):
+    if (os.getpid() == parent) == (side == "parent"):
+        raise ValueError(f"walk failed in the {side}")
+    return real(task)
+planar._check_trace = check
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(discarr.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_planar_verify_exits_one_when_a_share_fails(side):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_WALK, side, "planar-verify", "--n", "5", "--cap", "3",
+         "--trials", "3", "--jobs", "2"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines()[-1].startswith("error: ")
 
 
 def test_check_trace_rejects_repeated_slopes():
@@ -411,8 +514,10 @@ def test_dim_combinatorial_matches_tuple_formula(family, extra):
 @pytest.mark.parametrize("n, cap, families", [(7, 4, 6258), (6, 5, 352)])
 def test_formula_walk_keys_each_class_family_once(n, cap, families):
     # one memo entry per labelled class family, whatever n reached it, and
-    # one generic rank per relabelled closed family (the 210 labelled
-    # quadrangle-type families at n = 7 have two shapes)
+    # one generic rank per relabelled closed family: the 210 labelled
+    # quadrangle families at n = 7 relabel to two keys, which are one shape
+    # (swapping 4 and 5 maps one onto the other), since relabelling by first
+    # appearance is not canonical
     planar._memo.clear()
     planar._closed.clear()
     _formula_dims(n, cap)

@@ -3,11 +3,13 @@
 Every `discarr` command runs in a fresh interpreter, so each module that
 `import discarr.cli` pulls in is paid per command.  No command needs
 `dataclasses` (the records are named tuples), and only `accept` needs the
-acceptance suite, which `cli` imports inside that command.  The benchmark
+acceptance suite, which `cli` imports inside that command; `planar-verify
+--jobs` forks its children directly, without `multiprocessing`.  The benchmark
 tracer wraps the functions of the modules loaded by then; the suite's
 `from .x import f` bindings, made later, still pick the wrappers up.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +50,18 @@ def test_acceptance_imported_after_tracer_install_is_wrapped():
         "print(hasattr(acceptance.codim2_census, '__wrapped__'))",
     )
     assert out == "True\n"
+
+
+def test_planar_verify_with_jobs_never_imports_multiprocessing(tmp_path):
+    # two CPUs in the affinity mask, so the command forks a share on any machine
+    report = tmp_path / "report.json"
+    out = run(
+        "-S", "-c",
+        "import os, sys, discarr.cli;"
+        "os.sched_getaffinity = lambda pid: {0, 1};"
+        "code = discarr.cli.main(['planar-verify', '--n', '5', '--cap', '2', '--trials', '2',"
+        f" '--jobs', '2', '--output', {str(report)!r}]);"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'))",
+    )
+    assert out == "0 []\n"
+    assert json.loads(report.read_text())["discrepancies"] == []
