@@ -33,6 +33,7 @@ from .linalg import _bareiss_det, int_nullspace, int_rank
 from .rng import SplitMix64
 
 SEXTUPLE_BUDGET = 100
+SEXTUPLE_BOUND = 9  # the sextuple samplers draw their integers from [-9, 9]
 
 
 class GaleMismatch(AssertionError):
@@ -158,12 +159,15 @@ def _coincident_pair(pts):
 
 
 def gale_disagreements(seed: int, trials: int) -> list[dict]:
-    """Sampled sextuples on which the concurrent-partition answer is wrong.
+    """Sampled sextuples whose Gale transform answers the partition search wrongly.
 
-    For each i < trials, the concurrent sextuple of seed + i and its Gale
-    transform must both admit a concurrent partition, and the generic
-    sextuple of seed + i and its transform must both admit none.  Returns
-    one record per failing instance, positives first.
+    For each i < trials, the Gale transform of the concurrent sextuple of
+    seed + i must admit a concurrent partition, and that of the generic
+    sextuple of seed + i must admit none.  The sextuples themselves need no
+    search: each sampler returns only points whose own answer is the
+    expected one.  Returns one record {"kind": "positive" or "negative",
+    "index": i, "gale": the transform's answer} per failing instance,
+    positives first.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -173,15 +177,13 @@ def gale_disagreements(seed: int, trials: int) -> list[dict]:
         ("negative", random_generic_sextuple, False),
     ):
         for i in range(trials):
-            points = sample(seed=seed + i)
-            a, _ = concurrent_partition_exists(points)
-            b, _ = concurrent_partition_exists(gale_transform(points))
-            if a != expected or b != expected:
-                out.append({"kind": kind, "index": i, "direct": a, "gale": b})
+            found, _ = concurrent_partition_exists(gale_transform(sample(seed=seed + i)))
+            if found != expected:
+                out.append({"kind": kind, "index": i, "gale": found})
     return out
 
 
-def random_concurrent_sextuple(seed: int, bound: int = 9):
+def random_concurrent_sextuple(seed: int):
     """Six plane points with pairs 12, 34, 56 spanning concurrent lines, as 3 x 6 rows.
 
     Concurrency has measure zero, so positives are built, not sampled: pick
@@ -190,21 +192,21 @@ def random_concurrent_sextuple(seed: int, bound: int = 9):
     """
     rng = SplitMix64(seed)
     for _ in range(SEXTUPLE_BUDGET):
-        apex = [rng.randint(-bound, bound) for _ in range(3)]
+        apex = [rng.randint(-SEXTUPLE_BOUND, SEXTUPLE_BOUND) for _ in range(3)]
         if not any(apex):
             continue
         comp = _scaled_nullspace([apex], 3)  # 2 x 3 covectors
         pts = []
         for _ in range(3):
-            c1, c2 = rng.nonzero_int(bound), rng.nonzero_int(bound)
+            c1, c2 = rng.nonzero_int(SEXTUPLE_BOUND), rng.nonzero_int(SEXTUPLE_BOUND)
             line = [c1 * a + c2 * b for a, b in zip(*comp)]
             on_line = _scaled_nullspace([line], 3)  # 2 x 3 points
             for _ in range(2):
-                d1, d2 = rng.nonzero_int(bound), rng.nonzero_int(bound)
+                d1, d2 = rng.nonzero_int(SEXTUPLE_BOUND), rng.nonzero_int(SEXTUPLE_BOUND)
                 pts.append([d1 * a + d2 * b for a, b in zip(*on_line)])
         if _coincident_pair(pts) or int_rank(pts) < 3:
             continue  # repeated points, or all six on one line
-        move = [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)]
+        move = [[rng.randint(-SEXTUPLE_BOUND, SEXTUPLE_BOUND) for _ in range(3)] for _ in range(3)]
         if _bareiss_det([list(row) for row in move]) == 0:
             continue
         points = [[sum(a * b for a, b in zip(row, p)) for p in pts] for row in move]
@@ -218,11 +220,13 @@ def random_concurrent_sextuple(seed: int, bound: int = 9):
     raise RuntimeError(msg)
 
 
-def random_generic_sextuple(seed: int, bound: int = 9):
+def random_generic_sextuple(seed: int):
     """Six plane points with all 15 partition determinants nonzero, as 3 x 6 rows."""
     rng = SplitMix64(seed)
     for _ in range(SEXTUPLE_BUDGET):
-        points = [[rng.randint(-bound, bound) for _ in range(6)] for _ in range(3)]
+        points = [
+            [rng.randint(-SEXTUPLE_BOUND, SEXTUPLE_BOUND) for _ in range(6)] for _ in range(3)
+        ]
         if int_rank(points) != 3:
             continue
         if _coincident_pair(list(zip(*points))):

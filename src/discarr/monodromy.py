@@ -6,7 +6,8 @@ into N = C(n, k+1) lines u t + v s + w = 0 in the (t, s)-plane with integer
 u, v, w.  One integer pass over the pairs of lines finds every parallel pair
 and every crossing, keyed by its reduced integer coordinates (s, t, d) for
 the point (s/d, t/d); only the distinct points become `Fraction`s, so the
-event order is exact.
+event order is exact, and a plane whose distinct points share an s-value
+is rejected by grouping the points in that order.
 
 The sweep (_sweep) runs in increasing s from a basepoint below every
 singular value, where the t-order of the lines is their slope order.
@@ -37,8 +38,9 @@ as `simple_pairs` yields them.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, pairwise
+from itertools import combinations, groupby, pairwise
 from math import comb, gcd
+from operator import attrgetter
 from typing import NamedTuple
 
 from .arrangement import GenericArrangement
@@ -107,7 +109,7 @@ def section_lines(
     Returns the lines and their singular points.  Raises NonGenericSection
     naming each violated invariant: a vanishing t-coefficient, coincident
     or parallel lines (as singular_points finds them), singular points
-    sharing an s-coordinate.
+    sharing an s-coordinate (adjacent in singular_points' order by s).
     """
     rows = (plane.t_coeffs, plane.s_coeffs, plane.consts)
     if any(len(row) != arr.n for row in rows):
@@ -122,24 +124,18 @@ def section_lines(
             failures.append(f"line {form.subset} parallel to the t-axis")
         lines.append(SectionLine(form.subset, u, v, w))
     try:
-        crossings = _crossings(lines)
+        points = singular_points(lines)
     except NonGenericSection as exc:
         failures.extend(exc.failures)
     if failures:
         raise NonGenericSection(failures)
-    # shared s-values are found on the integer keys, so a rejected plane
-    # builds a Fraction only for the s-values it names
-    by_s: dict[tuple[int, int], list[set[int]]] = {}
-    for (s, _, d), block in crossings.items():
-        g = gcd(s, d)
-        by_s.setdefault((s // g, d // g), []).append(block)
-    shared = {Fraction(*key): group for key, group in by_s.items() if len(group) > 1}
-    for s_val, group in sorted(shared.items()):
-        blocks = sorted(tuple(lines[i - 1].subset for i in sorted(block)) for block in group)
-        failures.append(f"distinct singular points share s={s_val}: {blocks}")
+    for s_val, group in groupby(points, key=attrgetter("s")):
+        blocks = sorted(tuple(lines[i - 1].subset for i in p.block) for p in group)
+        if len(blocks) > 1:
+            failures.append(f"distinct singular points share s={s_val}: {blocks}")
     if failures:
         raise NonGenericSection(failures)
-    return lines, singular_points(lines, crossings)
+    return lines, points
 
 
 def random_section(arr: GenericArrangement, seed: int):
@@ -163,28 +159,15 @@ def random_section(arr: GenericArrangement, seed: int):
     raise RuntimeError(msg)
 
 
-def singular_points(lines: list[SectionLine], crossings=None) -> list[SingularPoint]:
+def singular_points(lines: list[SectionLine]) -> list[SingularPoint]:
     """All pairwise intersection points, grouped exactly, sorted by s.
 
-    Blocks refer to 1-based positions in the given list.  The one integer
-    pass over the pairs (`_crossings`) raises NonGenericSection naming every
-    coincident or parallel pair; otherwise every pair of lines meets exactly
-    once, at (s/d, t/d) with d > 0 and gcd(s, t, d) = 1, the key of its
-    block, so the block sizes satisfy sum C(|P|, 2) = C(N, 2).  `crossings`,
-    if given, is that pass's result, which the caller already holds.
+    Blocks refer to 1-based positions in the given list.  One integer pass
+    over the pairs raises NonGenericSection naming every coincident or
+    parallel pair; otherwise every pair of lines meets exactly once, at
+    (s/d, t/d) with d > 0 and gcd(s, t, d) = 1, the key of its block, so the
+    block sizes satisfy sum C(|P|, 2) = C(N, 2).
     """
-    if crossings is None:
-        crossings = _crossings(lines)
-    out = [
-        SingularPoint(Fraction(s, d), Fraction(t, d), tuple(sorted(block)))
-        for (s, t, d), block in crossings.items()
-    ]
-    out.sort(key=lambda p: p.s)
-    return out
-
-
-def _crossings(lines: list[SectionLine]) -> dict[tuple[int, int, int], set[int]]:
-    """The blocks of singular_points keyed by their integer (s, t, d)."""
     points: dict[tuple[int, int, int], set[int]] = {}
     failures = []
     for i, j in combinations(range(len(lines)), 2):
@@ -204,7 +187,12 @@ def _crossings(lines: list[SectionLine]) -> dict[tuple[int, int, int], set[int]]
     total = sum(comb(len(block), 2) for block in points.values())
     if total != comb(len(lines), 2):
         raise AssertionError("pair count identity violated")
-    return points
+    out = [
+        SingularPoint(Fraction(s, d), Fraction(t, d), tuple(sorted(block)))
+        for (s, t, d), block in points.items()
+    ]
+    out.sort(key=attrgetter("s"))
+    return out
 
 
 class SweepError(AssertionError):

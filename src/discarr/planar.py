@@ -45,12 +45,11 @@ decides the last two levels: adding one form lowers the dimension iff its
 column is nonzero, and adding two lowers it by the rank of their two
 columns.  So a node with at most two forms left to add keys each remaining
 form once by its column's parallel class, and writes its whole subtree
-from the keys.  Higher up, a push is one fraction-free step per row, and
-below an empty D every collection has dimension 2 and is filled without
-being walked.  The formula's walk carries the prefix's merge classes and
-folds in the new triple's mask, since merging is an order-independent
-closure; each distinct class family then goes through `_codim` once, and
-its collection gets n - codim.  A node's last level depends only on its
+from the keys.  Higher up, a push is one fraction-free step per row.  The
+formula's walk carries the prefix's merge classes and folds in the new
+triple's mask, since merging is an order-independent closure; each
+distinct class family then goes through `_codim` once, and its
+collection gets n - codim.  A node's last level depends only on its
 classes and its start, so it is one row per class family, read from the
 node's start on.  The two lists are compared entry by entry, and a
 collection is spelled out only where they differ.
@@ -67,7 +66,7 @@ from __future__ import annotations
 import os
 import reprlib
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 
 from .rng import SplitMix64
 
@@ -385,8 +384,8 @@ def _walk(pairs, start: int, left: int, basis, dims: list[int]) -> None:
     once more unless j's key is None or i's.  With `left` >= 3, a push keeps
     the rows before the first row w0 with a nonzero pairing d0 and turns
     each later row w with pairing d != 0 into d0 * w - d * w0, divided by
-    its content.  Below an empty basis the extension's whole subtree has
-    dimension 2, one run of `dims` in preorder.
+    its content.  An empty basis keys every form None, so below it every
+    dimension is 2.
     """
     if left <= 2:
         dim = 2 + len(basis)
@@ -422,11 +421,7 @@ def _walk(pairs, start: int, left: int, basis, dims: list[int]) -> None:
                     child.append(w)
                 break
         dims.append(2 + len(child))
-        if child:
-            _walk(pairs, i + 1, left - 1, child, dims)
-        else:
-            rest = len(pairs) - i - 1
-            dims.extend([2] * sum(comb(rest, d) for d in range(1, left)))
+        _walk(pairs, i + 1, left - 1, child, dims)
 
 
 def _check_trace(args):
@@ -459,13 +454,7 @@ def _last_row(triples, start: int, classes, n: int, rows: dict) -> list[int]:
     """
     first, row = rows.get(classes, (len(triples), []))
     if start < first:
-        head = []
-        for t in triples[start:first]:
-            child = _fold(classes, t)
-            codim = _memo.get(child)
-            if codim is None:
-                codim = _codim(child)
-            head.append(n - codim)
+        head = [n - _codim(_fold(classes, t)) for t in triples[start:first]]
         first, row = rows[classes] = start, head + row
     return row[start - first:]
 
@@ -486,10 +475,7 @@ def _formula_walk(triples, start: int, left: int, classes, n: int, dims: list[in
         return
     for i in range(start, len(triples)):
         child = _fold(classes, triples[i])
-        codim = _memo.get(child)
-        if codim is None:
-            codim = _codim(child)
-        dims.append(n - codim)
+        dims.append(n - _codim(child))
         _formula_walk(triples, i + 1, left - 1, child, n, dims, rows)
 
 

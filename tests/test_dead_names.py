@@ -9,6 +9,10 @@ function, private or not, and each public method of a public class, must
 appear in that set.  Definitions are not `Name` nodes and an assignment
 such as `rank = ...` is a store, so a name counts only where something
 reads it.
+
+A second guard reads the calls in src/discarr the same way: every parameter
+with a default, on any function, must be passed by some call to a function
+of that name, by position or by keyword.
 """
 
 import ast
@@ -58,3 +62,63 @@ def test_every_public_function_is_read_in_the_package():
         if bare not in used
     )
     assert not dead, "no reader in src/discarr: " + ", ".join(dead)
+
+
+
+# `cli.main(argv=None)` is the console script's entry point: the script
+# calls it with no argument, and only tests pass argv
+ENTRY_POINTS = {("cli", "main", "argv")}
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, position) of each parameter with a default, on
+    any function of the module.  The position counts what a call passes, so
+    a method's `self` or `cls` is not counted; keyword-only parameters have
+    position None."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            for i, name in enumerate(positional[first:], first):
+                yield node.name, name, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def passes(call, parameter, position):
+    """Whether the call passes the parameter, by keyword or by position; a
+    `*` or `**` argument counts as passing whatever it could reach."""
+    if any(keyword.arg in (parameter, None) for keyword in call.keywords):
+        return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return i <= position
+    return len(call.args) > position
+
+
+def test_every_default_is_passed_in_the_package():
+    # a default that no call in src/discarr overrides is a knob that no
+    # command, check or analysis turns: its value belongs in the body or in
+    # a module constant
+    trees = modules()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = sorted(
+        f"{module}.{function}({parameter})"
+        for module, tree in trees.items()
+        for function, parameter, position in defaulted_parameters(tree)
+        if (module, function, parameter) not in ENTRY_POINTS
+        and not any(passes(call, parameter, position) for call in calls.get(function, ()))
+    )
+    assert not unpassed, "no call in src/discarr passes: " + ", ".join(unpassed)

@@ -304,15 +304,28 @@ def test_concurrent_sampler_with_zero_bound_exits_one(capsys, monkeypatch):
     import discarr.cli as cli
     import discarr.gale as gale
 
-    monkeypatch.setattr(
-        gale, "random_concurrent_sextuple", lambda seed: random_concurrent_sextuple(seed, bound=0)
-    )
+    monkeypatch.setattr(gale, "SEXTUPLE_BOUND", 0)
     code = cli.main(["gale-invariance", "--trials", "1", "--seed", "7"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     message = "no concurrent sextuple after 100 draws (seed=7); try another seed"
     assert captured.err == f"error: {message}\n"
+
+
+def test_gale_side_disagreement_exits_two(capsys, monkeypatch):
+    # a generic sextuple handed out as a positive: its Gale transform admits
+    # no concurrent partition, so the one record names the Gale side's answer
+    import discarr.gale as gale
+
+    monkeypatch.setattr(gale, "random_concurrent_sextuple", random_generic_sextuple)
+    code = main(["gale-invariance", "--trials", "1", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {
+        "disagreements": [{"gale": False, "index": 0, "kind": "positive"}],
+        "trials_each": 1,
+    }
 
 
 # sha256 of the `gale` and `gale-invariance` stdout.  The printed normals

@@ -42,6 +42,7 @@ from _oracles import (
     presentation_by_expansion,
     section_by_two_passes,
     singular_points_by_fractions,
+    small_entry_generic,
     sweep_by_sorting,
 )
 
@@ -228,9 +229,14 @@ def test_section_without_s_dependence_rejected():
 # Derandomized, so the tier-1 suite runs the same examples every time.
 ORACLE_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
-# (n, k) of a generic arrangement, or "dep" for construct_dependent(2, 0);
+# (n, k) of a generic arrangement, "dep" for construct_dependent(2, 0), or
+# ("small", n, k) for a trace-generic one with entries in [-2, 2], whose
+# small forms make coincident lines and shared s-values common;
 # (4, 3) has N = 1 line and no singular point
-SECTION_SHAPES = [(4, 3), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), "dep"]
+SECTION_SHAPES = [
+    (4, 3), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), "dep",
+    ("small", 5, 2), ("small", 6, 2), ("small", 6, 3),
+]
 
 
 @st.composite
@@ -239,6 +245,8 @@ def sectioned_arrangements(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     if shape == "dep":
         return construct_dependent(2, 0, seed=seed)
+    if shape[0] == "small":
+        return small_entry_generic(*shape[1:], seed=seed)
     n, k = shape
     return random_generic(n, k, seed=seed, bound=max(n, 10))
 
@@ -278,25 +286,6 @@ def test_section_matches_fraction_oracle(case):
         assert got.value.failures == exc.failures
     else:
         assert section_lines(arr, plane) == expected
-
-
-def test_shared_s_rejected_before_points_are_built(monkeypatch):
-    # the shared-s test reads the integer keys: a rejected plane never
-    # builds the sorted Fraction points
-    import discarr.monodromy as monodromy
-
-    plane = SectionPlane((1, 0, -1, 1, -2), (2, -1, 1, 1, -1), (2, 0, 1, -2, -2))
-    with pytest.raises(NonGenericSection) as expected:
-        section_by_two_passes(B52, plane)
-
-    def unreachable(lines, crossings=None):
-        raise AssertionError("points built for a rejected plane")
-
-    monkeypatch.setattr(monodromy, "singular_points", unreachable)
-    with pytest.raises(NonGenericSection) as got:
-        section_lines(B52, plane)
-    assert got.value.failures == expected.value.failures
-    assert len(got.value.failures) == 1 and "share s=-140/89" in got.value.failures[0]
 
 
 def test_fraction_lines_match_fraction_oracle():

@@ -116,6 +116,12 @@ def unsigned_keys(real):
     return keys
 
 
+def empty_basis_keyed(real):
+    # an empty D keys every form 1, not None: each form seems to lower the
+    # dimension below 2
+    return lambda pairs, basis: real(pairs, basis) if basis else [1] * len(pairs)
+
+
 def codim_off_by_one(real):
     # one too many on a non-closed family of two or more classes
     def codim(family):
@@ -164,6 +170,9 @@ MUTANTS = [
      census_agrees(meet_coincidence, census_by_pairs)),
     # a node with two forms left and |D| = 2 has two opposite parallel columns
     ("planar-keys-unsigned", planar, "_keys", unsigned_keys, walk_agrees([0, 1, 3, 2, 4], 5, 3)),
+    # at n = 4, two independent forms empty D with two levels left below
+    ("planar-empty-basis-keyed", planar, "_keys", empty_basis_keyed,
+     walk_agrees([0, 3, -5, 7], 4, 4)),
     # two classes sharing index 3, with indices 1, 2, 4, 5 in one class each
     ("planar-codim-off-by-one", planar, "_codim", codim_off_by_one,
      formula_agrees([(1, 2, 3), (3, 4, 5)], 6)),

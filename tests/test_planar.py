@@ -405,7 +405,7 @@ def traces(draw):
 @example(([1, 2, 3, 4, 5, 6], 6, 1))
 @example(([2, -9, 4, 7, -1, 12, 0], 7, 2))  # cap 2: one level of pushes
 @example(([1, 2, 4, 8, 16, 32], 6, 2))
-@example(([0, 3, -5, 7], 4, 4))  # two pushes span every form: the fill path
+@example(([0, 3, -5, 7], 4, 4))  # two pushes empty D: keys below an empty basis
 @example(([1, 2, 3, 4], 4, 4))
 @example(([4, -7, 0, 9, 2], 5, 5))
 @example(([1, 2, 3, 4, 5], 5, 5))
