@@ -14,7 +14,8 @@ generic plane sections.
 The records are named tuples (so a record equals the plain tuple of its
 fields), and every public function returns the same result for the same
 arguments; three caches, an arrangement's `minors` and `planar`'s `_memo`
-and `_closed`, hold state that never changes a result.
+and `_closed`, hold state that never changes a result.  The one exception:
+the `commuting` family of `nilpotent_relations` is a one-pass iterator.
 """
 
 from .arrangement import (

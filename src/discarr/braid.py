@@ -45,26 +45,12 @@ def invert(word: Sequence[int]) -> Word:
     return tuple(-x for x in reversed(word))
 
 
-class _BraidWordFields(NamedTuple):
+class BraidWord(NamedTuple):
+    """A word in the Artin generators on `strands` strands; a plain record,
+    whose letters are checked where they are read (`braids_equal`)."""
+
     strands: int
     letters: Word
-
-
-class BraidWord(_BraidWordFields):
-    """A word in the Artin generators of the braid group on `strands` strands."""
-
-    __slots__ = ()
-
-    def __new__(cls, strands: int, letters: Word):
-        for x in letters:
-            if not 1 <= abs(x) <= strands - 1:
-                raise ValueError(f"letter {x} out of range for {strands} strands")
-        return super().__new__(cls, strands, letters)
-
-    @classmethod
-    def _make(cls, iterable):
-        # the namedtuple one, which `_replace` calls, would skip the check
-        return cls(*iterable)
 
 
 def halftwist(start: int, size: int) -> Word:

@@ -73,14 +73,14 @@ def _emit(payload, output: str | None) -> None:
         fh.write(payload)
 
 
-def _write_array(fh, texts, level: int) -> None:
+def _write_array(fh, texts, level: int) -> int:
     """The JSON array of the items' texts at nesting depth `level`, written
     about every CHUNK characters, so that a document of large records (a
-    braid word is tens of kB at N = 70) is never held whole."""
+    braid word is tens of kB at N = 70) is never held whole; returns the count."""
     inner = "\n" + "  " * (level + 1)
     sep = "," + inner
-    head, parts, size = "[" + inner, [], 0
-    for text in texts:
+    head, parts, size, count = "[" + inner, [], 0, 0
+    for count, text in enumerate(texts, 1):
         parts.append(text)
         size += len(text)
         if size >= CHUNK:
@@ -88,8 +88,8 @@ def _write_array(fh, texts, level: int) -> None:
             head, parts, size = sep, [], 0
     if parts:
         fh.write(head + sep.join(parts))
-        head = sep
-    fh.write("[]" if head[0] == "[" else inner[:-2] + "]")
+    fh.write(inner[:-2] + "]" if count else "[]")
+    return count
 
 
 def _array(texts, level: int) -> str:
@@ -288,7 +288,7 @@ def _cmd_relations(args) -> int:
 
 def _write_relations(fh, families) -> None:
     """The three families as arrays of {"J": ..., "K" or "triple": ...}, and
-    their sizes."""
+    their sizes; the commuting family is counted as it is written."""
     rows, subsets = _int_rows(3), _int_rows(4)
     triples = _Memo(lambda members: _array(map(subsets, members), 3)).__getitem__
 
@@ -297,9 +297,9 @@ def _write_relations(fh, families) -> None:
             yield f'{{\n      "J": {rows(j)},\n      "{key}": {value(x)}\n    }}'
 
     fh.write('{\n  "commuting": ')
-    _write_array(fh, pairs(families.commuting, "K", rows), 1)
+    commuting = _write_array(fh, pairs(families.commuting, "K", rows), 1)
     fh.write(
-        f',\n  "counts": {{\n    "commuting": {len(families.commuting)},'
+        f',\n  "counts": {{\n    "commuting": {commuting},'
         f'\n    "dependents": {len(families.dependents)},'
         f'\n    "full_sets": {len(families.full_sets)}\n  }},\n  "dependents": '
     )

@@ -165,7 +165,8 @@ def gale_disagreements(seed: int, trials: int) -> list[dict]:
     seed + i must admit a concurrent partition, and that of the generic
     sextuple of seed + i must admit none.  The sextuples themselves need no
     search: each sampler returns only points whose own answer is the
-    expected one.  Returns one record {"kind": "positive" or "negative",
+    expected one, and the transform it hands out is searched.  Returns
+    one record {"kind": "positive" or "negative",
     "index": i, "gale": the transform's answer} per failing instance,
     positives first.
     """
@@ -177,14 +178,16 @@ def gale_disagreements(seed: int, trials: int) -> list[dict]:
         ("negative", random_generic_sextuple, False),
     ):
         for i in range(trials):
-            found, _ = concurrent_partition_exists(gale_transform(sample(seed=seed + i)))
+            _, dual = sample(seed=seed + i)
+            found, _ = concurrent_partition_exists(dual)
             if found != expected:
                 out.append({"kind": kind, "index": i, "gale": found})
     return out
 
 
 def random_concurrent_sextuple(seed: int):
-    """Six plane points with pairs 12, 34, 56 spanning concurrent lines, as 3 x 6 rows.
+    """Six plane points with pairs 12, 34, 56 spanning concurrent lines, and
+    their Gale transform, as (points, gale_transform(points)) of 3 x 6 rows.
 
     Concurrency has measure zero, so positives are built, not sampled: pick
     a point, three lines through it, two points on each, then apply a random
@@ -213,15 +216,17 @@ def random_concurrent_sextuple(seed: int):
         found, _ = concurrent_partition_exists(points)
         if not found:
             continue  # extra accidental degeneracy spoiled distinctness; retry
-        if _coincident_pair(list(zip(*gale_transform(points)))):
+        dual = gale_transform(points)
+        if _coincident_pair(list(zip(*dual))):
             continue
-        return points
+        return points, dual
     msg = f"no concurrent sextuple after {SEXTUPLE_BUDGET} draws (seed={seed}); try another seed"
     raise RuntimeError(msg)
 
 
 def random_generic_sextuple(seed: int):
-    """Six plane points with all 15 partition determinants nonzero, as 3 x 6 rows."""
+    """Six plane points with all 15 partition determinants nonzero, and their
+    Gale transform, as (points, gale_transform(points)) of 3 x 6 rows."""
     rng = SplitMix64(seed)
     for _ in range(SEXTUPLE_BUDGET):
         points = [
@@ -234,8 +239,9 @@ def random_generic_sextuple(seed: int):
         found, _ = concurrent_partition_exists(points)
         if found:
             continue
-        if _coincident_pair(list(zip(*gale_transform(points)))):
+        dual = gale_transform(points)
+        if _coincident_pair(list(zip(*dual))):
             continue
-        return points
+        return points, dual
     msg = f"no generic sextuple after {SEXTUPLE_BUDGET} draws (seed={seed}); try another seed"
     raise RuntimeError(msg)

@@ -20,7 +20,8 @@ the square of its half twist conjugated by the earlier half twists:
 
 which braid_monodromy emits as an explicit Artin word, for the monodromy
 JSON and the full-twist check, growing P_i and P_i^-1 by one half twist
-per singular value.  The van Kampen presentation of the complement equates
+per singular value; it checks the strand range of each half twist, not of
+each letter.  The van Kampen presentation of the complement equates
 Gamma_i(x_j) with x_j for the strands j of each block, under the Artin
 action on the free group with one generator per line (braid.py).
 `presentation` reads the same sweep and never expands a braid: it carries
@@ -32,7 +33,7 @@ holonomy Lie algebra / nilpotent completion, keyed by the codimension-2
 census: one per (hyperplane, full (k+2)-set) incidence, one per member of a
 dependent triple, and one per ordered pair in a simple crossing.  The
 commuting family ranges over the simple-crossing pairs of (k+1)-subsets,
-as `simple_pairs` yields them.
+as `simple_pairs` yields them, streamed: it can be read only once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, pairwise
 from math import comb, gcd
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arrangement import GenericArrangement
 from .braid import BraidWord, apply_images, artin_images, halftwist, invert, reduce_free
@@ -242,12 +243,15 @@ def braid_monodromy(
     `points` are the singular points of `lines`, as singular_points (or
     random_section) returns them.  Each returned SingularPoint carries its
     block as strand numbers (see _sweep), and each braid is the conjugated
-    full twist on the block, fully expanded in Artin generators.
+    full twist on the block, fully expanded in Artin generators.  Each half
+    twist's strands need 1 <= lo < hi <= N, or SweepError; no letter is checked.
     """
     inverse: tuple[int, ...] = ()  # P_i^-1
     prefix: tuple[int, ...] = ()  # P_i
     records: list[tuple[SingularPoint, BraidWord]] = []
     for point, lo, hi in _sweep(lines, points):
+        if not 1 <= lo < hi <= len(lines):
+            raise SweepError(f"half twist on strands {lo}..{hi} out of range 1..{len(lines)}")
         beta = halftwist(lo, hi - lo + 1)
         records.append((point, BraidWord(len(lines), inverse + beta + beta + prefix)))
         inverse += invert(beta)
@@ -345,17 +349,18 @@ class RelationFamilies(NamedTuple):
 
     full_sets:   (subset, containing (k+2)-set) pairs, one per incidence.
     dependents:  (subset, dependent triple) pairs, three per triple.
-    commuting:   ordered (subset, other) pairs, two per simple crossing.
+    commuting:   ordered (subset, other) pairs, two per simple crossing,
+                 as a one-pass iterator, never held whole.
     """
 
     full_sets: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     dependents: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
-    commuting: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    commuting: Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 def nilpotent_relations(arr: GenericArrangement) -> RelationFamilies:
     """Relation families of the nilpotent completion, from the census; the
-    commuting pairs come from `simple_pairs`.
+    commuting pairs are streamed from `simple_pairs`, each in both orders.
 
     An OTHER flat has no family, so it raises AssertionError.
     """
@@ -372,7 +377,7 @@ def nilpotent_relations(arr: GenericArrangement) -> RelationFamilies:
         elif rec.kind == DEPENDENT:
             for member in rec.members:
                 dependents.append((member, rec.members))
-    commuting = tuple(x for a, b in simple_pairs(arr, census) for x in ((a, b), (b, a)))
+    commuting = (x for a, b in simple_pairs(arr, census) for x in ((a, b), (b, a)))
     return RelationFamilies(tuple(full_sets), tuple(dependents), commuting)
 
 

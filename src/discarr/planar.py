@@ -424,14 +424,13 @@ def _walk(pairs, start: int, left: int, basis, dims: list[int]) -> None:
         _walk(pairs, i + 1, left - 1, child, dims)
 
 
-def _check_trace(args):
+def _check_trace(u, n: int, cap: int) -> list[int]:
     """Dimension n - rank of every collection of up to `cap` slope forms, in preorder.
 
     The form of (a, b, c) is (u_c - u_b) e_a + (u_a - u_c) e_b + (u_b - u_a) e_c.
     `_walk` starts from D = e_3, ..., e_n, a complement of span(1, u) for
     distinct slopes; repeated slopes raise ValueError.
     """
-    u, n, cap = args
     if len(set(u)) != n:
         raise ValueError(f"need {n} distinct slopes, got {u}")
     pairs = [
@@ -533,7 +532,7 @@ class _Share:
             os.close(self.fd)
             packed = array("H")
             for task in tasks:
-                packed.extend(_check_trace(task))
+                packed.extend(_check_trace(*task))
             with open(write, "wb") as pipe:
                 pipe.write(packed)
             code = 0
@@ -613,7 +612,7 @@ def verify_independence(
         for lo, hi in zip(bounds[1:], bounds[2:]):
             children.append(_Share(tasks[lo:hi]))
         formula = _formula_dims(n, tuple_size_cap)
-        per_trace = [_check_trace(t) for t in tasks[: bounds[1]]]
+        per_trace = [_check_trace(*t) for t in tasks[: bounds[1]]]
         while children:
             per_trace += children.pop(0).collect(len(formula))
     finally:

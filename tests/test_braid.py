@@ -108,8 +108,11 @@ def test_braid_equality_random_conjugates():
 
 
 def test_braidword_validation():
-    with pytest.raises(ValueError):
-        BraidWord(3, (3,))
+    # a BraidWord is a plain record; a letter is checked where it is read,
+    # and braids_equal rejects one outside ±1..±(n-1)
+    assert BraidWord(3, (3,)).letters == (3,)
+    with pytest.raises(ValueError, match="out of range"):
+        braids_equal(BraidWord(3, (3,)).letters, (), 3)
     w = BraidWord(3, (1, 2))
     product = BraidWord(3, w.letters + invert(w.letters))
     assert product.letters == (1, 2, -2, -1)

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -452,6 +453,29 @@ def test_monodromy_sweep_error_exits_two(tmp_path, capsys, monkeypatch):
         assert "sweep order diverged" in captured.err
 
 
+def test_half_twist_out_of_range_exits_two(tmp_path, capsys, monkeypatch):
+    # braid_monodromy checks each half twist's strands, not each letter: a
+    # sweep that puts a block at position 0 is a discrepancy, caught before
+    # any output
+    import discarr.cli as cli
+    import discarr.monodromy as monodromy
+
+    arr_path = str(tmp_path / "arr.json")
+    run(["gen", "--n", "4", "--k", "2", "--seed", "5", "--output", arr_path], capsys)
+    real = monodromy._sweep
+
+    def from_zero(lines, points):
+        for point, lo, hi in real(lines, points):
+            yield point, 0, hi
+
+    monkeypatch.setattr(monodromy, "_sweep", from_zero)
+    code = cli.main(["monodromy", "--input", arr_path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("discrepancy: half twist on strands 0..")
+
+
 def test_presentation_expands_no_braid(tmp_path, capsys, monkeypatch):
     import discarr.cli as cli
 
@@ -723,7 +747,8 @@ PAIRS = st.lists(st.tuples(ROWS, ROWS), max_size=5)
 @example([((1, 2), (1, 2, 3))], [], [((1, 2), (3, 4)), ((3, 4), (1, 2))])
 @example([], [((1, 2), ((1, 2), (1, 3), (2, 3)))], [])
 def test_relations_writer_matches_json_dumps(full_sets, dependents, commuting):
-    families = RelationFamilies(tuple(full_sets), tuple(dependents), tuple(commuting))
+    import discarr.cli as cli
+
     pairs = lambda family: [{"J": list(j), "K": list(x)} for j, x in family]
     doc = {
         "full_sets": pairs(full_sets),
@@ -735,7 +760,12 @@ def test_relations_writer_matches_json_dumps(full_sets, dependents, commuting):
             "commuting": len(commuting),
         },
     }
-    assert written(_write_relations, families) == dumped(doc)
+    # the commuting family as a tuple, and as the one-pass iterator that
+    # nilpotent_relations gives, counted as it is written, a write per pair
+    for family, chunk in ((tuple(commuting), CHUNK), (iter(commuting), 1)):
+        families = RelationFamilies(tuple(full_sets), tuple(dependents), family)
+        with patch.object(cli, "CHUNK", chunk):
+            assert written(_write_relations, families) == dumped(doc)
 
 
 LETTERS = st.integers(-9, 9).filter(bool)

@@ -128,10 +128,10 @@ def test_essential_part_of_smallest_case_is_distinct_lines():
 
 
 def test_concurrent_partition_positive_and_negative():
-    pos = random_concurrent_sextuple(seed=31)
+    pos, _ = random_concurrent_sextuple(seed=31)
     found, witness = concurrent_partition_exists(pos)
     assert found and len(witness) == 3
-    neg = random_generic_sextuple(seed=31)
+    neg, _ = random_generic_sextuple(seed=31)
     found_neg, witness_neg = concurrent_partition_exists(neg)
     assert not found_neg and witness_neg is None
 
@@ -143,22 +143,42 @@ def test_concurrent_partition_rejects_repeated_points():
 
 
 def test_gale_invariance_sampled():
+    # each sampler hands out the transform of the points it returns
     for seed in range(200, 212):
-        pos = random_concurrent_sextuple(seed=seed)
+        pos, pos_dual = random_concurrent_sextuple(seed=seed)
+        assert pos_dual == gale_transform(pos)
         a, _ = concurrent_partition_exists(pos)
-        b, _ = concurrent_partition_exists(gale_transform(pos))
+        b, _ = concurrent_partition_exists(pos_dual)
         assert a and b
-        neg = random_generic_sextuple(seed=seed)
+        neg, neg_dual = random_generic_sextuple(seed=seed)
+        assert neg_dual == gale_transform(neg)
         a, _ = concurrent_partition_exists(neg)
-        b, _ = concurrent_partition_exists(gale_transform(neg))
+        b, _ = concurrent_partition_exists(neg_dual)
         assert not a and not b
+
+
+def test_invariance_check_transforms_each_sextuple_once(monkeypatch):
+    # the search reads each sampler's transform: every gale_transform call
+    # of the check is one the samplers make on their own
+    import discarr.gale as gale
+
+    calls = []
+    real = gale.gale_transform
+    monkeypatch.setattr(gale, "gale_transform", lambda points: calls.append(1) or real(points))
+    for seed in range(100, 105):
+        random_concurrent_sextuple(seed=seed)
+        random_generic_sextuple(seed=seed)
+    sampled = len(calls)
+    calls.clear()
+    assert gale.gale_disagreements(100, 5) == []
+    assert len(calls) == sampled
 
 
 def test_pencil_agrees_with_concurrent_for_s2():
     for seed in (61, 62):
-        pos = random_concurrent_sextuple(seed=seed)
+        pos, _ = random_concurrent_sextuple(seed=seed)
         assert pencil_partition_exists(pos)[0] == concurrent_partition_exists(pos)[0]
-        neg = random_generic_sextuple(seed=seed)
+        neg, _ = random_generic_sextuple(seed=seed)
         assert pencil_partition_exists(neg)[0] == concurrent_partition_exists(neg)[0]
 
 
@@ -176,7 +196,8 @@ def quadrilateral_vertices(seed):
     """The six meets of four random lines, shuffled: six concurrent pairings.
 
     Two sides of the quadrilateral and the diagonal through their meet
-    concur, so the first pairing found depends on the point order.
+    concur, so the first pairing found depends on the point order.  Returns
+    (points, gale_transform(points)), as the sextuple samplers do.
     """
     rng = SplitMix64(seed)
     while True:
@@ -187,7 +208,8 @@ def quadrilateral_vertices(seed):
             QMatrix.from_rows([a, b]).nullspace_basis().entries[0] for a, b in combinations(lines, 2)
         ]
         shuffle(rng, points)
-        return columns(common_int_rows(points))
+        points = columns(common_int_rows(points))
+        return points, gale_transform(points)
 
 
 SAMPLERS = {
@@ -200,8 +222,7 @@ SAMPLERS = {
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
 @given(sampler=st.sampled_from(sorted(SAMPLERS)), seed=st.integers(0, 2**32 - 1))
 def test_concurrent_partition_matches_cross_product_oracle(sampler, seed):
-    points = SAMPLERS[sampler](seed=seed)
-    for side in (points, gale_transform(points)):
+    for side in SAMPLERS[sampler](seed=seed):
         assert concurrent_partition_exists(side) == concurrent_pairs_by_cross(columns(side))
 
 
@@ -244,8 +265,8 @@ def test_gale_dual_triples_answer_the_concurrent_partition_search(sampler, seed)
     # s = 2: six plane points P admit three pairs spanning concurrent lines
     # exactly when the (6,3) arrangement whose normals are the Gale points of
     # P has a dependent triple, and then the pairs are such a triple's groups
-    points = sampler(seed)
-    dual = GenericArrangement(6, 3, columns(gale_transform(points)))
+    points, gale_side = sampler(seed)
+    dual = GenericArrangement(6, 3, columns(gale_side))
     # three collinear points of P make a 3 x 3 minor of the dual vanish
     assume(is_trace_generic(dual))
     found, witness = concurrent_partition_exists(points)
@@ -284,10 +305,10 @@ def test_gale_points_answer_the_dependent_triple_search_for_groups_of_three(depe
 def test_concurrent_sampler_redraws_collinear_points():
     # seed 1055 first draws six points on one line; the configuration would
     # not span the plane and its Gale transform would be undefined
-    points = random_concurrent_sextuple(seed=1055)
+    points, dual = random_concurrent_sextuple(seed=1055)
     assert int_rank(points) == 3
     assert concurrent_partition_exists(points)[0]
-    assert concurrent_partition_exists(gale_transform(points))[0]
+    assert concurrent_partition_exists(dual)[0]
 
 
 def test_nonzero_int_rejects_an_empty_range():

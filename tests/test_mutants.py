@@ -17,6 +17,7 @@ import pytest
 
 import discarr.braid as braid
 import discarr.discriminantal as disc
+import discarr.gale as gale
 import discarr.planar as planar
 from discarr.discriminantal import GOOD, SIMPLE, build_all, construct_dependent
 
@@ -61,7 +62,7 @@ def walk_agrees(slopes, n, cap):
         sizes = range(1, cap + 1)
         by_size = chain.from_iterable(combinations(triples, size) for size in sizes)
         oracle = dict(zip(by_size, dims_by_rank(slopes, n, cap)))
-        walked = planar._check_trace((slopes, n, cap))
+        walked = planar._check_trace(slopes, n, cap)
         return walked == [oracle[coll] for coll in planar._preorder(triples, cap)]
 
     return agrees
@@ -148,6 +149,17 @@ def no_free_cancellation(real):
     return lambda word, images: tuple(y for x in word for y in images.get(x, (x,)))
 
 
+def generic_as_concurrent(real):
+    # a generic sextuple handed out as a concurrent one, with its own Gale
+    # transform, which the search then reads in place of a positive's
+    return lambda seed: gale.random_generic_sextuple(seed)
+
+
+def gale_search_agrees(seed, trials):
+    """The Gale side of every sampled sextuple answers as its kind requires."""
+    return lambda: gale.gale_disagreements(seed, trials) == []
+
+
 def dep63():
     return construct_dependent(2, 0, seed=11)
 
@@ -183,6 +195,10 @@ MUTANTS = [
     # the braid relation holds only up to free cancellation of the images
     ("artin-action-uncancelled", braid, "apply_images", no_free_cancellation,
      lambda: braid.braids_equal((1, 2, 1), (2, 1, 2), 3)),
+    # the samplers hand out their transform; a wrong kind's transform is
+    # still searched, so it still shows as a disagreement
+    ("gale-sampler-wrong-kind", gale, "random_concurrent_sextuple", generic_as_concurrent,
+     gale_search_agrees(100, 2)),
 ]
 
 

@@ -245,7 +245,7 @@ class InProcessShare:
     process, so no process is started."""
 
     def __init__(self, tasks):
-        self.dims = [planar._check_trace(task) for task in tasks]
+        self.dims = [planar._check_trace(*task) for task in tasks]
 
     def collect(self, length):
         return self.dims
@@ -319,10 +319,10 @@ def walk_failing_in(side):
     the processes forked from it (side "child")."""
     parent, real = os.getpid(), planar._check_trace
 
-    def check(task):
+    def check(u, n, cap):
         if (os.getpid() == parent) == (side == "parent"):
             raise ValueError(f"walk failed in the {side}")
-        return real(task)
+        return real(u, n, cap)
 
     return check
 
@@ -354,10 +354,10 @@ import os, sys
 import discarr.cli, discarr.planar as planar
 parent, real = os.getpid(), planar._check_trace
 side = sys.argv.pop(1)
-def check(task):
+def check(u, n, cap):
     if (os.getpid() == parent) == (side == "parent"):
         raise ValueError(f"walk failed in the {side}")
-    return real(task)
+    return real(u, n, cap)
 planar._check_trace = check
 os.sched_getaffinity = lambda pid: {0, 1}
 sys.exit(discarr.cli.main(sys.argv[1:]))
@@ -382,7 +382,7 @@ def test_check_trace_rejects_repeated_slopes():
     # the walk's root basis e_3..e_n complements span(1, u) only for
     # distinct slopes; with u_1 = u_2 it would return wrong ranks
     with pytest.raises(ValueError, match="distinct slopes"):
-        _check_trace(([1, 1, 2, 3], 4, 2))
+        _check_trace([1, 1, 2, 3], 4, 2)
 
 
 ORACLE_SETTINGS = settings(deadline=None, derandomize=True, database=None)
@@ -428,7 +428,7 @@ def test_depth_first_dims_match_per_collection_rank(trace):
     slopes, n, cap = trace
     triples = list(combinations(range(1, n + 1), 3))
     oracle = dict(zip(all_collections(triples, cap), dims_by_rank(slopes, n, cap)))
-    assert _check_trace(trace) == [oracle[coll] for coll in _preorder(triples, cap)]
+    assert _check_trace(slopes, n, cap) == [oracle[coll] for coll in _preorder(triples, cap)]
 
 
 def test_keys_are_the_parallel_classes_of_the_pairing_columns():

@@ -4,7 +4,8 @@ perfbench/tracer.py looks each traced function up by module and attribute,
 and reads the planar memo's size when a command ends; a rename in discarr
 would break the traced benchmark runs, so the names are pinned here.  Its
 counters read the traced functions' results, so a traced run of the
-monodromy path pins their return shapes too.
+monodromy path pins their return shapes too, and a traced `relations` run
+shows that the streamed commuting family passes through the wrappers.
 """
 
 import importlib
@@ -55,7 +56,7 @@ def test_tracer_counts_the_monodromy_path(tmp_path):
     )
     assert made.returncode == 0, made.stderr
     summaries = {}
-    for command in ("monodromy", "presentation"):
+    for command in ("monodromy", "presentation", "relations"):
         plain = discarr("-m", "discarr.cli", command, "--input", arr)
         spans = tmp_path / f"{command}.json"
         traced = discarr(str(TRACER), str(spans), command, "--input", arr)
@@ -64,3 +65,4 @@ def test_tracer_counts_the_monodromy_path(tmp_path):
         summaries[command] = load_tracer().summarize(json.loads(spans.read_text()))
     assert summaries["monodromy"]["monodromy.braid_monodromy.letters"] > 0
     assert summaries["presentation"]["monodromy.presentation.relators"] > 0
+    assert summaries["relations"]["monodromy.nilpotent_relations.calls"] == 1
